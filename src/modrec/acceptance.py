@@ -21,7 +21,8 @@ from .kirwan import WeightSystem, bb_decomposition, perfection_check, quotient_p
 from .matrixdiv import div_bridge_check
 from .symprod import divisor_enumerate, sym_count, sym_poincare
 from .tamagawa import fixed_determinant_count, siegel_check, ss_mass, stable_count
-from .yangmills import classifying_series, moduli_poincare, ss_equivariant_series
+from .yangmills import (classifying_series, clear_caches, moduli_poincare,
+                        ss_equivariant_series)
 
 T = Poly.var("t")
 ONE = Poly.one()
@@ -145,9 +146,13 @@ def criterion_9_property_suite():
             assert is_palindrome(p, top)
             assert all(isinstance(c, int) and c >= 0 for c in p.scalar_coeffs("t"))
             assert p.evaluate({"t": -1}) == 0
-    # periodicity of the series and of the masses
-    assert ss_equivariant_series(2, 1, 2, 14) == ss_equivariant_series(2, 3, 2, 14)
-    assert ss_equivariant_series(3, 2, 2, 14) == ss_equivariant_series(3, 5, 2, 14)
+    # periodicity of the series and of the masses; the series memo is keyed
+    # on d mod n, so it is cleared between d and d + n
+    for n, d in [(2, 1), (3, 2)]:
+        clear_caches()
+        base = ss_equivariant_series(n, d, 2, 14)
+        clear_caches()
+        assert base == ss_equivariant_series(n, d + n, 2, 14)
     curve = CurveData.from_model(MODEL_F2)
     for make in (lambda: SpecializationField.numeric(curve),
                  lambda: SpecializationField.betti(2)):

@@ -125,7 +125,7 @@ def _cmd_count(args):
 def _cmd_mass(args):
     if args.curve:
         field = _numeric_field(args)
-    elif args.mode in ("betti", "hodge") and args.g:
+    elif args.mode in ("betti", "hodge") and args.g is not None:
         field = (SpecializationField.betti(args.g) if args.mode == "betti"
                  else SpecializationField.hodge(args.g))
     else:

@@ -397,7 +397,7 @@ def _validate_numerator(P, q, g):
         raise ValidationError("zeta numerator needs integer coefficients")
     if coeffs[0] != 1:
         raise ValidationError("zeta numerator must have constant term 1")
-    for i in range(0, 2 * g + 1):
+    for i in range(0, g + 1):
         if coeffs[2 * g - i] != q ** (g - i) * coeffs[i]:
             raise ValidationError(
                 "functional-equation symmetry fails at coefficient %d" % i)

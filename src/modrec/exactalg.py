@@ -18,8 +18,8 @@ Representation choices:
   term order).  Equality is therefore plain structural equality.
 
 * ``Series`` is a dense truncated power series in one variable whose
-  coefficients are polynomials in the remaining variables.  Arithmetic never
-  reads past the truncation order.
+  coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
+  Arithmetic never reads past the truncation order.
 
 >>> one_minus_t = Poly.one() - Poly.var("t")
 >>> f = RatFun(1, one_minus_t)
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import mul as _mul
 
 from .errors import ValidationError
 
@@ -694,7 +695,13 @@ def poly_divexact(a, b):
     if b.is_const:
         return a.scaled(Fraction(1) / Fraction(b.terms[()]))
     union = tuple(sorted(set(a.vars) | set(b.vars), key=_VAR_INDEX.__getitem__))
-    main = union[-1]
+    if len(union) == 1:
+        return _divexact_univar(a, b, union[0])
+    return _divexact_sparse(a, b, union[-1])
+
+
+def _divexact_sparse(a, b, main):
+    """Division by leading terms in ``main``, recursing on their coefficients."""
     db = b.degree(main)
     lb = b.coefficient(main, db)
     v = Poly.var(main)
@@ -715,6 +722,32 @@ def poly_divexact(a, b):
     if not r.is_zero:
         raise ValidationError("non-exact polynomial division")
     return quot
+
+
+def _divexact_univar(a, b, name):
+    """Long division on dense coefficient lists of one variable."""
+    rem = a.scalar_coeffs(name)
+    B = b.scalar_coeffs(name)
+    db = len(B) - 1
+    if len(rem) <= db:
+        raise ValidationError("non-exact polynomial division")
+    lead = B[-1]
+    lower = [(j, c) for j, c in enumerate(B[:-1]) if c]
+    quot = [0] * (len(rem) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        if isinstance(c, int) and isinstance(lead, int) and c % lead == 0:
+            qc = c // lead
+        else:
+            qc = _cnorm(Fraction(c) / lead)
+        quot[k] = qc
+        for j, bj in lower:
+            rem[k + j] -= qc * bj
+    if any(rem[:db]):
+        raise ValidationError("non-exact polynomial division")
+    return Poly.univariate(name, quot)
 
 
 # ---------------------------------------------------------------------------
@@ -974,126 +1007,83 @@ def substitute(f, bindings):
 
 
 class Series:
-    """Truncated power series; coefficients are Polys in the other variables."""
+    """Truncated power series in one variable with int/Fraction coefficients."""
 
     __slots__ = ("var", "coeffs")
 
-    def __init__(self, var, coeffs):
-        _check_var(var)
-        clean = []
-        for c in coeffs:
-            c = Poly._coerce(c)
-            if c is NotImplemented:
-                raise ValidationError("series coefficients must be polynomials")
-            if var in c.vars:
-                raise ValidationError("series coefficient contains the series variable")
-            clean.append(c)
-        if not clean:
-            raise ValidationError("series needs at least the constant coefficient")
+    def __init__(self, var, coeffs, *, _trusted=False):
+        if not _trusted:
+            _check_var(var)
+            coeffs = [_as_coeff(c) for c in coeffs]
+            if not coeffs:
+                raise ValidationError("series needs at least the constant coefficient")
         self.var = var
-        self.coeffs = clean
+        self.coeffs = coeffs
 
     @property
     def order(self):
         return len(self.coeffs) - 1
 
     @staticmethod
-    def zero(var, order):
-        return Series(var, [Poly.zero()] * (order + 1))
-
-    @staticmethod
     def one(var, order):
-        return Series(var, [Poly.one()] + [Poly.zero()] * order)
+        return Series(var, [1] + [0] * order)
 
     def coefficient_values(self):
-        """Coefficients as ints/Fractions; requires scalar coefficients."""
-        return [_cnorm(c.const_value()) for c in self.coeffs]
+        """Coefficients as a fresh list of ints/Fractions."""
+        return list(self.coeffs)
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return Series(self.var, self.coeffs[: order + 1])
+        return Series(self.var, self.coeffs[: order + 1], _trusted=True)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         return self.var == other.var and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.var, tuple(self.coeffs)))
-
-    def _common(self, other):
+    def __mul__(self, other):
         if not isinstance(other, Series):
-            other = Series(self.var, [Poly._coerce(other)] + [Poly.zero()] * self.order)
+            return NotImplemented
         if other.var != self.var:
             raise ValidationError("series variables differ")
         n = min(self.order, other.order)
-        return other, n
-
-    def __add__(self, other):
-        other, n = self._common(other)
-        return Series(self.var, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other, n = self._common(other)
-        return Series(self.var, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            p = Poly._coerce(other)
-            return Series(self.var, [c * p for c in self.coeffs])
-        other, n = self._common(other)
-        out = [Poly.zero()] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.var, out)
+        a, b = self.coeffs, other.coeffs
+        # coefficient k is the dot product of a[:k+1] with b[k], ..., b[0]
+        out = [_cnorm(sum(map(_mul, a[: k + 1], b[k::-1]))) for k in range(n + 1)]
+        return Series(self.var, out, _trusted=True)
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                parts.append("(%s)*%s^%d" % (c, self.var, k))
-        body = " + ".join(parts) if parts else "0"
-        return "%s + O(%s^%d)" % (body, self.var, self.order + 1)
+    def __repr__(self):
+        return "Series(%r, %r)" % (self.var, self.coeffs)
 
 
 def series_expand(f, var, order):
-    """Expand a rational function as a power series around 0 in ``var``."""
+    """Expand a rational function in ``var`` alone as a power series around 0."""
     f = RatFun._coerce(f)
     _check_var(var)
     if order < 0:
         raise ValidationError("series order must be non-negative")
-    den0 = f.den.coefficient(var, 0)
-    if den0.is_zero:
+    if any(v != var for v in f.num.vars + f.den.vars):
+        raise ValidationError("series coefficients must be scalars: %s involves "
+                              "variables other than %s" % (f, var))
+    num = f.num.scalar_coeffs(var)[: order + 1]
+    den = f.den.scalar_coeffs(var)
+    d0 = den[0]
+    if not d0:
         raise ValidationError("pole at 0 in the expansion variable %s" % var)
-    if not den0.is_const:
-        raise ValidationError(
-            "denominator constant term in %s must be a scalar for polynomial "
-            "series coefficients" % var)
-    d0 = den0.const_value()
-    num = f.num.dense_coeffs(var, upto=order)
-    den = f.den.dense_coeffs(var, upto=order)
     inv = Fraction(1) / d0
+    steps = [(k, c) for k, c in enumerate(den[: order + 1]) if k and c]
     out = []
     for n in range(order + 1):
-        acc = num[n] if n < len(num) else Poly.zero()
-        for k in range(1, min(n, len(den) - 1) + 1):
-            if not den[k].is_zero and not out[n - k].is_zero:
-                acc = acc - den[k] * out[n - k]
-        out.append(acc.scaled(inv) if inv != 1 else acc)
-    return Series(var, out)
+        acc = num[n] if n < len(num) else 0
+        for k, c in steps:
+            if k > n:
+                break
+            acc -= c * out[n - k]
+        out.append(_cnorm(acc if inv == 1 else acc * inv))
+    return Series(var, out, _trusted=True)
 
 
 def is_palindrome(p, top_degree):

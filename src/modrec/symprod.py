@@ -24,6 +24,8 @@ from .exactalg import Poly, series_expand
 
 def sym_poincare(g, n):
     """Betti polynomial of the n-th symmetric power of a genus-g curve."""
+    if g < 2:
+        raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
     terms = {}
@@ -37,6 +39,8 @@ def sym_poincare(g, n):
 
 def sym_hodge(g, n):
     """Hodge polynomial in u, v; setting u = v = t recovers sym_poincare."""
+    if g < 2:
+        raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
     u, v = Poly.var("u"), Poly.var("v")
@@ -56,8 +60,7 @@ def sym_count(curve, n):
         raise ValidationError("divisor counts need arithmetic mode")
     if n < 0:
         raise ValidationError("degree must be >= 0")
-    z = zeta_Z(curve).substitute({"t": Poly.var("x")})
-    coeff = series_expand(z, "x", n).coefficient_values()[n]
+    coeff = series_expand(zeta_Z(curve), "t", n).coeffs[n]
     if not isinstance(coeff, int):
         raise InvariantViolation("divisor count came out non-integral: %s" % coeff)
     if coeff < 0:

@@ -63,34 +63,34 @@ def classifying_series(n, g):
 def ss_equivariant_series(n, d, g, order):
     """Equivariant Poincare series of the semistable stratum, to the given order.
 
-    Memoized on (n, d, g, order) with d stored as given, so the periodicity
-    in d remains a testable output rather than a built-in assumption.
+    Memoized on (n, d mod n, g): twisting by a line bundle makes the series
+    periodic in d, and a truncated series is a prefix of every longer one,
+    so one entry keeps the longest series computed so far and serves shorter
+    orders by truncation.  The types are still enumerated for d as given, so
+    computing d and d + n with the memo cleared in between tests the
+    periodicity rather than assuming it.
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
-    key = (n, d, g, order)
-    if key in _SS_SERIES:
-        return _SS_SERIES[key]
-    total = series_expand(classifying_series(n, g), "t", order)
+    key = (n, d % n, g)
+    cached = _SS_SERIES.get(key)
+    if cached is not None and cached.order >= order:
+        return cached.truncate(order)
+    coeffs = series_expand(classifying_series(n, g), "t", order).coeffs
     for mu in enumerate_types(n, d, g, order // 2):
         if mu.is_trivial:
             continue
-        c = codim(mu, g)
-        sub_order = order - 2 * c
+        shift = 2 * codim(mu, g)
+        sub_order = order - shift
         prod = Series.one("t", sub_order)
         for nj, dj in mu.parts:
             prod = prod * ss_equivariant_series(nj, dj, g, sub_order)
-        total = total - _shift_into(prod, 2 * c, order)
+        for k, c in enumerate(prod.coeffs):
+            if c:
+                coeffs[shift + k] -= c
+    total = Series("t", coeffs, _trusted=True)
     _SS_SERIES[key] = total
     return total
-
-
-def _shift_into(series, shift, order):
-    coeffs = [Poly.zero()] * (order + 1)
-    for k, c in enumerate(series.coeffs):
-        if shift + k <= order:
-            coeffs[shift + k] = c
-    return Series("t", coeffs)
 
 
 def moduli_poincare(n, d, g):
@@ -111,11 +111,9 @@ def moduli_poincare(n, d, g):
             "the non-coprime semistable series")
     top = 2 * (n * n * (g - 1) + 1)
     order = top + truncation_slack()
-    series = ss_equivariant_series(n, d, g, order)
-    one_minus_t2 = Series("t", [Poly.one(), Poly.zero(), Poly.const(-1)]
-                          + [Poly.zero()] * (order - 2))
-    collapsed = series * one_minus_t2
-    values = collapsed.coefficient_values()
+    series = ss_equivariant_series(n, d, g, order).coeffs
+    # multiply by (1 - t^2)
+    values = series[:2] + [series[k] - series[k - 2] for k in range(2, order + 1)]
     for k in range(top + 1, order + 1):
         if values[k] != 0:
             raise InvariantViolation(

@@ -208,3 +208,17 @@ def test_selftest_flag(capsys):
     lines = [line for line in out.splitlines() if line.strip()]
     assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("mode", ["betti", "hodge"])
+def test_mass_genus_zero_is_a_genus_error(capsys, mode):
+    status, out, err = run_cli(capsys, "mass", "--n", "2", "--d", "1",
+                               "--mode", mode, "--g", "0")
+    assert status == 1 and out == ""
+    assert err == "error: genus must be at least 2\n"
+
+
+def test_symprod_genus_one_rejected(capsys):
+    status, out, err = run_cli(capsys, "symprod", "--n", "2", "--g", "1")
+    assert status == 1 and out == ""
+    assert err == "error: genus must be at least 2\n"

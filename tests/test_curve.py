@@ -199,3 +199,14 @@ def test_class_number_vs_divisor_classes():
         g, q = c.genus, c.q
         expected = c.class_number() * (q ** g - 1) // (q - 1)
         assert divisor_enumerate(model, 2 * g - 1) == expected
+
+
+def test_genus2_over_f7():
+    # q = 7 makes q ** (g - i) a float for i > g; the functional equation
+    # must still hold in integers
+    model = HyperellipticModel(p=7, k=1, f=(1, 0, 0, 0, 0, 1), h=())  # y^2 = x^5+1
+    assert [count_points(model, r) for r in (1, 2)] == [8, 50]
+    c = CurveData.from_model(model)
+    assert c.numerator == Poly.univariate("t", [1, 0, 0, 0, 49])
+    assert c.class_number() == 50
+    assert zeta_from_counts(7, 2, [8, 50]).numerator == c.numerator

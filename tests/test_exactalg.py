@@ -273,3 +273,60 @@ def test_multivariate_json_roundtrip():
 def test_fraction_strings():
     assert fraction_from_str("65/24") == Fraction(65, 24)
     assert fraction_from_str("75") == 75
+
+
+# -- dense univariate exact division -----------------------------------------
+
+
+def _random_univar(rng, max_deg, fractions):
+    coeffs = []
+    for _ in range(rng.randint(0, max_deg) + 1):
+        c = rng.randint(-6, 6)
+        if fractions and rng.random() < 0.4:
+            c = Fraction(c, rng.randint(1, 5))
+        coeffs.append(c)
+    if not coeffs[-1]:
+        coeffs[-1] = rng.choice([-3, -1, 1, 2, Fraction(2, 3) if fractions else 5])
+    return Poly.univariate("t", coeffs)
+
+
+def test_univariate_divexact_matches_sparse_loop():
+    from modrec.exactalg import _divexact_sparse, poly_divexact
+
+    rng = random.Random(4242)
+    for trial in range(200):
+        fractions = trial % 2 == 1
+        a = _random_univar(rng, 8, fractions)
+        b = _random_univar(rng, 5, fractions)
+        if b.is_const:
+            b = b + T
+        got = poly_divexact(a * b, b)
+        assert got == a
+        assert got == _divexact_sparse(a * b, b, "t")
+        # a nonzero remainder of lower degree makes the division non-exact
+        r = Poly.univariate("t", [rng.randint(1, 4)]
+                            + [rng.randint(-3, 3) for _ in range(b.degree("t") - 1)])
+        with pytest.raises(ValidationError):
+            poly_divexact(a * b + r, b)
+        with pytest.raises(ValidationError):
+            _divexact_sparse(a * b + r, b, "t")
+
+
+def test_univariate_divexact_edge_cases():
+    from modrec.exactalg import poly_divexact
+
+    # a constant by a polynomial of positive degree is never exact
+    with pytest.raises(ValidationError):
+        poly_divexact(Poly.const(3), Poly.one() + T)
+    # non-monic divisors keep the quotient exact and integral where it is
+    cyclo = Poly.one() + T + T ** 2
+    assert poly_divexact((2 * T - 3) * cyclo, 2 * T - 3) == cyclo
+    assert poly_divexact(Poly.one() - T ** 12, Poly.one() - T ** 4) == (
+        Poly.one() + T ** 4 + T ** 8)
+
+
+def test_series_expand_needs_scalar_coefficients():
+    f = RatFun(Poly.one(), Poly.one() - X * T)
+    with pytest.raises(ValidationError):
+        series_expand(f, "t", 3)
+    assert series_expand(RatFun(Poly.one(), Poly.one() - X), "x", 2).coeffs == [1, 1, 1]

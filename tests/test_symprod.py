@@ -7,7 +7,7 @@ import pytest
 
 from modrec.curve import CurveData, HyperellipticModel
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, RatFun, series_expand
+from modrec.exactalg import Poly
 from modrec.symprod import divisor_enumerate, sym_count, sym_hodge, sym_poincare
 
 T = Poly.var("t")
@@ -16,12 +16,36 @@ MODEL_F2 = HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,))
 MODEL_F3 = HyperellipticModel(p=3, k=1, f=(1, 0, 0, 0, 0, 1), h=())
 
 
+def _tmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _tsub(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
 def generating_series_oracle(g, upto):
-    """x^n coefficients of (1+xt)^{2g} / ((1-x)(1-x t^2)) via the series engine."""
-    x = Poly.var("x")
-    one = Poly.one()
-    f = RatFun((one + x * T) ** (2 * g), (one - x) * (one - x * T ** 2))
-    return series_expand(f, "x", upto).coeffs
+    """x^n coefficients of (1+xt)^{2g} / ((1-x)(1-x t^2)) as Polys in t.
+
+    A dense double expansion: a power series in x whose coefficients are
+    ascending t-coefficient lists, divided term by term by the denominator,
+    whose x^0 coefficient is 1."""
+    num = [[0] * i + [comb(2 * g, i)] for i in range(2 * g + 1)]
+    # (1 - x)(1 - x t^2) = 1 - (1 + t^2) x + t^2 x^2
+    den = [[1], [-1, 0, -1], [0, 0, 1]]
+    out = []
+    for n in range(upto + 1):
+        acc = num[n] if n < len(num) else [0]
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc = _tsub(acc, _tmul(den[k], out[n - k]))
+        out.append(acc)
+    return [Poly.univariate("t", c) for c in out]
 
 
 def test_sym_poincare_examples():

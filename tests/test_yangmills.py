@@ -1,11 +1,16 @@
 """Gauge-side recursion: closed forms, series oracle, moduli polynomials."""
 
+from fractions import Fraction
+
 import pytest
 
 from modrec.errors import ValidationError
+from modrec import yangmills
 from modrec.exactalg import Poly, RatFun, is_palindrome, series_expand
+from modrec.hn import codim, enumerate_types
 from modrec.yangmills import (
     classifying_series,
+    clear_caches,
     fixed_determinant_poly,
     moduli_poincare,
     ss_equivariant_series,
@@ -49,9 +54,13 @@ def test_ss_series_rank_two_closed_form():
 
 
 def test_ss_series_degree_periodicity():
+    # the memo is keyed on d mod n: clear it so d + n is really recomputed
     for order in (8, 14):
-        assert ss_equivariant_series(2, 1, 2, order) == ss_equivariant_series(2, 3, 2, order)
-        assert ss_equivariant_series(3, 1, 2, order) == ss_equivariant_series(3, 4, 2, order)
+        for n, d in [(2, 1), (3, 1)]:
+            clear_caches()
+            base = ss_equivariant_series(n, d, 2, order)
+            clear_caches()
+            assert base == ss_equivariant_series(n, d + n, 2, order)
 
 
 def test_truncation_stability():
@@ -126,3 +135,88 @@ def test_truncation_slack_env(monkeypatch):
     monkeypatch.delenv("MODREC_TRUNCATION_SLACK")
     yangmills.clear_caches()
     assert wide == yangmills.moduli_poincare(2, 1, 2)
+
+
+# -- the scalar series core against an independent recursion -----------------
+
+
+def _lmul(a, b, order):
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _classifying_oracle(n, g, order):
+    """prod (1+t^{2j-1})^{2g} / ((1-t^{2n}) prod_{j<n} (1-t^{2j})^2) to the
+    given order, by long division of exact coefficient lists."""
+    num = [1]
+    for j in range(1, n + 1):
+        for _ in range(2 * g):
+            num = _lmul(num, [1] + [0] * (2 * j - 2) + [1], order)
+    den = [1] + [0] * (2 * n - 1) + [-1]
+    for j in range(1, n):
+        for _ in range(2):
+            den = _lmul(den, [1] + [0] * (2 * j - 1) + [-1], order)
+    out = []
+    for k in range(order + 1):
+        c = num[k]
+        for i in range(1, min(k, len(den) - 1) + 1):
+            c -= den[i] * out[k - i]
+        q = Fraction(c, den[0])
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
+
+
+def _ss_oracle(n, d, g, order, memo):
+    """The semistable series recursion on exact coefficient lists, with its
+    own memo keyed on (n, d, g, order) with d as given."""
+    key = (n, d, g, order)
+    if key not in memo:
+        total = _classifying_oracle(n, g, order)
+        for mu in enumerate_types(n, d, g, order // 2):
+            if mu.is_trivial:
+                continue
+            shift = 2 * codim(mu, g)
+            prod = [1] + [0] * (order - shift)
+            for nj, dj in mu.parts:
+                prod = _lmul(prod, _ss_oracle(nj, dj, g, order - shift, memo), order - shift)
+            for k, c in enumerate(prod):
+                total[shift + k] -= c
+        memo[key] = total
+    return memo[key]
+
+
+def test_ss_series_sweep_against_oracle():
+    # every d in 0..2n-1 at the order moduli_poincare uses for (n, g); d < n
+    # is computed from a cold memo, d >= n is served from the residue key
+    for g in (2, 3):
+        memo = {}
+        for n in range(1, 6):
+            order = 2 * (n * n * (g - 1) + 1) + yangmills.truncation_slack()
+            for d in range(2 * n):
+                if d < n:
+                    clear_caches()
+                got = ss_equivariant_series(n, d, g, order)
+                assert got.order == order
+                assert got.coeffs == _ss_oracle(n, d, g, order, memo), (n, d, g)
+
+
+def test_ss_series_memo_serves_prefixes():
+    long = ss_equivariant_series(3, 1, 2, 20)
+    assert ss_equivariant_series(3, 4, 2, 12) == long.truncate(12)
+    assert yangmills._SS_SERIES[(3, 1, 2)].order == 20
+    # a longer request replaces the entry and keeps the old prefix
+    longer = ss_equivariant_series(3, 1, 2, 26)
+    assert longer.truncate(20) == long
+    assert yangmills._SS_SERIES[(3, 1, 2)].order == 26
+
+
+def test_ss_series_memo_is_bounded_by_residues():
+    clear_caches()
+    moduli_poincare(6, 1, 2)
+    # one entry per (n', d' mod n') with n' <= 6: 1 + 2 + ... + 6
+    assert len(yangmills._SS_SERIES) == 16
+    assert all(0 <= d < n and g == 2 for n, d, g in yangmills._SS_SERIES)
