@@ -42,8 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def load_curve(path):
-    """Read and validate a curve config file; returns CurveData."""
+def _read_config(path):
+    """Parse a curve config file; returns the JSON object and its mode."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -51,30 +51,39 @@ def load_curve(path):
         raise ValidationError("cannot read curve file %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ValidationError("curve file %s is not valid JSON: %s" % (path, exc))
-    mode = _field(raw, "mode", str, path)
+    if not isinstance(raw, dict):
+        raise ValidationError("%s: a curve config must be a JSON object" % path)
+    return raw, _field(raw, "mode", str, path)
+
+
+def load_curve(path):
+    """Read and validate a curve config file; returns CurveData."""
+    raw, mode = _read_config(path)
     if mode == "symbolic":
         return CurveData.symbolic(_field(raw, "genus", int, path))
     if mode == "counts":
         return zeta_from_counts(_field(raw, "q", int, path),
                                 _field(raw, "genus", int, path),
-                                _field(raw, "counts", list, path))
+                                _int_list(raw, "counts", path))
     if mode == "hyperelliptic":
-        model = HyperellipticModel(p=_field(raw, "p", int, path),
-                                   k=_field(raw, "k", int, path),
-                                   f=tuple(_field(raw, "f", list, path)),
-                                   h=tuple(raw.get("h", ())))
-        return CurveData.from_model(model)
+        return CurveData.from_model(_model(raw, path))
     raise ValidationError("%s: unknown curve mode %r" % (path, mode))
 
 
 def load_model(path):
     """As load_curve but keeps the hyperelliptic model (for enumeration)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if raw.get("mode") != "hyperelliptic":
+    raw, mode = _read_config(path)
+    if mode != "hyperelliptic":
         raise ValidationError("%s: divisor enumeration needs a hyperelliptic model" % path)
-    return HyperellipticModel(p=raw["p"], k=raw["k"],
-                              f=tuple(raw["f"]), h=tuple(raw.get("h", ())))
+    return _model(raw, path)
+
+
+def _model(raw, path):
+    h = _int_list(raw, "h", path) if "h" in raw else []
+    return HyperellipticModel(p=_field(raw, "p", int, path),
+                              k=_field(raw, "k", int, path),
+                              f=tuple(_int_list(raw, "f", path)),
+                              h=tuple(h))
 
 
 def _field(raw, name, kind, path):
@@ -83,6 +92,14 @@ def _field(raw, name, kind, path):
     value = raw[name]
     if kind is int and isinstance(value, bool) or not isinstance(value, kind):
         raise ValidationError("%s: field %r must be %s" % (path, name, kind.__name__))
+    return value
+
+
+def _int_list(raw, name, path):
+    value = _field(raw, name, object, path)
+    if not isinstance(value, list) or any(isinstance(c, bool) or not isinstance(c, int)
+                                          for c in value):
+        raise ValidationError("%s: field %r must be a list of integers" % (path, name))
     return value
 
 

@@ -7,7 +7,7 @@ enters any computation.
 Representation choices:
 
 * ``Poly`` is a sparse multivariate polynomial over the closed variable set
-  ``{t, q, x, u, v}``.  A polynomial stores the ordered tuple of variables it
+  ``{t, u, v}``.  A polynomial stores the ordered tuple of variables it
   actually uses and a dict mapping exponent tuples to nonzero coefficients.
   Unused variables are stripped, so two equal polynomials are structurally
   identical.
@@ -15,7 +15,10 @@ Representation choices:
 * ``RatFun`` is a quotient of two polynomials kept in a canonical form:
   numerator and denominator are coprime, and the denominator has coprime
   integer coefficients with a positive leading coefficient (lexicographic
-  term order).  Equality is therefore plain structural equality.
+  term order).  Equality is therefore plain structural equality.  A
+  rational function in several variables must live in Q(u, v) with
+  denominators of the form u^i v^j f(uv), as the Hodge mass recursion's do:
+  that is the domain ``poly_gcd`` reduces in.
 
 * ``Series`` is a dense truncated power series in one variable whose
   coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
@@ -35,7 +38,7 @@ from operator import mul as _mul
 
 from .errors import ValidationError
 
-VARIABLES = ("t", "q", "x", "u", "v")
+VARIABLES = ("t", "u", "v")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
@@ -66,7 +69,7 @@ def _check_var(name):
 
 
 class Poly:
-    """Sparse exact polynomial in a subset of the variables t, q, x, u, v."""
+    """Sparse exact polynomial in a subset of the variables t, u, v."""
 
     __slots__ = ("vars", "terms")
 
@@ -448,20 +451,13 @@ def _mul_dense_univar(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _dense_int_coeffs(p, name):
-    """Clear denominators of a univariate Poly; returns primitive int list."""
-    coeffs = p.scalar_coeffs(name)
+def _int_coeffs(coeffs):
+    """Clear denominators of a coefficient list; returns a primitive int list."""
     den = 1
     for c in coeffs:
         if isinstance(c, Fraction):
             den = den * c.denominator // _int_gcd(den, c.denominator)
-    out = [int(c * den) for c in coeffs]
-    g = 0
-    for c in out:
-        g = _int_gcd(g, abs(c))
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+    return _int_primitive([int(c * den) for c in coeffs])
 
 
 def _int_prem(a, b):
@@ -492,9 +488,10 @@ def _int_primitive(a):
     return a
 
 
-def _gcd_univar(a, b, name):
-    A = _dense_int_coeffs(a, name)
-    B = _dense_int_coeffs(b, name)
+def _gcd_univar(A, B):
+    """gcd of ascending coefficient lists: primitive ints, positive leading."""
+    A = _int_coeffs(A)
+    B = _int_coeffs(B)
     if len(A) < len(B):
         A, B = B, A
     while any(B):
@@ -502,11 +499,17 @@ def _gcd_univar(a, b, name):
         A, B = B, R
     if A and A[-1] < 0:
         A = [-c for c in A]
-    return Poly.univariate(name, A)
+    return A
 
 
 def poly_gcd(a, b):
-    """Greatest common divisor, primitive with positive leading coefficient."""
+    """Greatest common divisor, primitive with positive leading coefficient.
+
+    Univariate pairs take the primitive remainder sequence.  Multivariate
+    pairs must lie in Q[u, v] with one argument of the form u^i v^j f(uv),
+    the only shape the Hodge mass recursion produces (see ``_gcd_graded``);
+    any other multivariate pair raises ``ValidationError``.
+    """
     if a.is_zero and b.is_zero:
         return Poly.zero()
     if a.is_zero:
@@ -515,175 +518,61 @@ def poly_gcd(a, b):
         return a.scaled(1 / a.signed_content())
     if a.is_const or b.is_const:
         return Poly.one()
-    union = tuple(sorted(set(a.vars) | set(b.vars), key=_VAR_INDEX.__getitem__))
+    union = set(a.vars) | set(b.vars)
     if len(union) == 1:
-        return _gcd_univar(a, b, union[0])
-    heuristic = _gcd_eval_heuristic(a, b, union)
-    if heuristic is not None:
-        return heuristic
-    return _gcd_prs(a, b, union)
+        name = a.vars[0]
+        return Poly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
+    return _gcd_graded(a, b)
 
 
-def _gcd_prs(a, b, union):
-    main = union[-1]
-    ca, pa = _content_pp(a, main)
-    cb, pb = _content_pp(b, main)
-    cg = poly_gcd(ca, cb)
-    f, g = pa, pb
-    if f.degree(main) < g.degree(main):
-        f, g = g, f
-    while not g.is_zero:
-        r = _pseudo_rem(f, g, main)
-        if not r.is_zero:
-            r = _content_pp(r, main)[1]
-        f, g = g, r
-    result = cg * f
-    return result.scaled(1 / result.signed_content())
+def _graded_parts(p):
+    """Write p = u^i v^j * sum_s c_s(uv) x_s with the monomial u^i v^j maximal.
 
-
-def _integerize(p):
-    """Scale to coprime integer coefficients with positive lex leading one."""
-    return p.scaled(1 / p.signed_content())
-
-
-def _eval_var_int(p, name, xi):
-    """Substitute an integer for one variable; exact, by digit accumulation."""
-    if name not in p.vars:
-        return p
-    i = p.vars.index(name)
-    rest = p.vars[:i] + p.vars[i + 1:]
-    terms = {}
-    for e, c in p.terms.items():
-        key = e[:i] + e[i + 1:]
-        terms[key] = terms.get(key, 0) + c * xi ** e[i]
-    terms = {e: c for e, c in terms.items() if c}
-    vars, terms = _strip_vars(rest, terms)
-    return Poly(vars, terms, _trusted=True)
-
-
-def _balanced_digits(value, xi):
-    """value = sum digits[i] * xi^i with digits in (-xi/2, xi/2]."""
-    digits = []
-    half = xi // 2
-    while value:
-        d = value % xi
-        if d > half:
-            d -= xi
-        digits.append(d)
-        value = (value - d) // xi
-    return digits
-
-
-def _gcd_eval_heuristic(a, b, union, attempts=3):
-    """Evaluation/reconstruction gcd, sound because it is verified.
-
-    Evaluating the last variable at a large integer xi reduces to a gcd with
-    one variable fewer; balanced base-xi digits rebuild a candidate.  Factors
-    involving only the evaluated variable survive as integer content, so the
-    content gcd's digits are reconstructed too.  A candidate counts only if
-    it divides both inputs (so it divides the true gcd) and the cofactors
-    share no factor purely in the evaluated variable (the one blind spot of
-    a single evaluation); the evaluated degrees rule everything else out.
-    Failures retry with a larger xi and then fall back to the remainder
-    sequence.
+    Here x_s = u^s for s >= 0 and v^-s for s < 0, a basis of Q[u, v] over
+    Q[uv].  Returns ((i, j), {s: ascending coefficient list of c_s}).
     """
-    a = _integerize(a)
-    b = _integerize(b)
-    name = union[-1]
-    bound = 1
-    for p in (a, b):
-        for c in p.terms.values():
-            bound = max(bound, abs(c))
-    xi = 2 * int(bound) + 29
-    for _ in range(attempts):
-        ga = _eval_var_int(a, name, xi)
-        gb = _eval_var_int(b, name, xi)
-        if ga.is_zero or gb.is_zero:
-            xi = xi * 3 + 1
-            continue
-        content = _int_gcd(_int_content(ga), _int_content(gb))
-        gamma = poly_gcd(ga, gb).scaled(content)
-        candidate = _reconstruct_from_digits(gamma, name, xi)
-        if candidate is not None and not candidate.is_zero:
-            candidate = _integerize(candidate)
-            try:
-                cofactor_a = poly_divexact(a, candidate)
-                cofactor_b = poly_divexact(b, candidate)
-            except ValidationError:
-                pass
-            else:
-                leftover = poly_gcd(_content_in_var(cofactor_a, name),
-                                    _content_in_var(cofactor_b, name))
-                if leftover.is_const:
-                    return candidate
-        xi = xi * 3 + 1
-    return None
-
-
-def _int_content(p):
-    g = 0
-    for c in p.terms.values():
-        g = _int_gcd(g, abs(c))
-    return g or 1
-
-
-def _content_in_var(p, name):
-    """gcd of the coefficient polynomials of ``name`` grouped by the other
-    variables; a nonconstant result is the largest pure-``name`` factor."""
-    if name not in p.vars or p.is_zero:
-        return Poly.one()
-    i = p.vars.index(name)
-    buckets = {}
+    exps = []
     for e, c in p.terms.items():
-        key = e[:i] + e[i + 1:]
-        buckets.setdefault(key, {})[(e[i],)] = c
-    content = Poly.zero()
-    for coeffs in buckets.values():
-        vars, terms = _strip_vars((name,), coeffs)
-        content = poly_gcd(content, Poly(vars, terms, _trusted=True))
-        if content.is_const:
-            return Poly.one()
-    return content
+        x = dict(zip(p.vars, e))
+        exps.append((x.get("u", 0), x.get("v", 0), c))
+    mu = min(i for i, _, _ in exps)
+    mv = min(j for _, j, _ in exps)
+    parts = {}
+    for i, j, c in exps:
+        i, j = i - mu, j - mv
+        coeffs = parts.setdefault(i - j, {})
+        coeffs[min(i, j)] = c
+    return (mu, mv), {s: [cs.get(k, 0) for k in range(max(cs) + 1)]
+                      for s, cs in parts.items()}
 
 
-def _reconstruct_from_digits(gamma, name, xi):
-    out = Poly.zero()
-    v = Poly.var(name)
-    for e, c in gamma.terms.items():
-        if not isinstance(c, int):
-            return None
-        mono_vars, mono_terms = _strip_vars(gamma.vars, {e: 1})
-        mono = Poly(mono_vars, mono_terms, _trusted=True)
-        for k, digit in enumerate(_balanced_digits(c, xi)):
-            if digit:
-                out = out + digit * mono * v ** k
-    return out
+def _gcd_graded(a, b):
+    """gcd in Q[u, v] when one argument is u^i v^j f(uv).
 
-
-def _content_pp(p, main):
-    """Content (gcd of coefficients w.r.t. ``main``) and primitive part."""
-    coeffs = [c for c in p.dense_coeffs(main) if not c.is_zero]
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        content = poly_gcd(content, c)
-        if content.is_const:
+    Q[u, v] is free over Q[w], w = uv, so A = u^i v^j sum_s c_s(w) x_s.  With
+    f(0) != 0 every divisor of f(uv) is h(uv) for a divisor h of f, and h(uv)
+    divides A exactly when h divides every c_s; the monomial parts meet in
+    their componentwise minimum.
+    """
+    if not set(a.vars) | set(b.vars) <= {"u", "v"}:
+        raise ValidationError("multivariate gcd is supported only in u, v: %s and %s" % (a, b))
+    (ma, parts_a), (mb, parts_b) = _graded_parts(a), _graded_parts(b)
+    if len(parts_b) > 1:
+        if len(parts_a) > 1:
+            raise ValidationError("multivariate gcd needs one argument of the form "
+                                  "u^i*v^j*f(u*v): %s and %s" % (a, b))
+        parts_a, parts_b = parts_b, parts_a
+    h = parts_b[0]
+    for c in parts_a.values():
+        if len(h) == 1:
             break
-    if content.is_const:
-        content = Poly.one()
-        return content, p
-    return content, poly_divexact(p, content)
-
-
-def _pseudo_rem(f, g, main):
-    lg = g.coefficient(main, g.degree(main))
-    dg = g.degree(main)
-    r = f
-    v = Poly.var(main)
-    while not r.is_zero and r.degree(main) >= dg:
-        dr = r.degree(main)
-        lr = r.coefficient(main, dr)
-        r = lg * r - lr * v ** (dr - dg) * g
-    return r
+        h = _gcd_univar(h, c)
+    mu, mv = min(ma[0], mb[0]), min(ma[1], mb[1])
+    if len(h) == 1:
+        h = [1]
+    terms = {(mu + k, mv + k): c for k, c in enumerate(h) if c}
+    vars, terms = _strip_vars(("u", "v"), terms)
+    return Poly(vars, terms, _trusted=True)
 
 
 def poly_divexact(a, b):
@@ -914,25 +803,16 @@ class RatFun:
         return RatFun(num, den, _reduced=True)
 
     def substitute(self, bindings):
-        """Compose with rational-function (or polynomial) bindings."""
-        coerced = {}
-        all_poly = True
+        """Substitute polynomials (or scalars) for variables and reduce."""
+        poly_bindings = {}
         for name, value in bindings.items():
             _check_var(name)
             value = RatFun._coerce(value)
-            if value is NotImplemented:
-                raise ValidationError("binding for %s is not rational" % name)
-            coerced[name] = value
-            all_poly = all_poly and value.is_poly
-        if all_poly:
-            poly_bindings = {k: v.num for k, v in coerced.items()}
-            num = self.num.substitute(poly_bindings)
-            den = self.den.substitute(poly_bindings)
-        else:
-            num_rf = _poly_subs_ratfun(self.num, coerced)
-            den_rf = _poly_subs_ratfun(self.den, coerced)
-            num = num_rf.num * den_rf.den
-            den = num_rf.den * den_rf.num
+            if value is NotImplemented or not value.is_poly:
+                raise ValidationError("binding for %s is not a polynomial" % name)
+            poly_bindings[name] = value.num
+        num = self.num.substitute(poly_bindings)
+        den = self.den.substitute(poly_bindings)
         if den.is_zero:
             raise ZeroDivisionError("denominator vanishes identically after substitution")
         return RatFun(num, den)
@@ -970,30 +850,6 @@ def _cancel(a, b):
     if g.is_const:
         return a, b
     return poly_divexact(a, g), poly_divexact(b, g)
-
-
-def _poly_subs_ratfun(p, bindings):
-    result = RatFun.zero()
-    powers = {name: {0: RatFun.one()} for name in p.vars}
-
-    def _power(name, k):
-        cache = powers[name]
-        if k not in cache:
-            base = bindings.get(name, RatFun.var(name))
-            best = max(i for i in cache if i <= k)
-            acc = cache[best]
-            for i in range(best, k):
-                acc = acc * base
-                cache[i + 1] = acc
-        return cache[k]
-
-    for e, c in p.terms.items():
-        term = RatFun._coerce(c)
-        for name, k in zip(p.vars, e):
-            if k:
-                term = term * _power(name, k)
-        result = result + term
-    return result
 
 
 def substitute(f, bindings):

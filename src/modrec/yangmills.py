@@ -14,7 +14,6 @@ series to the Poincare polynomial of the moduli space.
 
 from __future__ import annotations
 
-import os
 from math import gcd
 
 from .errors import InvariantViolation, ValidationError
@@ -24,20 +23,9 @@ from .hn import codim, enumerate_types
 _CLASSIFYING = {}
 _SS_SERIES = {}
 
-DEFAULT_TRUNCATION_SLACK = 4
-
-
-def truncation_slack():
-    raw = os.environ.get("MODREC_TRUNCATION_SLACK", "")
-    if not raw:
-        return DEFAULT_TRUNCATION_SLACK
-    try:
-        slack = int(raw)
-    except ValueError:
-        raise ValidationError("MODREC_TRUNCATION_SLACK must be an integer")
-    if slack < 0:
-        raise ValidationError("MODREC_TRUNCATION_SLACK must be >= 0")
-    return slack
+# orders above the expected top degree in which moduli_poincare requires the
+# collapsed series to vanish; a wrong type cutoff shows up there
+TRUNCATION_SLACK = 4
 
 
 def classifying_series(n, g):
@@ -110,7 +98,7 @@ def moduli_poincare(n, d, g):
             "rank and degree must be coprime; use ss_equivariant_series for "
             "the non-coprime semistable series")
     top = 2 * (n * n * (g - 1) + 1)
-    order = top + truncation_slack()
+    order = top + TRUNCATION_SLACK
     series = ss_equivariant_series(n, d, g, order).coeffs
     # multiply by (1 - t^2)
     values = series[:2] + [series[k] - series[k - 2] for k in range(2, order + 1)]

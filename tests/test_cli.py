@@ -147,6 +147,24 @@ def test_malformed_config_exits_one(capsys, tmp_path):
     assert status == 1 and "JSON" in err
 
 
+@pytest.mark.parametrize("config, blamed", [
+    (dict(F2_CONFIG, h=5), "'h'"),
+    (dict(F2_CONFIG, f=["a", 0, 0, 0, 0, 1]), "'f'"),
+    (dict(F2_CONFIG, f=[0, 0, 0, 0, 0, 1e3]), "'f'"),
+    (dict(F2_CONFIG, f=[0, 0, 0, 0, 0, True]), "'f'"),
+    (dict(COUNTS_CONFIG, counts=["3", 5]), "'counts'"),
+    (5, "JSON object"),
+], ids=["h-int", "f-str", "f-float", "f-bool", "counts-str", "not-object"])
+def test_malformed_config_lists_exit_one(capsys, tmp_path, config, blamed):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for argv in (["zeta", "--curve", str(path)],
+                 ["symprod", "--n", "2", "--curve", str(path), "--enumerate"]):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, (argv, err)
+
+
 def test_hasse_weil_violation_rejected(capsys, tmp_path):
     path = tmp_path / "bad_counts.json"
     path.write_text(json.dumps({"mode": "counts", "q": 2, "genus": 2, "counts": [30, 5]}))

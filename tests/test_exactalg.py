@@ -25,8 +25,8 @@ from modrec.exactalg import (
 )
 
 T = Poly.var("t")
-Q = Poly.var("q")
-X = Poly.var("x")
+U = Poly.var("u")
+V = Poly.var("v")
 
 
 def dense(p, var="t", upto=None):
@@ -115,21 +115,21 @@ def test_series_multiplicativity():
 
 
 def test_substitute_examples():
-    f = RatFun(Q - 1)
-    assert substitute(f, {"q": RatFun(T ** 2)}) == RatFun(T ** 2 - 1)
+    f = RatFun(U - 1)
+    assert substitute(f, {"u": RatFun(T ** 2)}) == RatFun(T ** 2 - 1)
 
-    p = RatFun(Poly.one() + 4 * X ** 4)
-    val = substitute(p, {"x": RatFun(Fraction(1, 4))})
+    p = RatFun(Poly.one() + 4 * V ** 4)
+    val = substitute(p, {"v": RatFun(Fraction(1, 4))})
     assert val.const_value() == Fraction(65, 64)
 
-    f = RatFun(Q, Q - 1)
-    assert substitute(f, {"q": RatFun(T ** 2)}) == RatFun(T ** 2, T ** 2 - 1)
+    f = RatFun(U, U - 1)
+    assert substitute(f, {"u": RatFun(T ** 2)}) == RatFun(T ** 2, T ** 2 - 1)
 
 
 def test_substitute_vanishing_denominator():
-    f = RatFun(1, Q - 1)
+    f = RatFun(1, U - 1)
     with pytest.raises(ZeroDivisionError):
-        substitute(f, {"q": RatFun.one()})
+        substitute(f, {"u": RatFun.one()})
 
 
 def test_substitute_then_expand_commutes():
@@ -159,7 +159,7 @@ def test_palindrome_preconditions():
     with pytest.raises(ValidationError):
         is_palindrome(Poly.one() + T ** 3, 2)
     with pytest.raises(ValidationError):
-        is_palindrome(Poly.one() + Q, 2)
+        is_palindrome(Poly.one() + U, 2)
 
 
 # -- ring axioms on randomized inputs ------------------------------------------
@@ -198,34 +198,84 @@ def test_ring_axioms():
         assert a * (b + c) == a * b + a * c
 
 
-def test_bivariate_gcd_reduction():
-    u, v = Poly.var("u"), Poly.var("v")
-    common = (u + v) ** 2
-    f = RatFun(common * (u - v), common * (Poly.one() + u * v))
-    assert f == RatFun(u - v, Poly.one() + u * v)
-    g = poly_gcd(common * (u - v), common * (Poly.one() + u * v))
-    assert g == common
+def _random_uv_poly(rng, max_deg):
+    """A random f(uv) with f(0) != 0."""
+    w = U * V
+    return sum((rng.randint(-4, 4) * w ** k for k in range(1, rng.randint(1, max_deg) + 1)),
+               Poly.const(rng.choice([-3, -2, -1, 1, 2, 3])))
 
 
-def test_randomized_bivariate_gcd():
+def _graded_gcd_cases(seed, count):
+    """Pairs A = p * planted, B = m * f(uv) * planted with planted = u^a v^b h(uv)."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        p = _random_poly(rng, vars=("u", "v"), max_deg=3)
+        if p.is_zero:
+            continue
+        planted = U ** rng.randint(0, 2) * V ** rng.randint(0, 2) * _random_uv_poly(rng, 2)
+        m = U ** rng.randint(0, 3) * V ** rng.randint(0, 3)
+        f = _random_uv_poly(rng, 3)
+        if len(cases) % 2:
+            # every graded piece of p but one shares the factor e(uv) with f
+            e = Poly.const(rng.choice([1, 2])) + rng.choice([-1, 1, 3]) * (U * V) ** rng.randint(1, 2)
+            p = e * p + rng.choice([U, V]) ** rng.randint(1, 3)
+            f = f * e
+        cases.append((p * planted, m * f * planted, planted))
+    return cases
+
+
+def test_graded_gcd_randomized():
     from modrec.exactalg import poly_divexact
 
-    rng = random.Random(31337)
-    for _ in range(30):
-        p = _random_poly(rng, vars=("u", "v"), max_deg=3)
-        q = _random_poly(rng, vars=("u", "v"), max_deg=3)
-        r = _random_poly(rng, vars=("u", "v"), max_deg=2)
-        if p.is_zero or q.is_zero or r.is_zero:
-            continue
-        g = poly_gcd(p * r, q * r)
-        # g divides both products and is divisible by the planted factor
-        a = poly_divexact(p * r, g)
-        b = poly_divexact(q * r, g)
-        assert (a * g == p * r) and (b * g == q * r)
-        scale = r.signed_content()
-        poly_divexact(g, r.scaled(1 / scale))
-        # idempotence: gcd of g with either product is g again
-        assert poly_gcd(g, p * r) == g
+    for a, b, planted in _graded_gcd_cases(31337, 40):
+        g = poly_gcd(a, b)
+        assert poly_divexact(a, g) * g == a
+        assert poly_divexact(b, g) * g == b
+        poly_divexact(g, planted)
+        assert poly_gcd(b, a) == g
+        assert g.signed_content() == 1
+        # idempotence: gcd of g with either argument is g again
+        assert poly_gcd(g, a) == g
+
+
+def test_graded_gcd_is_maximal_against_univariate_gcd():
+    # g(u, v0) divides the gcd of the specializations, and u-degrees agree
+    # for a generic v0: an independent check that g is the whole gcd
+    for a, b, _ in _graded_gcd_cases(2718, 25):
+        deg = poly_gcd(a, b).degree("u")
+        seen = []
+        for v0 in (2, -3, 5, 7, -11):
+            special = poly_gcd(a.substitute({"v": v0}), b.substitute({"v": v0}))
+            seen.append(special.degree("u"))
+        assert min(seen) == deg, (a, b, seen)
+
+
+def test_graded_gcd_examples():
+    w = Poly.one() - U * V
+    # normalized to a positive lexicographic leading coefficient
+    assert poly_gcd(U ** 2 * V * w * (U - V), U * V ** 3 * w * (Poly.one() + U * V)) == -U * V * w
+    assert poly_gcd(U * (Poly.one() + U), V) == Poly.one()
+    # w divides the u^0 piece of w + u but not its u^1 piece
+    assert poly_gcd(w + U, w) == Poly.one()
+    assert poly_gcd(V * w, V * (V * w + U * w ** 2 + U ** 2)) == V
+    f = RatFun((Poly.one() + U * V) * (U + V), U * (Poly.one() - (U * V) ** 2))
+    assert f == RatFun(U + V, U * (Poly.one() - U * V))
+
+
+def test_multivariate_gcd_refusals():
+    # neither argument has the shape u^i v^j f(uv)
+    with pytest.raises(ValidationError):
+        poly_gcd((U + V) * (U - V), (U + V) * (Poly.one() + U + V))
+    # variables outside {u, v}
+    with pytest.raises(ValidationError):
+        poly_gcd(T + U, Poly.one() + T * U)
+    # a rational binding would need a gcd outside that domain
+    with pytest.raises(ValidationError):
+        RatFun(T).substitute({"t": RatFun(1, Poly.one() - T)})
+    # q and x are not variables: every q-denominator is specialized first
+    with pytest.raises(ValidationError):
+        Poly.var("q")
 
 
 def test_float_coefficients_rejected():
@@ -326,7 +376,7 @@ def test_univariate_divexact_edge_cases():
 
 
 def test_series_expand_needs_scalar_coefficients():
-    f = RatFun(Poly.one(), Poly.one() - X * T)
+    f = RatFun(Poly.one(), Poly.one() - U * T)
     with pytest.raises(ValidationError):
         series_expand(f, "t", 3)
-    assert series_expand(RatFun(Poly.one(), Poly.one() - X), "x", 2).coeffs == [1, 1, 1]
+    assert series_expand(RatFun(Poly.one(), Poly.one() - U), "u", 2).coeffs == [1, 1, 1]

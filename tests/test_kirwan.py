@@ -26,15 +26,14 @@ T = Poly.var("t")
 
 
 def quotient_count_oracle(weights):
-    """((q^{N+1}-1) - (q^a - 1) - (q^b - 1)) / (q-1)^2 as a t-polynomial."""
-    q = Poly.var("q")
+    """((q^{N+1}-1) - (q^a - 1) - (q^b - 1)) / (q-1)^2 at q = t^2."""
+    q = T ** 2
     one = Poly.one()
     a = sum(1 for w in weights if w > 0)
     b = sum(1 for w in weights if w < 0)
     N1 = len(weights)
     num = (q ** N1 - one) - (q ** a - one) - (q ** b - one)
-    quotient = RatFun(num, (q - one) ** 2).as_poly()
-    return quotient.substitute({"q": T ** 2})
+    return RatFun(num, (q - one) ** 2).as_poly()
 
 
 def test_strata_examples():

@@ -169,18 +169,22 @@ def test_mass_periodicity_numeric_and_betti():
         assert c == d
 
 
+HODGE_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 3)]
+
+
 def test_hodge_specializes_to_betti():
     t = RatFun(T)
-    for n, d, g in [(2, 1, 2), (3, 1, 2), (2, 1, 3)]:
+    for n, d, g in HODGE_CASES:
         hodge = ss_mass(n, d, SpecializationField.hodge(g))
         betti = ss_mass(n, d, SpecializationField.betti(g))
         assert hodge.substitute({"u": t, "v": t}) == betti, (n, d, g)
 
 
 def test_hodge_mass_is_uv_symmetric():
-    h = ss_mass(2, 1, SpecializationField.hodge(2))
     u, v = RatFun.var("u"), RatFun.var("v")
-    assert h.substitute({"u": v, "v": u}) == h
+    for n, d, g in HODGE_CASES:
+        h = ss_mass(n, d, SpecializationField.hodge(g))
+        assert h.substitute({"u": v, "v": u}) == h, (n, d, g)
 
 
 def test_siegel_check_rank_one(F2):

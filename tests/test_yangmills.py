@@ -118,25 +118,6 @@ def test_known_low_betti_numbers():
     assert fixed_determinant_poly(2, 1, 2).scalar_coeffs("t") == [1, 0, 1, 4, 1, 0, 1]
 
 
-def test_truncation_slack_env(monkeypatch):
-    from modrec import yangmills
-
-    monkeypatch.setenv("MODREC_TRUNCATION_SLACK", "6")
-    assert yangmills.truncation_slack() == 6
-    monkeypatch.delenv("MODREC_TRUNCATION_SLACK")
-    assert yangmills.truncation_slack() == 4
-    monkeypatch.setenv("MODREC_TRUNCATION_SLACK", "nope")
-    with pytest.raises(ValidationError):
-        yangmills.truncation_slack()
-    # extra slack never changes the answer, only the vanish window checked
-    monkeypatch.setenv("MODREC_TRUNCATION_SLACK", "8")
-    yangmills.clear_caches()
-    wide = yangmills.moduli_poincare(2, 1, 2)
-    monkeypatch.delenv("MODREC_TRUNCATION_SLACK")
-    yangmills.clear_caches()
-    assert wide == yangmills.moduli_poincare(2, 1, 2)
-
-
 # -- the scalar series core against an independent recursion -----------------
 
 
@@ -195,7 +176,7 @@ def test_ss_series_sweep_against_oracle():
     for g in (2, 3):
         memo = {}
         for n in range(1, 6):
-            order = 2 * (n * n * (g - 1) + 1) + yangmills.truncation_slack()
+            order = 2 * (n * n * (g - 1) + 1) + yangmills.TRUNCATION_SLACK
             for d in range(2 * n):
                 if d < n:
                     clear_caches()
