@@ -117,10 +117,14 @@ def _prime_divisors(n):
 
 
 def _find_irreducible(p, m):
-    """Smallest monic irreducible of degree m, lexicographic on (c_0..c_{m-1})."""
+    """Smallest monic irreducible of degree m, lexicographic on (c_0..c_{m-1}).
+
+    For m > 1 every candidate with c_0 = 0 is divisible by x, so the scan
+    starts at c_0 = 1; the polynomial found is the same.
+    """
     if m == 1:
         return [0, 1]
-    for tail in itertools.product(range(p), repeat=m):
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
             return poly

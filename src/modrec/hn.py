@@ -16,8 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
 from .errors import InvariantViolation, ValidationError
+
+# Most gap vectors enumerate_types may have to examine.  At rank 2 and 3,
+# where the bound below is nearly exact, 2e5 of them take about 5 s on a
+# 2-core x86-64 host; moduli_poincare(8, 1, 2) needs at most 3.2e4 per call.
+MAX_GAP_VECTORS = 200_000
 
 
 @dataclass(frozen=True)
@@ -150,14 +156,20 @@ def enumerate_types(n, d, g, max_codim):
 
     For each composition the codimension is an affine form with positive
     weights in the slope gaps, so a gap-box search with pruning is finite and
-    complete.  Output sorted by (codim, parts).
+    complete.  Output sorted by (codim, parts).  A request whose search
+    could visit more than MAX_GAP_VECTORS gap vectors is refused up front
+    with ValidationError.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
     _check_genus(g)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
-    found = [HNType.trivial(n, d)]
+    if 2 ** (n - 1) > MAX_GAP_VECTORS:
+        raise ValidationError(
+            "rank %d has 2^%d compositions, past the budget of %d gap vectors"
+            % (n, n - 1, MAX_GAP_VECTORS))
+    boxes = []
     for comp in compositions(n):
         r = len(comp)
         if r < 2:
@@ -165,9 +177,20 @@ def enumerate_types(n, d, g, max_codim):
         base = (g - 1) * sum(comp[i] * comp[j]
                              for i in range(r) for j in range(i + 1, r))
         weights, _ = gap_weights(comp)
-        if base + sum(weights) > max_codim:
-            continue
-        budget = Fraction(max_codim - base)
+        if base + sum(weights) <= max_codim:
+            boxes.append((comp, weights, Fraction(max_codim - base)))
+    # gaps >= 1 with sum_k w_k gap_k <= B: the unit cubes [gap - 1, gap] are
+    # disjoint and lie in the simplex sum_k w_k x_k <= B, x >= 0, so there
+    # are at most B^(r-1) / ((r-1)! prod w_k) of them
+    work = sum(budget ** len(weights) / (factorial(len(weights)) * prod(weights))
+               for _, weights, budget in boxes)
+    if work > MAX_GAP_VECTORS:
+        raise ValidationError(
+            "codimension bound %d needs up to %d gap vectors, past the budget of %d "
+            "(about 5 s)" % (max_codim, int(work), MAX_GAP_VECTORS))
+    found = [HNType.trivial(n, d)]
+    for comp, weights, budget in boxes:
+        r = len(comp)
 
         def search(k, gaps, used):
             if k == r - 1:

@@ -8,13 +8,18 @@ The total mass of all rank-n bundles of a fixed degree, weighted by
 (the mass-formula normalization of the volume of the integral subgroup,
 together with the count of line-bundle twists).  Subtracting, per
 filtration type, q^{mass_exponent} times the product of lower-rank
-semistable masses leaves the semistable mass beta(n, d).  The infinite
-degree sums collapse composition by composition: on each residue cell of
-the slope-gap lattice the exponent is affine with negative weights, so the
-sum is a product of geometric series evaluated in closed form.
+semistable masses leaves the semistable mass beta(n, d).  Zagier's
+inversion of that recursion writes beta(n, d) in closed form as a sum over
+the 2^(n-1) compositions of n of products of total masses (see
+``_zagier_sum``), which is what ``ss_mass`` computes.
 
-Everything is generic over the coefficient field, so the same recursion
-yields exact rational numbers (numeric mode), Poincare series (Betti mode,
+The recursion itself stays as the test oracle: per composition the
+infinite degree sum collapses on each residue cell of the slope-gap
+lattice, where the exponent is affine with negative weights, to a product
+of geometric series (``cone_sum``).
+
+Everything is generic over the coefficient field, so the same formulas
+yield exact rational numbers (numeric mode), Poincare series (Betti mode,
 q = t^2) and Hodge refinements (q = u v).
 """
 
@@ -114,32 +119,79 @@ def cone_sum(cs, d, field):
     return total
 
 
-def _cone_for(comp, field):
+def _cone_for(comp, field, mass):
+    """Cone-sum data for one composition, with part masses from ``mass``."""
     factors = tuple(
-        tuple(ss_mass(nj, res, field) for res in range(nj)) for nj in comp)
+        tuple(mass(nj, res, field) for res in range(nj)) for nj in comp)
     return ConeSum(comp, field.genus, factors)
+
+
+# Largest rank ss_mass accepts per field, with the longest one mass at that
+# rank took at g = 2 and 3 on a 2-core x86-64 host (numeric: curves over
+# F_2).  The closed form has 2^(n-1) terms, so each further rank doubles it.
+MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (16, "3.5 s"),
+                   SpecializationField.BETTI: (9, "8 s"),
+                   SpecializationField.HODGE: (6, "4 s")}
+
+
+def _zagier_sum(n, d, field):
+    """Closed inversion of the Harder-Narasimhan recursion (Zagier 1996).
+
+    The sum over compositions n = n_1 + ... + n_k of
+
+        prod_i total(n_i) * q^((g-1) sum_{i<j} n_i n_j) * q^E
+            * prod_{i<k} 1 / (1 - q^(n_i + n_{i+1})),
+
+    with E = sum_{i<k} (n_i + n_{i+1}) <(n_1 + ... + n_i) d / n> and
+    <x> = ceil(x) - x.  Single summands of E need not be integers, but E
+    must be.  Compositions are walked as a prefix tree, so the partial
+    products are shared.
+    """
+    g = field.genus
+    one = RatFun.one()
+    alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
+    # appending part b after part a multiplies by total(b) / (1 - q^(a+b))
+    link = {(a, b): alpha[b] / (one - field.q_power(a + b))
+            for a in range(1, n) for b in range(1, n - a + 1)}
+    terms = []
+
+    def extend(prefix, last, term, exponent):
+        if prefix == n:
+            if exponent.denominator != 1:
+                raise InvariantViolation(
+                    "non-integer exponent %s in the closed-form mass" % exponent)
+            terms.append(term * field.q_power(int(exponent)))
+            return
+        x = Fraction(prefix * d, n)
+        up = -(-x.numerator // x.denominator) - x
+        for right in range(1, n - prefix + 1):
+            extend(prefix + right, right, term * link[last, right],
+                   exponent + (last + right) * up + (g - 1) * prefix * right)
+
+    for first in range(1, n + 1):
+        extend(first, first, alpha[first], Fraction(0))
+    return sum(terms, RatFun.zero())
 
 
 def ss_mass(n, d, field):
     """Stacky mass of semistable rank-n degree-d bundles in the given field.
 
     Memoized per field instance on (n, d mod n): twisting by a degree-1 line
-    bundle shifts d by n without changing the mass.
+    bundle shifts d by n without changing the mass.  Ranks past the field's
+    MASS_RANK_LIMIT are refused with ValidationError.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
+    limit, seconds = MASS_RANK_LIMIT[field.mode]
+    if n > limit:
+        raise ValidationError(
+            "rank %d is past the %s mass limit %d: the closed form has 2^(n-1) terms, "
+            "and rank %d takes up to %s" % (n, field.mode, limit, limit, seconds))
     key = (n, d % n)
     cached = field.mass_cache.get(key)
     if cached is not None:
         return cached
-    if n == 1:
-        value = field.P_one() / (field.q - RatFun.one())
-    else:
-        value = total_mass(n, d, field)
-        for comp in compositions(n):
-            if len(comp) < 2:
-                continue
-            value = value - cone_sum(_cone_for(comp, field), d, field)
+    value = _zagier_sum(n, d, field)
     if field.mode == SpecializationField.NUMERIC and value.const_value() <= 0:
         raise InvariantViolation("numeric semistable mass is not positive")
     field.mass_cache[key] = value

@@ -1,6 +1,7 @@
 """Command-line surface: documents, exit codes, config validation."""
 
 import json
+import time
 
 import pytest
 
@@ -240,3 +241,21 @@ def test_symprod_genus_one_rejected(capsys):
     status, out, err = run_cli(capsys, "symprod", "--n", "2", "--g", "1")
     assert status == 1 and out == ""
     assert err == "error: genus must be at least 2\n"
+
+
+@pytest.mark.parametrize("argv, blamed", [
+    (["hn-types", "--n", "3", "--d", "1", "--g", "2", "--max-codim", "100000"], "gap vectors"),
+    (["hn-types", "--n", "40", "--d", "1", "--g", "2", "--max-codim", "3"], "compositions"),
+    (["siegel", "--n", "3", "--d", "1", "--curve", "{curve}", "--max-codim", "100000"],
+     "gap vectors"),
+    (["count", "--n", "17", "--d", "1", "--curve", "{curve}"], "numeric mass limit 16"),
+    (["mass", "--n", "30", "--d", "1", "--mode", "betti", "--g", "2"], "betti mass limit 9"),
+    (["mass", "--n", "7", "--d", "1", "--mode", "hodge", "--g", "3"], "hodge mass limit 6"),
+], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "count-rank", "mass-betti-rank",
+        "mass-hodge-rank"])
+def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
+    assert time.perf_counter() - start < 2.0
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err

@@ -1,11 +1,15 @@
 """Curve oracle: brute-force point counts, zeta reconstruction, specializations."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
 from modrec.curve import (
     GF,
+    _find_irreducible,
+    _is_irreducible,
     CurveData,
     HyperellipticModel,
     SpecializationField,
@@ -29,6 +33,36 @@ def test_field_construction_is_deterministic():
     K9 = GF(3, 2)
     assert K9.modulus == [1, 0, 1]  # x^2 + 1 over F_3
     assert len(list(K9.elements())) == 9
+
+
+def _first_irreducible_full_scan(p, m):
+    # every tuple (c_0, ..., c_{m-1}) in lexicographic order, c_0 = 0 included
+    for tail in itertools.product(range(p), repeat=m):
+        poly = list(tail) + [1]
+        if m == 1 or _is_irreducible(poly, p):
+            return poly
+
+
+def test_modulus_matches_full_lexicographic_scan():
+    # skipping c_0 = 0 must not change the modulus, or counts would change
+    primes = [p for p in range(2, 3 ** 8 + 1)
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))]
+    checked = 0
+    for p in primes:
+        m = 1
+        while p ** m <= 3 ** 8:
+            assert _find_irreducible(p, m) == _first_irreducible_full_scan(p, m), (p, m)
+            checked += 1
+            m += 1
+    assert checked == 893
+
+
+def test_largest_field_builds_quickly(monkeypatch):
+    monkeypatch.setattr(GF, "_cache", {})
+    start = time.perf_counter()
+    K = GF(2, 20)
+    assert time.perf_counter() - start < 1.0
+    assert K.q == 2 ** 20 and K.modulus[0] == 1
 
 
 def test_field_size_guard():

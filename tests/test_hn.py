@@ -2,6 +2,7 @@
 
 import pytest
 
+from modrec import hn
 from modrec.errors import ValidationError
 from modrec.hn import HNType, codim, compositions, enumerate_types, mass_exponent
 
@@ -92,3 +93,39 @@ def test_compositions():
 
 def test_serialization():
     assert HNType(((2, 3), (1, 0))).to_json() == [[2, 3], [1, 0]]
+
+
+def test_enumeration_refuses_far_past_budget():
+    with pytest.raises(ValidationError, match="gap vectors"):
+        enumerate_types(3, 1, 2, 100000)
+    with pytest.raises(ValidationError, match="compositions"):
+        enumerate_types(40, 1, 2, 3)
+
+
+def test_admitted_enumerations_stay_within_budget(monkeypatch):
+    # the up-front estimate must bound the gap vectors the search visits:
+    # with a small budget, every admitted request visits at most that many
+    budget = 300
+    monkeypatch.setattr(hn, "MAX_GAP_VECTORS", budget)
+    visited = []
+    original = hn.degrees_from_gaps
+
+    def counting(comp, d, gaps):
+        visited.append(gaps)
+        return original(comp, d, gaps)
+
+    monkeypatch.setattr(hn, "degrees_from_gaps", counting)
+    admitted, refused, busiest = 0, 0, 0
+    for g in (2, 3):
+        for n in (2, 3, 4, 5):
+            for M in range(0, 80, 3):
+                visited.clear()
+                try:
+                    enumerate_types(n, 1, g, M)
+                except ValidationError:
+                    refused += 1
+                    continue
+                admitted += 1
+                busiest = max(busiest, len(visited))
+                assert len(visited) <= budget, (n, g, M)
+    assert admitted and refused and busiest > budget // 3

@@ -1,19 +1,25 @@
 """Arithmetic recursion: zeta-value totals, cone sums, counts, mass formula.
 
-The partial-sum oracle here is the point: closed-form cone sums must agree
-with honest finite truncations over enumerated types.
+Two oracles are the point: closed-form cone sums must agree with honest
+finite truncations over enumerated types, and the closed-form semistable
+mass must agree exactly with the recursion that subtracts those cone sums.
 """
 
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from modrec.curve import CurveData, HyperellipticModel, SpecializationField
+from modrec.cli import load_curve
+from modrec.curve import CurveData, HyperellipticModel, SpecializationField, zeta_from_counts
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly, RatFun
-from modrec.hn import codim, enumerate_types
+from modrec.hn import codim, compositions, enumerate_types
 from modrec.tamagawa import (
+    MASS_RANK_LIMIT,
     ConeSum,
+    _cone_for,
     cone_sum,
     fixed_determinant_count,
     siegel_check,
@@ -243,3 +249,68 @@ def test_siegel_report_json_roundtrip(F2):
     assert obj["n"] == 2 and obj["mode"] == "numeric"
     assert Fraction(obj["total"]) == report.total
     assert [Fraction(s) for s in obj["gaps"]] == list(report.gaps)
+
+
+# -- the closed form against the cone recursion ---------------------------------
+
+
+def cone_mass(n, d, field, memo):
+    """Semistable mass by the Harder-Narasimhan recursion: the total mass
+    minus, per composition, the cone sum of its strata over all degrees."""
+    key = (n, d % n)
+    if key not in memo:
+        value = total_mass(n, d, field)
+        for comp in compositions(n):
+            if len(comp) > 1:
+                parts = _cone_for(comp, field, lambda m, e, F: cone_mass(m, e, F, memo))
+                value = value - cone_sum(parts, d, field)
+        memo[key] = value
+    return memo[key]
+
+
+CURVE_G3 = zeta_from_counts(2, 3, [3, 5, 9])
+
+SWEEP = [
+    ("numeric", 2, 5, lambda: SpecializationField.numeric(CurveData.from_model(MODEL_F2))),
+    ("numeric", 3, 5, lambda: SpecializationField.numeric(CURVE_G3)),
+    ("betti", 2, 4, lambda: SpecializationField.betti(2)),
+    ("betti", 3, 4, lambda: SpecializationField.betti(3)),
+    ("hodge", 2, 3, lambda: SpecializationField.hodge(2)),
+    ("hodge", 3, 3, lambda: SpecializationField.hodge(3)),
+]
+
+
+@pytest.mark.parametrize("mode, g, top, make", SWEEP,
+                         ids=["%s-g%d" % (mode, g) for mode, g, _, _ in SWEEP])
+def test_closed_form_matches_cone_recursion(mode, g, top, make):
+    oracle_field, memo = make(), {}
+    assert (oracle_field.mode, oracle_field.genus) == (mode, g)
+    for n in range(1, top + 1):
+        for d in range(n):
+            # a fresh field per mass, so no closed-form value serves another
+            assert ss_mass(n, d, make()) == cone_mass(n, d, oracle_field, memo), (n, d)
+
+
+def test_closed_form_betti_rank_five_and_six():
+    # the cone recursion takes minutes here; the gauge recursion does not
+    F = SpecializationField.betti(2)
+    for n, d in [(5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 5)]:
+        lhs = (F.q - RatFun.one()) * ss_mass(n, d, F)
+        assert lhs == RatFun(moduli_poincare(n, d, 2)), (n, d)
+
+
+def test_fixed_determinant_counts_integral_to_rank_nine():
+    config = Path(__file__).resolve().parent.parent / "configs" / "g2q2.json"
+    F = SpecializationField.numeric(load_curve(str(config)))
+    for n in range(1, 10):
+        for d in range(n):
+            if gcd(n, d) == 1:
+                assert fixed_determinant_count(n, d, F) > 0, (n, d)
+
+
+def test_mass_rank_limit():
+    for mode, _, _, make in SWEEP[::2]:
+        F = make()
+        limit, _ = MASS_RANK_LIMIT[mode]
+        with pytest.raises(ValidationError, match="2\\^\\(n-1\\) terms"):
+            ss_mass(limit + 1, 1, F)
