@@ -46,14 +46,24 @@ def _read_config(path):
     """Parse a curve config file; returns the JSON object and its mode."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise ValidationError("cannot read curve file %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ValidationError("curve file %s is not valid JSON: %s" % (path, exc))
+    except ValueError as exc:
+        raise ValidationError("curve file %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise ValidationError("%s: a curve config must be a JSON object" % path)
     return raw, _field(raw, "mode", str, path)
+
+
+def _json_int(text):
+    """Input integers stay within CPython's default 4300-digit str -> int guard."""
+    if len(text.lstrip("-")) > 4300:
+        raise ValueError("integer with %d digits exceeds the 4300-digit input limit"
+                         % len(text.lstrip("-")))
+    return int(text)
 
 
 def load_curve(path):
@@ -196,10 +206,11 @@ def _cmd_bridge(args):
 
 def _cmd_kirwan(args):
     try:
-        weights = json.loads(args.weights)
-    except json.JSONDecodeError as exc:
+        weights = json.loads(args.weights, parse_int=_json_int)
+    except ValueError as exc:
         raise ValidationError("weights must be a JSON integer array: %s" % exc)
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+    if not isinstance(weights, list) or any(isinstance(w, bool) or not isinstance(w, int)
+                                            for w in weights):
         raise ValidationError("weights must be a JSON integer array")
     ws = WeightSystem(tuple(weights))
     if args.op == "strata":
@@ -377,7 +388,15 @@ def main(argv=None):
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        doc, status = args.handler(args)
+        # answers print in full past the int -> str digit guard (inputs keep
+        # it, see _json_int); restoring it leaves no state behind
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc, status = args.handler(args)
+            _emit(doc, args.format, sys.stdout)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except ValidationError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
@@ -387,7 +406,6 @@ def main(argv=None):
     except InvariantViolation as exc:
         sys.stderr.write("invariant violation: %s\n" % exc)
         return 2
-    _emit(doc, args.format, sys.stdout)
     return status
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, RatFun
+from .exactalg import Poly, RatFun, poly_divexact, poly_gcd
 
 FIELD_SIZE_LIMIT = 2 ** 20
 
@@ -91,8 +91,7 @@ def _is_irreducible(poly, p):
     """Frobenius criterion for a monic polynomial over F_p."""
     m = len(poly) - 1
     x = [0, 1]
-    frob = _ppowmod(x, p ** m, poly, p)
-    if _trim(list(frob)) != [0, 1]:
+    if _ppowmod(x, p ** m, poly, p) != _pmod(x, poly, p):
         return False
     for ell in _prime_divisors(m):
         g = _pgcd([(a - b) % p for a, b in itertools.zip_longest(
@@ -164,10 +163,6 @@ class GF:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def mul(self, a, b):
         prod = _pmul(list(a), list(b), self.p)
         prod = _pmod(prod, self.modulus, self.p)
@@ -176,11 +171,7 @@ class GF:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.power(a, self.q - 2)
-
-    def power(self, a, e):
-        result = self.one
-        base = a
+        result, base, e = self.one, a, self.q - 2
         while e:
             if e & 1:
                 result = self.mul(result, base)
@@ -419,44 +410,54 @@ def _validate_numerator(P, q, g):
             raise ValidationError("derived count at r=%d violates Hasse-Weil" % r)
 
 
-def _weil_norm_check(coeffs, q, tol=1e-9):
-    """Numeric check (documented exception to exactness): every root of the
-    numerator must have absolute value q^{-1/2} within tol.
+def _weil_norm_check(coeffs, q):
+    """Exact check that every root of the numerator has |t| = q^(-1/2).
 
-    Multiplicities are stripped exactly first (gcd with the derivative), so
-    every remaining root is simple and Newton polishing of numpy's estimates
-    converges to machine precision; the raw solver alone is not reliably
-    inside the tolerance, and double roots would stall it entirely."""
-    import numpy
+    With s = 1/t + qt the functional equation gives P(t) = t^g R(s), where
+    R(s) = a_g + sum_k a_{g-k} D_k(s) and D_k(1/t + qt) = t^-k + q^k t^k.  A
+    root beta of R lifts to the reciprocal roots alpha and q/alpha of P, with
+    alpha + q/alpha = beta; both have absolute value sqrt(q) exactly when
+    beta is real and beta^2 <= 4q.  So every root of V, defined by V(s^2) =
+    (-1)^g R(s) R(-s), must lie in [0, 4q].  Sturm's theorem counts the
+    distinct roots there on the squarefree part of V (a chain on V itself
+    miscounts when a multiple root sits at an end of the interval).
+    """
+    g = len(coeffs) // 2
+    R, D = [coeffs[g]] + [0] * g, [[2], [0, 1]]
+    for k in range(1, g + 1):
+        R = [r + coeffs[g - k] * c for r, c in itertools.zip_longest(R, D[k], fillvalue=0)]
+        D.append([c - q * b for c, b in itertools.zip_longest([0] + D[k], D[k - 1], fillvalue=0)])
+    V = [(-1) ** g * sum((-1) ** i * R[i] * R[2 * m - i]
+                         for i in range(max(0, 2 * m - g), min(2 * m, g) + 1))
+         for m in range(g + 1)]
+    Vp = Poly.univariate("t", V)
+    S = poly_divexact(Vp, poly_gcd(Vp, Poly.univariate("t", _derivative(V)))).scalar_coeffs("t")
+    chain = [S, _derivative(S)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
 
-    from .exactalg import poly_divexact, poly_gcd
+    def variations(x):
+        signs = [v for v in (sum(c * x ** i for i, c in enumerate(p)) for p in chain) if v]
+        return sum((a > 0) != (b > 0) for a, b in zip(signs, signs[1:]))
 
-    P = Poly.univariate("t", coeffs)
-    deriv_poly = Poly.univariate("t", [k * c for k, c in enumerate(coeffs)][1:])
-    g = poly_gcd(P, deriv_poly)
-    squarefree = P if g.is_const else poly_divexact(P, g)
-    sf = squarefree.scalar_coeffs("t")
-    deriv = [k * c for k, c in enumerate(sf)][1:]
-    for root in numpy.roots([float(c) for c in reversed(sf)]):
-        z = complex(root)
-        for _ in range(60):
-            dz = _horner(deriv, z)
-            if dz == 0:
-                break
-            step = _horner(sf, z) / dz
-            z -= step
-            if abs(step) < 1e-15 * max(abs(z), 1.0):
-                break
-        if abs(abs(z) - q ** -0.5) > tol:
-            raise ValidationError(
-                "zeta numerator root %s violates the norm condition" % z)
+    if variations(0) - variations(4 * q) + (S[0] == 0) != len(S) - 1:
+        raise ValidationError("zeta numerator has a root off the circle |t| = q^(-1/2) "
+                              "(norm condition)")
 
 
-def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _derivative(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _remainder(a, b):
+    """Remainder of ascending coefficient lists over Q; b has a nonzero top."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        c, shift = a[-1] / b[-1], len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] -= c * bj
+        _trim(a)
+    return a
 
 
 def zeta_from_counts(q, g, counts):

@@ -184,12 +184,6 @@ class Poly:
         rest, terms = _strip_vars(rest, terms)
         return Poly(rest, terms, _trusted=True)
 
-    def dense_coeffs(self, name, upto=None):
-        """Ascending coefficient list in ``name``; coefficients are Polys."""
-        d = self.degree(name)
-        top = d if upto is None else max(d, upto)
-        return [self.coefficient(name, k) for k in range(top + 1)]
-
     def scalar_coeffs(self, name, upto=None):
         """Ascending list of scalar coefficients; requires univariate/const."""
         if any(v != name for v in self.vars):
@@ -333,13 +327,6 @@ class Poly:
 
     # -- normal-form helpers --------------------------------------------
 
-    def leading_term(self):
-        """(exponent, coefficient) of the lexicographically largest term."""
-        if self.is_zero:
-            raise ValidationError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def signed_content(self):
         """Rational r with the sign of the leading coefficient such that
         self / r has coprime integer coefficients and positive leading one."""
@@ -352,10 +339,7 @@ class Poly:
             num_gcd = _int_gcd(num_gcd, abs(f.numerator))
             den_lcm = den_lcm * f.denominator // _int_gcd(den_lcm, f.denominator)
         r = Fraction(num_gcd, den_lcm)
-        _, lead = self.leading_term()
-        if lead < 0:
-            r = -r
-        return r
+        return -r if self.terms[max(self.terms)] < 0 else r
 
     def scaled(self, factor):
         factor = Fraction(factor)

@@ -43,19 +43,8 @@ class HNType:
                 raise ValidationError("slopes must be strictly decreasing")
 
     @property
-    def rank(self):
-        return sum(n for n, _ in self.parts)
-
-    @property
-    def degree(self):
-        return sum(d for _, d in self.parts)
-
-    @property
     def is_trivial(self):
         return len(self.parts) == 1
-
-    def slopes(self):
-        return [Fraction(d, n) for n, d in self.parts]
 
     def to_json(self):
         return [[n, d] for n, d in self.parts]

@@ -1,12 +1,18 @@
 """Command-line surface: documents, exit codes, config validation."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import modrec
 from modrec.cli import load_curve, main
+from modrec.curve import SpecializationField, zeta_value
 from modrec.errors import InvariantViolation
+from modrec.symprod import sym_count
 
 F2_CONFIG = {"mode": "hyperelliptic", "p": 2, "k": 1, "f": [0, 0, 0, 0, 0, 1], "h": [1]}
 COUNTS_CONFIG = {"mode": "counts", "q": 2, "genus": 2, "counts": [3, 5]}
@@ -124,6 +130,13 @@ def test_kirwan_ops(capsys):
     }
 
 
+def test_kirwan_rejects_boolean_weights(capsys):
+    for weights in ("[true,1,-1]", "[1,false]"):
+        status, out, err = run_cli(capsys, "kirwan", "--weights", weights, "--op", "quotient")
+        assert status == 1 and out == ""
+        assert err == "error: weights must be a JSON integer array\n"
+
+
 def test_formats(capsys, curve_file):
     _, json_out, _ = run_cli(capsys, "count", "--n", "2", "--d", "1", "--curve", curve_file)
     _, csv_out, _ = run_cli(capsys, "--format", "csv", "count", "--n", "2", "--d", "1",
@@ -171,6 +184,17 @@ def test_hasse_weil_violation_rejected(capsys, tmp_path):
     path.write_text(json.dumps({"mode": "counts", "q": 2, "genus": 2, "counts": [30, 5]}))
     status, _, err = run_cli(capsys, "count", "--n", "2", "--d", "1", "--curve", str(path))
     assert status == 1 and err
+
+
+def test_off_circle_counts_rejected(capsys, tmp_path):
+    # inside the coefficient bounds and P(1) > 0, but R(s) = s^2 - 3s + 3 has
+    # no real root; the root check refuses it before Hasse-Weil is tried on
+    # the derived counts
+    path = tmp_path / "off_circle.json"
+    path.write_text(json.dumps(dict(COUNTS_CONFIG, counts=[0, 10])))
+    status, out, err = run_cli(capsys, "count", "--n", "2", "--d", "1", "--curve", str(path))
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "norm condition" in err
 
 
 def test_missing_field_message(capsys, tmp_path):
@@ -259,3 +283,71 @@ def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     assert time.perf_counter() - start < 2.0
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
+
+
+def _decimal(text):
+    """Exact value of a long decimal string, read in chunks under the digit guard."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _assert_full_fraction(text, expected):
+    num, den = text.split("/")
+    assert len(num) > 4300
+    assert _decimal(num) == expected.numerator and _decimal(den) == expected.denominator
+
+
+def test_zeta_value_past_digit_guard_prints_in_full(capsys, curve_file):
+    limit = sys.get_int_max_str_digits()
+    status, out, err = run_cli(capsys, "zeta", "--curve", curve_file, "--i", "5000")
+    assert status == 0 and err == ""
+    expected = zeta_value(SpecializationField.numeric(load_curve(curve_file)), 5000)
+    _assert_full_fraction(json.loads(out)["value"], expected)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_symprod_count_past_digit_guard_prints_in_full(capsys, curve_file):
+    limit = sys.get_int_max_str_digits()
+    status, out, err = run_cli(capsys, "symprod", "--n", "15000", "--curve", curve_file)
+    assert status == 0 and err == ""
+    count = json.loads(out)["count"]
+    expected = sym_count(load_curve(curve_file), 15000)
+    assert len(count) > 4300 and _decimal(count) == expected
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_config_integer_past_digit_guard_exits_one(capsys, tmp_path, curve_file):
+    path = tmp_path / "huge_q.json"
+    path.write_text('{"mode": "counts", "q": %s, "genus": 2, "counts": [3, 5]}' % ("2" * 5001))
+    # an answer printed in full first must not lift the guard for later input
+    run_cli(capsys, "zeta", "--curve", curve_file, "--i", "5000")
+    for argv in (["zeta", "--curve", str(path)],
+                 ["count", "--n", "2", "--d", "1", "--curve", str(path)]):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "5001 digits" in err
+
+
+def test_arithmetic_curves_need_no_numpy(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(F2_CONFIG))
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(COUNTS_CONFIG))
+    code = ("import sys\n"
+            "from modrec.cli import main\n"
+            "assert main(['zeta', '--curve', %r]) == 0\n"
+            "assert main(['count', '--n', '2', '--d', '1', '--curve', %r]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            % (str(model), str(counts)))
+    src = os.path.dirname(os.path.dirname(modrec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        json.dumps({"class_number": "5", "counts": ["3", "5"], "genus": 2,
+                    "numerator_coeffs": ["1", "0", "0", "0", "4"], "q": 2}, sort_keys=True),
+        json.dumps({"stable_count": "75"})]

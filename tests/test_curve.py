@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ from modrec.curve import (
     GF,
     _find_irreducible,
     _is_irreducible,
+    _weil_norm_check,
     CurveData,
     HyperellipticModel,
     SpecializationField,
@@ -39,7 +41,7 @@ def _first_irreducible_full_scan(p, m):
     # every tuple (c_0, ..., c_{m-1}) in lexicographic order, c_0 = 0 included
     for tail in itertools.product(range(p), repeat=m):
         poly = list(tail) + [1]
-        if m == 1 or _is_irreducible(poly, p):
+        if _is_irreducible(poly, p):
             return poly
 
 
@@ -55,6 +57,12 @@ def test_modulus_matches_full_lexicographic_scan():
             checked += 1
             m += 1
     assert checked == 893
+
+
+def test_degree_one_polynomials_are_irreducible():
+    for poly, p in (([0, 1], 2), ([1, 1], 2), ([2, 1], 3), ([0, 1], 5), ([3, 1], 5)):
+        assert _is_irreducible(poly, p), (poly, p)
+    assert _is_irreducible([1, 1, 1], 2) and not _is_irreducible([1, 0, 1], 2)
 
 
 def test_largest_field_builds_quickly(monkeypatch):
@@ -246,3 +254,70 @@ def test_genus2_over_f7():
     assert c.numerator == Poly.univariate("t", [1, 0, 0, 0, 49])
     assert c.class_number() == 50
     assert zeta_from_counts(7, 2, [8, 50]).numerator == c.numerator
+
+
+def _weil_product(betas, q):
+    """prod (1 - beta t + q t^2): its roots lie on |t| = q^(-1/2) iff every
+    beta^2 <= 4q."""
+    poly = [1]
+    for beta in betas:
+        out = [0] * (len(poly) + 2)
+        for i, c in enumerate(poly):
+            out[i] += c
+            out[i + 1] -= beta * c
+            out[i + 2] += q * c
+        poly = out
+    return poly
+
+
+def test_weil_products_are_accepted():
+    # double roots, beta = 0 and beta^2 = 4q included
+    checked = 0
+    for q in (2, 3, 4, 9, 16, 25):
+        b = isqrt(4 * q)
+        for g in (2, 3):
+            for betas in itertools.combinations_with_replacement(range(-b, b + 1), g):
+                _weil_norm_check(_weil_product(betas, q), q)
+                checked += 1
+    assert checked == 4042
+
+
+def test_off_circle_products_are_rejected():
+    checked = 0
+    for q in (2, 3, 4, 9):
+        for g in (2, 3):
+            for betas in itertools.combinations_with_replacement(range(-8, 9), g):
+                if any(beta * beta > 4 * q for beta in betas):
+                    with pytest.raises(ValidationError, match="norm condition"):
+                        _weil_norm_check(_weil_product(betas, q), q)
+                    checked += 1
+    assert checked == 3570
+    # a double root at w = 4q beside one outside the interval: a Sturm chain
+    # on V rather than its squarefree part accepts this
+    with pytest.raises(ValidationError, match="norm condition"):
+        _weil_norm_check(_weil_product((6, 6, 7), 9), 9)
+
+
+def test_root_condition_is_the_only_failed_check():
+    # N = (3, 3) at q = 3 gives P = 1 - t - 3t^2 - 3t^3 + 9t^4 and R(s) =
+    # s^2 - s - 9, whose root (1 + sqrt 37)/2 has beta^2 just above 4q = 12;
+    # P passes every cheaper check
+    q, g, coeffs = 3, 2, [1, -1, -3, -3, 9]
+    for i in range(1, 2 * g + 1):
+        assert coeffs[i] ** 2 <= comb(2 * g, i) ** 2 * q ** i
+    assert sum(coeffs) > 0
+    e = [(-1) ** k * c for k, c in enumerate(coeffs)]
+    power_sums = []
+    for r in range(1, 2 * g + 1):
+        s = sum((-1) ** (i - 1) * e[i] * power_sums[r - i - 1] for i in range(1, r))
+        power_sums.append(s + (-1) ** (r - 1) * r * e[r])
+    assert all(s ** 2 <= 4 * g ** 2 * q ** r for r, s in enumerate(power_sums, start=1))
+    with pytest.raises(ValidationError, match="norm condition"):
+        _weil_norm_check(coeffs, q)
+    with pytest.raises(ValidationError, match="norm condition"):
+        zeta_from_counts(q, g, [3, 3])
+    # N = (0, 10) at q = 2: P = 1 - 3t + 7t^2 - 6t^3 + 4t^4 passes the bounds,
+    # P(1) > 0 and Hasse-Weil for the given counts; R = s^2 - 3s + 3 has no
+    # real root, and the root check runs before Hasse-Weil on derived counts
+    with pytest.raises(ValidationError, match="norm condition"):
+        zeta_from_counts(2, 2, [0, 10])
