@@ -7,21 +7,23 @@ prime field, or directly its point counts / zeta numerator).
 Finite fields F_{p^m} are realized as polynomial quotients.  The defining
 irreducible is the smallest one in lexicographic order on the ascending
 coefficient tuple (c_0, ..., c_{m-1}), so counts are reproducible across
-runs.  Elements are coefficient tuples; everything is schoolbook arithmetic,
-which is plenty at the enforced desk scale q^r <= 2^20.
+runs.  An element is the int sum c_i p^i of its coefficients, and products
+go through exp/log tables of a primitive element; fields are capped at
+FIELD_SIZE_LIMIT elements, the largest size that counts in a few seconds.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from .errors import InvariantViolation, ValidationError
 from .exactalg import Poly, RatFun, poly_divexact, poly_gcd
 
-FIELD_SIZE_LIMIT = 2 ** 20
+FIELD_SIZE_LIMIT = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +49,11 @@ def _pmul(a, b, p):
 
 
 def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        _trim(a)
-        if len(a) - 1 < dm:
-            break
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for j in range(dm + 1):
-            a[shift + j] = (a[shift + j] - c * m[j]) % p
+    a, inv_lead = _trim(list(a)), pow(m[-1], p - 2, p)
+    while len(a) >= len(m):
+        c, shift = a[-1] * inv_lead % p, len(a) - len(m)
+        for j, mj in enumerate(m):
+            a[shift + j] = (a[shift + j] - c * mj) % p
         _trim(a)
     return a
 
@@ -131,60 +127,64 @@ def _find_irreducible(p, m):
 
 
 class GF:
-    """The finite field F_{p^m}; elements are length-m coefficient tuples."""
+    """F_{p^m} with elements as ints sum c_i p^i; exp[k] = g^k, g primitive, and log inverts it."""
 
-    _cache = {}
+    _cache = {}  # the last field built only: its tables hold q entries
 
     def __new__(cls, p, m):
         key = (p, m)
         if key not in cls._cache:
-            if p ** m > FIELD_SIZE_LIMIT:
-                raise ValidationError(
-                    "field size %d^%d exceeds the desk-scale limit 2^20" % (p, m))
+            check_field_size(p, m)
             self = super().__new__(cls)
-            self.p = p
-            self.m = m
-            self.q = p ** m
+            self.p, self.m, self.q = p, m, p ** m
             self.modulus = _find_irreducible(p, m)
-            self.zero = (0,) * m
-            self.one = tuple([1] + [0] * (m - 1)) if m else ()
+            self.exp, self.log = _exp_log(p, m, self.modulus)
+            cls._cache.clear()
             cls._cache[key] = self
         return cls._cache[key]
 
-    def elements(self):
-        return (tuple(reversed(digits))
-                for digits in itertools.product(range(self.p), repeat=self.m))
 
-    def lift(self, c):
-        """Embed an integer (an F_p scalar) into the field."""
-        return tuple([c % self.p] + [0] * (self.m - 1))
+def check_field_size(p, m):
+    """Refuse F_{p^m} past FIELD_SIZE_LIMIT, without computing a huge power."""
+    bits = FIELD_SIZE_LIMIT.bit_length() - 1
+    if m * (p.bit_length() - 1) > bits or p ** m > FIELD_SIZE_LIMIT:
+        raise ValidationError("field F_{%d^%d} exceeds the size limit 2^%d" % (p, m, bits))
 
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
 
-    def mul(self, a, b):
-        prod = _pmul(list(a), list(b), self.p)
-        prod = _pmod(prod, self.modulus, self.p)
-        return tuple(prod + [0] * (self.m - len(prod)))
+def _exp_log(p, m, modulus):
+    """exp/log tables of the first element, in encoding order, of order q - 1."""
+    q, powers = p ** m, [p ** i for i in range(m)]
+    n = q - 1
+    cofactors = [n // ell for ell in _prime_divisors(n)]
+    g = next(g for g in range(1, q) if all(
+        _ppowmod([g // pw % p for pw in powers], e, modulus, p) != [1] for e in cofactors))
+    if p == 2:
+        red = sum(c << i for i, c in enumerate(modulus))
 
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        result, base, e = self.one, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        def step(a):  # a * g by shift-and-XOR against the modulus bits
+            out, b = 0, g
+            while b:
+                if b & 1:
+                    out ^= a
+                a, b = a << 1, b >> 1
+                if a >> m:
+                    a ^= red
+            return out
+    else:
+        gd = [g // pw % p for pw in powers]
 
-    def eval_poly(self, coeffs, x):
-        """Evaluate an F_p-coefficient polynomial at a field element."""
-        acc = self.zero
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), self.lift(c))
-        return acc
+        def step(a):
+            prod = _pmod(_pmul([a // pw % p for pw in powers], gd, p), modulus, p)
+            return sum(map(operator.mul, prod, powers))
+    exp, log = [0] * n, [0] * q
+    a = 1
+    for k in range(n):
+        exp[k] = a
+        log[a] = k
+        a = step(a)
+    if a != 1 or log[1] != 0:
+        raise InvariantViolation("%d is not primitive in F_{%d^%d}" % (g, p, m))
+    return exp, log
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +205,11 @@ class HyperellipticModel:
     h: tuple
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
-            raise ValidationError("p must be prime, got %d" % self.p)
         if self.k < 1:
             raise ValidationError("extension exponent k must be >= 1")
+        check_field_size(self.p, self.k)
+        if not _is_prime(self.p):
+            raise ValidationError("p must be prime, got %d" % self.p)
         f = _trim([c % self.p for c in self.f])
         h = _trim([c % self.p for c in self.h])
         object.__setattr__(self, "f", tuple(f))
@@ -258,48 +259,44 @@ class HyperellipticModel:
 
 
 def count_points(model, r):
-    """Exact number of points of the smooth model over F_{q^r}."""
+    """Exact number of points of the smooth model over F_{q^r}.
+
+    Each x adds #{z : z^2 + h(x) z = f(x)}: #{z : z^2 = F(x)}, F = f + h^2/4,
+    for odd p; for p = 2 one z if h(x) = 0, else #{z : z^2 + z = f(x)/h(x)^2}.
+    """
     if r < 1:
         raise ValidationError("extension degree r must be >= 1")
-    m = model.k * r
-    if model.p ** m > FIELD_SIZE_LIMIT:
-        raise ValidationError("field F_{%d^%d} exceeds the desk-scale limit" % (model.p, m))
-    K = GF(model.p, m)
-    f, h = list(model.f), list(model.h)
-    # table of quadratic solution counts: sols[w] = #{z : z^2 (+ z) = w}
-    if model.p == 2:
-        artin = {}
-        for z in K.elements():
-            w = K.add(K.mul(z, z), z)
-            artin[w] = artin.get(w, 0) + 1
-        count = 0
-        for x in K.elements():
-            a = K.eval_poly(h, x)
-            b = K.eval_poly(f, x)
-            if a == K.zero:
-                count += 1  # squaring is a bijection
-            else:
-                ainv2 = K.inv(K.mul(a, a))
-                count += artin.get(K.mul(b, ainv2), 0)
-    else:
-        squares = {}
-        for y in K.elements():
-            w = K.mul(y, y)
-            squares[w] = squares.get(w, 0) + 1
-        inv4 = K.inv(K.lift(4))
-        count = 0
-        for x in K.elements():
-            a = K.eval_poly(h, x)
-            b = K.eval_poly(f, x)
-            rhs = K.add(b, K.mul(K.mul(a, a), inv4))
-            count += squares.get(rhs, 0)
+    K = GF(model.p, model.k * r)
+    p, n, exp, log = K.p, K.q - 1, K.exp, K.log
+    f, h = model.f, model.h
+    if p > 2:
+        inv4 = pow(4, p - 2, p)
+        f = [(a + b * inv4) % p for a, b in itertools.zip_longest(f, _pmul(h, h, p), fillvalue=0)]
+        h = ()
+    sols = bytearray(K.q)
+    sols[0] = 1
+    squares = (exp * 2)[::2]  # (g^k)^2
+    for w in (map(operator.xor, squares, exp) if p == 2 else squares):
+        sols[w] += 1
+
+    def value(coeffs, k):  # Horner at x = g^k; an F_p scalar changes digit 0 only
+        acc = 0
+        for c in reversed(coeffs):
+            if acc:
+                acc = exp[(log[acc] + k) % n]
+            acc += (acc + c) % p - acc % p
+        return acc
+
+    def over(a, b):  # #{z : z^2 + a z = b}, the square completed when p is odd
+        if a:
+            return sols[b and exp[(log[b] - 2 * log[a]) % n]]
+        return sols[b] if p > 2 else 1
+
+    count = over(h[0] if h else 0, f[0])  # x = 0
+    count += sum(over(value(h, k), value(f, k)) for k in range(n))
     # points at infinity: one for odd degree; for even degree (odd
     # characteristic only) solve z^2 = lead, i.e. 2 points or none
-    if (len(model.f) - 1) % 2 == 1:
-        count += 1
-    else:
-        count += squares.get(K.lift(model.f[-1]), 0)
-    return count
+    return count + (1 if (len(f) - 1) % 2 else sols[f[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +332,7 @@ class CurveData:
 
     @staticmethod
     def from_model(model):
+        check_field_size(model.p, model.k * model.genus)
         counts = [count_points(model, r) for r in range(1, model.genus + 1)]
         return zeta_from_counts(model.q, model.genus, counts)
 
@@ -355,33 +353,46 @@ class CurveData:
         return sum(self.coefficients())
 
 
+# Miller-Rabin on these bases is exact below the bound (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n):
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
+            return False
+    return True
+
+
 def _validate_prime_power(q):
     if q < 2:
         raise ValidationError("q must be a prime power >= 2")
-    n = q
-    p = None
-    for d in range(2, isqrt(q) + 2):
-        if n % d == 0:
-            p = d
-            break
-    p = p or n
-    while n % p == 0:
-        n //= p
-    if n != 1:
-        raise ValidationError("q = %d is not a prime power" % q)
+    if q >= _MR_EXACT_BELOW:
+        raise ValidationError("q = %d is past the exact prime-power test, which needs q < %d"
+                              % (q, _MR_EXACT_BELOW))
+    for k in range(1, q.bit_length()):
+        r = 0  # the largest r with r^k <= q, bit by bit
+        for b in reversed(range(q.bit_length() // k + 1)):
+            if (r | 1 << b) ** k <= q:
+                r |= 1 << b
+        if r ** k == q and _is_prime(r):
+            return
+    raise ValidationError("q = %d is not a prime power" % q)
 
 
 def _power_sums_from_elementary(e, upto):
     """Newton's identities: power sums p_1..p_upto from e_0=1, e_1, e_2, ..."""
     ps = []
     for k in range(1, upto + 1):
-        s = Fraction(0)
-        for i in range(1, min(k, len(e))):
-            s += (-1) ** (i - 1) * Fraction(e[i]) * ps[k - i - 1]
-        if k < len(e):
-            s += (-1) ** (k - 1) * k * Fraction(e[k])
-        ps.append(s)
-    return [int(p) for p in ps]
+        s = sum((-1) ** (i - 1) * e[i] * ps[k - i - 1] for i in range(1, min(k, len(e))))
+        ps.append(s + ((-1) ** (k - 1) * k * e[k] if k < len(e) else 0))
+    return ps
 
 
 def _validate_numerator(P, q, g):

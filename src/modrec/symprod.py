@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .curve import count_points, zeta_Z
+from .curve import _prime_divisors, check_field_size, count_points, zeta_Z
 from .errors import InvariantViolation, ValidationError
 from .exactalg import Poly, series_expand
 
@@ -85,6 +85,7 @@ def divisor_enumerate(model, n):
         raise ValidationError("divisor enumeration is desk-scale: n <= %d" % DIVISOR_DEGREE_LIMIT)
     if n == 0:
         return 1
+    check_field_size(model.p, model.k * n)
     counts = {r: count_points(model, r) for r in range(1, n + 1)}
     closed = {}
     for d in range(1, n + 1):
@@ -112,17 +113,5 @@ def divisor_enumerate(model, n):
 
 
 def _moebius(n):
-    if n == 1:
-        return 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = _prime_divisors(n)
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)

@@ -285,6 +285,28 @@ def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
 
 
+BIG_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize("config, argv, blamed", [
+    (dict(COUNTS_CONFIG, q=BIG_PRIME), ["zeta"], "Weil bound"),
+    (dict(COUNTS_CONFIG, q=3317044064679887385961981), ["zeta"], "prime-power test"),
+    (dict(F2_CONFIG, p=BIG_PRIME, f=[1, 0, 0, 0, 0, 1], h=[]), ["zeta"], "size limit"),
+    (dict(F2_CONFIG, k=10 ** 12), ["zeta"], "size limit"),
+    (dict(F2_CONFIG, k=13), ["zeta"], "F_{2^26}"),
+    (dict(F2_CONFIG, k=4), ["symprod", "--n", "5", "--enumerate"], "F_{2^20}"),
+], ids=["counts-big-prime-q", "counts-q-past-test", "model-big-prime-p", "model-huge-k",
+        "model-counts-past-limit", "enumerate-past-limit"])
+def test_large_fields_are_refused_at_once(capsys, tmp_path, config, argv, blamed):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv, "--curve", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
+
+
 def _decimal(text):
     """Exact value of a long decimal string, read in chunks under the digit guard."""
     value = 0

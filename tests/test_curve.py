@@ -1,6 +1,7 @@
 """Curve oracle: brute-force point counts, zeta reconstruction, specializations."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import comb, isqrt
@@ -8,9 +9,14 @@ from math import comb, isqrt
 import pytest
 
 from modrec.curve import (
+    FIELD_SIZE_LIMIT,
     GF,
     _find_irreducible,
     _is_irreducible,
+    _is_prime,
+    _pmod,
+    _pmul,
+    _validate_prime_power,
     _weil_norm_check,
     CurveData,
     HyperellipticModel,
@@ -34,7 +40,132 @@ def test_field_construction_is_deterministic():
     assert K.modulus == [1, 1, 1]  # x^2 + x + 1 is the first irreducible
     K9 = GF(3, 2)
     assert K9.modulus == [1, 0, 1]  # x^2 + 1 over F_3
-    assert len(list(K9.elements())) == 9
+    assert K9.q == 9 and sorted(K9.exp) == list(range(1, 9))
+    # only the last field built is cached; a rebuild gives the same tables
+    assert list(GF._cache) == [(3, 2)]
+    assert GF(2, 2).exp == K.exp and GF(2, 2) is not K
+
+
+class _TupleGF:
+    """Test oracle: F_{p^m} with length-m coefficient tuples and schoolbook
+    arithmetic over the same modulus as GF."""
+
+    def __init__(self, p, m):
+        self.p, self.m, self.q = p, m, p ** m
+        self.modulus = _find_irreducible(p, m)
+        self.zero = (0,) * m
+        self.one = tuple([1] + [0] * (m - 1))
+
+    def elements(self):
+        return (tuple(reversed(digits))
+                for digits in itertools.product(range(self.p), repeat=self.m))
+
+    def lift(self, c):
+        return tuple([c % self.p] + [0] * (self.m - 1))
+
+    def encode(self, a):
+        return sum(c * self.p ** i for i, c in enumerate(a))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = _pmod(_pmul(list(a), list(b), self.p), self.modulus, self.p)
+        return tuple(prod + [0] * (self.m - len(prod)))
+
+    def inv(self, a):
+        result, base, e = self.one, a, self.q - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def eval_poly(self, coeffs, x):
+        acc = self.zero
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, x), self.lift(c))
+        return acc
+
+
+def _tuple_count_points(model, r):
+    """Test oracle: the point count with per-field solution dictionaries."""
+    K = _TupleGF(model.p, model.k * r)
+    f, h = list(model.f), list(model.h)
+    sols = {}
+    for z in K.elements():
+        w = K.mul(z, z)
+        if model.p == 2:
+            w = K.add(w, z)
+        sols[w] = sols.get(w, 0) + 1
+    inv4 = K.inv(K.lift(4)) if model.p > 2 else None
+    count = 0
+    for x in K.elements():
+        a, b = K.eval_poly(h, x), K.eval_poly(f, x)
+        if model.p > 2:
+            count += sols.get(K.add(b, K.mul(K.mul(a, a), inv4)), 0)
+        elif a == K.zero:
+            count += 1  # squaring is a bijection
+        else:
+            count += sols.get(K.mul(b, K.inv(K.mul(a, a))), 0)
+    if (len(f) - 1) % 2 == 1:
+        return count + 1
+    return count + sols.get(K.lift(f[-1]), 0)
+
+
+ORACLE_FIELD_BOUND = 3 ** 8
+
+
+def _oracle_fields():
+    for p in (2, 3, 5, 7, 11):
+        m = 1
+        while p ** m <= ORACLE_FIELD_BOUND:
+            yield p, m
+            m += 1
+
+
+def _seeded_models(p, rng):
+    """A smooth model per kind: (deg f parity, h nonzero); characteristic 2
+    admits odd deg f with nonzero h only."""
+    kinds = ([(1, True)] * 3 if p == 2 else [(1, False), (0, True), (1, True)])
+    models = []
+    for odd, with_h in kinds:
+        while True:
+            g = rng.choice((2, 3))
+            deg = 2 * g + 1 if odd else 2 * g + 2
+            f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+            h = [rng.randrange(p) for _ in range(rng.randrange(g + 1))] + [1] if with_h else []
+            try:
+                models.append(HyperellipticModel(p=p, k=1, f=tuple(f), h=tuple(h)))
+                break
+            except ValidationError:
+                continue
+    return models
+
+
+def test_counts_match_tuple_oracle():
+    rng = random.Random(2008)
+    models = {p: _seeded_models(p, rng) for p in (2, 3, 5, 7, 11)}
+    checked = 0
+    for p, m in _oracle_fields():
+        model = models[p][m % 3]
+        assert count_points(model, m) == _tuple_count_points(model, m), (model, m)
+        checked += 1
+    assert checked == 32
+
+
+def test_exp_log_are_inverse_bijections():
+    for p, m in _oracle_fields():
+        K, T = GF(p, m), _TupleGF(p, m)
+        n = K.q - 1
+        assert len(K.exp) == n and len(K.log) == K.q
+        assert sorted(K.exp) == list(range(1, K.q))
+        assert [K.log[a] for a in K.exp] == list(range(n))
+        # each step of the walk is a product in the oracle's arithmetic
+        g = tuple(K.exp[1 % n] // p ** i % p for i in range(m))
+        prods = [T.encode(T.mul(tuple(a // p ** i % p for i in range(m)), g)) for a in K.exp]
+        assert prods == K.exp[1:] + K.exp[:1], (p, m)
 
 
 def _first_irreducible_full_scan(p, m):
@@ -65,17 +196,65 @@ def test_degree_one_polynomials_are_irreducible():
     assert _is_irreducible([1, 1, 1], 2) and not _is_irreducible([1, 0, 1], 2)
 
 
+LIMIT_BITS = FIELD_SIZE_LIMIT.bit_length() - 1
+
+
 def test_largest_field_builds_quickly(monkeypatch):
     monkeypatch.setattr(GF, "_cache", {})
     start = time.perf_counter()
-    K = GF(2, 20)
+    K = GF(2, LIMIT_BITS)
     assert time.perf_counter() - start < 1.0
-    assert K.q == 2 ** 20 and K.modulus[0] == 1
+    assert K.q == FIELD_SIZE_LIMIT and K.modulus[0] == 1
+
+
+def test_largest_binary_field_counts_in_budget(monkeypatch):
+    monkeypatch.setattr(GF, "_cache", {})
+    start = time.perf_counter()
+    count = count_points(MODEL_F2, LIMIT_BITS)
+    assert time.perf_counter() - start < 5.0
+    assert count == CurveData.from_model(MODEL_F2).point_count(LIMIT_BITS)
 
 
 def test_field_size_guard():
-    with pytest.raises(ValidationError):
-        GF(2, 25)
+    for p, m in ((2, LIMIT_BITS + 1), (2, 25), (3, 12), (1000000000000000003, 1),
+                 (2, 10 ** 12)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="exceeds the size limit"):
+            GF(p, m)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_prime_test_matches_trial_division():
+    for n in range(-1, 5000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
+    # strong pseudoprimes to the first 11 and the first 12 prime bases
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(1000000000000000003)
+
+
+def test_prime_powers_decided_without_trial_division():
+    big = 1000000000000000003
+    for q in range(1, 3000):
+        base = next((d for d in range(2, q + 1) if q % d == 0), None)
+        is_power = base is not None and all(_is_prime(d) == (d == base)
+                                            for d in range(2, q + 1) if q % d == 0)
+        try:
+            _validate_prime_power(q)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == is_power, q
+    start = time.perf_counter()
+    for q in (big, (10 ** 9 + 7) ** 2, 2 ** 81, 3 ** 50):
+        _validate_prime_power(q)
+    for q in (big * 3, (10 ** 9 + 7) * (10 ** 9 + 9), 2 ** 40 * 3, 318665857834031151167461):
+        with pytest.raises(ValidationError, match="not a prime power"):
+            _validate_prime_power(q)
+    # the first strong pseudoprime to all 13 bases is where the test stops
+    with pytest.raises(ValidationError, match="prime-power test"):
+        _validate_prime_power(3317044064679887385961981)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_points_examples():
