@@ -151,6 +151,8 @@ def _cmd_count(args):
 
 def _cmd_mass(args):
     if args.curve:
+        if args.mode is not None or args.g is not None:
+            raise ValidationError("mass takes --curve, or --mode with --g, not both")
         field = _numeric_field(args)
     elif args.mode in ("betti", "hodge") and args.g is not None:
         field = (SpecializationField.betti(args.g) if args.mode == "betti"
@@ -183,6 +185,8 @@ def _cmd_hn_types(args):
 
 def _cmd_symprod(args):
     if args.curve:
+        if args.g is not None:
+            raise ValidationError("symprod takes --curve or --g, not both")
         curve = load_curve(args.curve)
         doc = {"n": args.n, "count": fraction_to_str(sym_count(curve, args.n))}
         if args.enumerate:
@@ -191,6 +195,8 @@ def _cmd_symprod(args):
         return doc, 0
     if args.g is None:
         raise ValidationError("symprod needs --g (Betti mode) or --curve (counts)")
+    if args.enumerate:
+        raise ValidationError("symprod --enumerate needs --curve")
     return _poly_doc(sym_poincare(args.g, args.n), g=args.g, n=args.n), 0
 
 

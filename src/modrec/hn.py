@@ -7,23 +7,31 @@ forms drive everything:
     codim(mu)         = sum_{l>j} (n_l d_j - n_j d_l + n_l n_j (g-1))
     mass_exponent(mu) = sum_{i<j} (n_i d_j - n_j d_i + n_i n_j (g-1))
 
-whose sum is 2(g-1) sum_{i<j} n_i n_j.  The codimension form is strictly
-increasing in the slope gaps, which makes the bounded enumeration finite and
-provably complete.
+whose sum is 2(g-1) sum_{i<j} n_i n_j.  In the prefix ranks
+S_k = n_1 + ... + n_k and prefix degrees D_k = d_1 + ... + d_k, with
+c_k = n D_k - S_k d, the codimension is
+
+    n codim(mu) = n (g-1) sum_{i<j} n_i n_j + sum_{k<r} (n_k + n_{k+1}) c_k.
+
+Decreasing slopes give c_k >= 1, and c_k = -S_k d mod n, so the least c_k
+is ((-S_k d - 1) mod n) + 1.  Every c_k raises the codimension, which makes
+the bounded enumeration an integer walk over the D_k, finite and complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, prod
+from itertools import accumulate
 
 from .errors import InvariantViolation, ValidationError
 
-# Most gap vectors enumerate_types may have to examine.  At rank 2 and 3,
-# where the bound below is nearly exact, 2e5 of them take about 5 s on a
-# 2-core x86-64 host; moduli_poincare(8, 1, 2) needs at most 3.2e4 per call.
-MAX_GAP_VECTORS = 200_000
+# Most prefix-degree vectors enumerate_types may test, and most compositions
+# of the rank.  The slowest refusal, hn-types --n 3 --d 1 --g 2 --max-codim
+# 100000, exits in about 1.0 s on a 2-core x86-64 host.  The top calls of
+# moduli_poincare(n, d, g) admitted are exactly those the earlier slope-gap
+# estimate admitted, for every coprime d: (9, d, 2) tests at most 117,062
+# vectors and (6, d, 6) 123,936; (7, d, 4) needs at least 147,606.
+MAX_LATTICE_POINTS = 140_000
 
 
 @dataclass(frozen=True)
@@ -102,98 +110,67 @@ def compositions(n):
     return out
 
 
-def gap_weights(comp):
-    """Per adjacent pair, the rate at which one unit of slope gap raises the
-    codimension, and the gap period preserving degree integrality and
-    residues.  Both come from the linearity of the codimension form."""
-    N = sum(comp)
-    prefix = 0
-    weights, periods = [], []
-    for k in range(len(comp) - 1):
-        prefix += comp[k]
-        weights.append(Fraction(prefix * (N - prefix), comp[k] * comp[k + 1]))
-        periods.append(comp[k] * comp[k + 1] * N)
-    return weights, periods
-
-
-def degrees_from_gaps(comp, d, gaps):
-    """Integer degree vector with the given adjacent slope gaps, or None.
-
-    gap_k = n_{k+1} d_k - n_k d_{k+1}; together with the total degree this
-    determines the slopes, hence the degrees, uniquely over the rationals.
-    """
-    N = sum(comp)
-    shift = Fraction(0)
-    for k, gap in enumerate(gaps):
-        shift += Fraction(gap * (N - sum(comp[: k + 1])), comp[k] * comp[k + 1])
-    mu = Fraction(d + shift, N)
-    degrees = []
-    for k, n in enumerate(comp):
-        dk = n * mu
-        if dk.denominator != 1:
-            return None
-        degrees.append(int(dk))
-        if k < len(comp) - 1:
-            mu = mu - Fraction(gaps[k], n * comp[k + 1])
-    if sum(degrees) != d:
-        return None
-    return degrees
-
-
 def enumerate_types(n, d, g, max_codim):
     """All types of total rank n and degree d with codim <= max_codim.
 
-    For each composition the codimension is an affine form with positive
-    weights in the slope gaps, so a gap-box search with pruning is finite and
-    complete.  Output sorted by (codim, parts).  A request whose search
-    could visit more than MAX_GAP_VECTORS gap vectors is refused up front
-    with ValidationError.
+    For each composition the prefix degrees D_1, ..., D_{r-1} are walked in
+    turn, each upwards from the value that puts c_k at its least.  A step
+    raises c_k by n, so n codim by (n_k + n_{k+1}) n, and raises the slope
+    of part k, so the walk of D_k stops at the first value past the
+    codimension budget or with a slope not below that of part k - 1.
+    Output sorted by (codim, parts).  A request that tests more than
+    MAX_LATTICE_POINTS prefix-degree vectors, or has more compositions
+    than that, raises ValidationError.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
     _check_genus(g)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
-    if 2 ** (n - 1) > MAX_GAP_VECTORS:
+    if 2 ** (n - 1) > MAX_LATTICE_POINTS:
         raise ValidationError(
-            "rank %d has 2^%d compositions, past the budget of %d gap vectors"
-            % (n, n - 1, MAX_GAP_VECTORS))
-    boxes = []
+            "rank %d has 2^%d compositions, past the budget of %d lattice points"
+            % (n, n - 1, MAX_LATTICE_POINTS))
+    found = [HNType.trivial(n, d)]
+    visited = 0
     for comp in compositions(n):
         r = len(comp)
         if r < 2:
             continue
-        base = (g - 1) * sum(comp[i] * comp[j]
-                             for i in range(r) for j in range(i + 1, r))
-        weights, _ = gap_weights(comp)
-        if base + sum(weights) <= max_codim:
-            boxes.append((comp, weights, Fraction(max_codim - base)))
-    # gaps >= 1 with sum_k w_k gap_k <= B: the unit cubes [gap - 1, gap] are
-    # disjoint and lie in the simplex sum_k w_k x_k <= B, x >= 0, so there
-    # are at most B^(r-1) / ((r-1)! prod w_k) of them
-    work = sum(budget ** len(weights) / (factorial(len(weights)) * prod(weights))
-               for _, weights, budget in boxes)
-    if work > MAX_GAP_VECTORS:
-        raise ValidationError(
-            "codimension bound %d needs up to %d gap vectors, past the budget of %d "
-            "(about 5 s)" % (max_codim, int(work), MAX_GAP_VECTORS))
-    found = [HNType.trivial(n, d)]
-    for comp, weights, budget in boxes:
-        r = len(comp)
+        budget = n * (max_codim - (g - 1) * sum(
+            comp[i] * comp[j] for i in range(r) for j in range(i + 1, r)))
+        prefix = list(accumulate(comp[:-1]))
+        weights = [comp[k] + comp[k + 1] for k in range(r - 1)]
+        least = [(-s * d - 1) % n + 1 for s in prefix]
+        rest = [0] * r  # least cost of the steps from k on
+        for k in range(r - 2, -1, -1):
+            rest[k] = rest[k + 1] + weights[k] * least[k]
+        if rest[0] > budget:
+            continue
 
-        def search(k, gaps, used):
+        def walk(k, D, last, used, degrees):
+            nonlocal visited
             if k == r - 1:
-                degrees = degrees_from_gaps(comp, d, gaps)
-                if degrees is not None:
-                    found.append(HNType(tuple(zip(comp, degrees))))
+                dk = d - D
+                if last * comp[k] > dk * comp[k - 1]:
+                    found.append(HNType(tuple(zip(comp, degrees + [dk]))))
                 return
-            remaining_min = sum(weights[k + 1:])
-            gap = 1
-            while used + weights[k] * gap + remaining_min <= budget:
-                search(k + 1, gaps + (gap,), used + weights[k] * gap)
-                gap += 1
+            step = weights[k] * n
+            cost = used + weights[k] * least[k]
+            dk = (least[k] + prefix[k] * d) // n - D
+            while True:
+                visited += 1
+                if visited > MAX_LATTICE_POINTS:
+                    raise ValidationError(
+                        "codimension bound %d needs more than %d lattice points "
+                        "(about 1 s)" % (max_codim, MAX_LATTICE_POINTS))
+                if cost + rest[k + 1] > budget or k and last * comp[k] <= dk * comp[k - 1]:
+                    return
+                walk(k + 1, D + dk, dk, cost, degrees + [dk])
+                cost += step
+                dk += 1
 
-        search(0, (), Fraction(0))
+        walk(0, 0, None, 0, [])
     for mu in found:
         c = codim(mu, g)
         if c > max_codim:

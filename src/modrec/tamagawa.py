@@ -13,10 +13,10 @@ inversion of that recursion writes beta(n, d) in closed form as a sum over
 the 2^(n-1) compositions of n of products of total masses (see
 ``_zagier_sum``), which is what ``ss_mass`` computes.
 
-The recursion itself stays as the test oracle: per composition the
-infinite degree sum collapses on each residue cell of the slope-gap
-lattice, where the exponent is affine with negative weights, to a product
-of geometric series (``cone_sum``).
+The recursion itself is the test oracle, in ``tests/oracles.py``: per
+composition the infinite degree sum collapses on each residue cell of the
+slope-gap lattice, where the exponent is affine with negative weights, to a
+product of geometric series.
 
 Everything is generic over the coefficient field, so the same formulas
 yield exact rational numbers (numeric mode), Poincare series (Betti mode,
@@ -25,7 +25,6 @@ q = t^2) and Hodge refinements (q = u v).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -33,7 +32,7 @@ from math import comb, gcd
 from .curve import SpecializationField
 from .errors import InvariantViolation, ValidationError
 from .exactalg import RatFun
-from .hn import codim, compositions, degrees_from_gaps, enumerate_types, gap_weights, mass_exponent
+from .hn import codim, compositions, enumerate_types, mass_exponent
 
 
 def total_mass(n, d, field):
@@ -46,84 +45,6 @@ def total_mass(n, d, field):
     for i in range(2, n + 1):
         value = value * field.zeta(i)
     return value
-
-
-@dataclass(frozen=True)
-class ConeSum:
-    """Degree-cone summation data for one composition.
-
-    ``factors[j][r]`` is the semistable mass of a rank ``composition[j]``
-    part whose degree is congruent to r.  The exponent of q on a degree
-    vector is the affine form with the stated coefficients; its restriction
-    to every unbounded ray of the slope-decreasing cone has negative slope,
-    which is what makes the closed-form summation legitimate.
-    """
-
-    composition: tuple
-    genus: int
-    factors: tuple
-
-    def exponent_form(self):
-        """(coefficients on d_1..d_r, constant) of the mass exponent."""
-        comp = self.composition
-        N = sum(comp)
-        prefix = [0]
-        for n in comp:
-            prefix.append(prefix[-1] + n)
-        coeffs = tuple(prefix[j] + prefix[j + 1] - N for j in range(len(comp)))
-        const = (self.genus - 1) * sum(
-            comp[i] * comp[j] for i in range(len(comp)) for j in range(i + 1, len(comp)))
-        return coeffs, const
-
-
-def cone_sum(cs, d, field):
-    """Closed-form sum of stratum masses over all degree vectors of the cone.
-
-    The slope-gap coordinates gamma_k >= 1 carve the cone into finitely many
-    residue cells; on each cell the exponent decreases by the integer
-    W_k = m_k (N - m_k) N per period step, so each cell contributes its base
-    term times prod_k 1/(1 - q^{-W_k}).
-    """
-    comp = cs.composition
-    r = len(comp)
-    if r == 1:
-        return cs.factors[0][d % comp[0]]
-    g = cs.genus
-    weights, periods = gap_weights(comp)
-    if any(w <= 0 for w in weights):
-        raise InvariantViolation("cone weight must be positive")
-    _, const = cs.exponent_form()
-    geom = []
-    for w, P in zip(weights, periods):
-        W = w * P
-        if W.denominator != 1 or W <= 0:
-            raise InvariantViolation("period step must be a positive integer")
-        ratio = field.q_power(-int(W))
-        if ratio == RatFun.one():
-            raise InvariantViolation("geometric ratio 1 in a cone sum")
-        geom.append(RatFun.one() / (RatFun.one() - ratio))
-    total = RatFun.zero()
-    for gamma in itertools.product(*(range(1, P + 1) for P in periods)):
-        degrees = degrees_from_gaps(comp, d, gamma)
-        if degrees is None:
-            continue
-        exponent = Fraction(const) - sum(w * c for w, c in zip(weights, gamma))
-        if exponent.denominator != 1:
-            raise InvariantViolation("non-integer exponent on an integral cell")
-        term = field.q_power(int(exponent))
-        for j, dj in enumerate(degrees):
-            term = term * cs.factors[j][dj % comp[j]]
-        for gfac in geom:
-            term = term * gfac
-        total = total + term
-    return total
-
-
-def _cone_for(comp, field, mass):
-    """Cone-sum data for one composition, with part masses from ``mass``."""
-    factors = tuple(
-        tuple(mass(nj, res, field) for res in range(nj)) for nj in comp)
-    return ConeSum(comp, field.genus, factors)
 
 
 # Largest rank ss_mass accepts per field, with the longest one mass at that

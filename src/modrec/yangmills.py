@@ -64,8 +64,11 @@ def ss_equivariant_series(n, d, g, order):
     cached = _SS_SERIES.get(key)
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
+    # enumerate first: a request past the type budget is refused before the
+    # classifying series, whose reduction is the costly step at high rank
+    types = enumerate_types(n, d, g, order // 2)
     coeffs = series_expand(classifying_series(n, g), "t", order).coeffs
-    for mu in enumerate_types(n, d, g, order // 2):
+    for mu in types:
         if mu.is_trivial:
             continue
         shift = 2 * codim(mu, g)

@@ -1,0 +1,170 @@
+"""Slow reference paths that the production code replaced, kept for tests.
+
+* ``enumerate_types_by_gaps`` walks rational slope gaps, solves for the
+  degrees in ``Fraction`` and drops every gap vector whose degrees are not
+  integers.  ``hn.enumerate_types`` walks integer prefix degrees instead and
+  must return the same list.
+* ``cone_sum`` sums the stratum masses of one composition over every degree
+  vector, in closed form per residue cell of the slope-gap lattice.  With
+  ``cone_for`` it drives the Harder-Narasimhan recursion that the closed-form
+  ``tamagawa.ss_mass`` must match.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from modrec.errors import InvariantViolation
+from modrec.exactalg import RatFun
+from modrec.hn import HNType, codim, compositions
+
+
+def gap_weights(comp):
+    """Per adjacent pair, the rate at which one unit of slope gap raises the
+    codimension, and the gap period preserving degree integrality and
+    residues.  Both come from the linearity of the codimension form."""
+    N = sum(comp)
+    prefix = 0
+    weights, periods = [], []
+    for k in range(len(comp) - 1):
+        prefix += comp[k]
+        weights.append(Fraction(prefix * (N - prefix), comp[k] * comp[k + 1]))
+        periods.append(comp[k] * comp[k + 1] * N)
+    return weights, periods
+
+
+def degrees_from_gaps(comp, d, gaps):
+    """Integer degree vector with the given adjacent slope gaps, or None.
+
+    gap_k = n_{k+1} d_k - n_k d_{k+1}; together with the total degree this
+    determines the slopes, hence the degrees, uniquely over the rationals.
+    """
+    N = sum(comp)
+    shift = Fraction(0)
+    for k, gap in enumerate(gaps):
+        shift += Fraction(gap * (N - sum(comp[: k + 1])), comp[k] * comp[k + 1])
+    mu = Fraction(d + shift, N)
+    degrees = []
+    for k, n in enumerate(comp):
+        dk = n * mu
+        if dk.denominator != 1:
+            return None
+        degrees.append(int(dk))
+        if k < len(comp) - 1:
+            mu = mu - Fraction(gaps[k], n * comp[k + 1])
+    if sum(degrees) != d:
+        return None
+    return degrees
+
+
+def enumerate_types_by_gaps(n, d, g, max_codim):
+    """All types of total rank n and degree d with codim <= max_codim.
+
+    For each composition the codimension is an affine form with positive
+    weights in the slope gaps, so a gap-box search with pruning is finite and
+    complete.  Output sorted by (codim, parts).  No work budget.
+    """
+    found = [HNType.trivial(n, d)]
+    for comp in compositions(n):
+        r = len(comp)
+        if r < 2:
+            continue
+        base = (g - 1) * sum(comp[i] * comp[j]
+                             for i in range(r) for j in range(i + 1, r))
+        weights, _ = gap_weights(comp)
+        budget = Fraction(max_codim - base)
+
+        def search(k, gaps, used):
+            if k == r - 1:
+                degrees = degrees_from_gaps(comp, d, gaps)
+                if degrees is not None:
+                    found.append(HNType(tuple(zip(comp, degrees))))
+                return
+            remaining_min = sum(weights[k + 1:])
+            gap = 1
+            while used + weights[k] * gap + remaining_min <= budget:
+                search(k + 1, gaps + (gap,), used + weights[k] * gap)
+                gap += 1
+
+        search(0, (), Fraction(0))
+    found.sort(key=lambda mu: (codim(mu, g), mu.parts))
+    return found
+
+
+@dataclass(frozen=True)
+class ConeSum:
+    """Degree-cone summation data for one composition.
+
+    ``factors[j][r]`` is the semistable mass of a rank ``composition[j]``
+    part whose degree is congruent to r.  The exponent of q on a degree
+    vector is the affine form with the stated coefficients; its restriction
+    to every unbounded ray of the slope-decreasing cone has negative slope,
+    which is what makes the closed-form summation legitimate.
+    """
+
+    composition: tuple
+    genus: int
+    factors: tuple
+
+    def exponent_form(self):
+        """(coefficients on d_1..d_r, constant) of the mass exponent."""
+        comp = self.composition
+        N = sum(comp)
+        prefix = [0]
+        for n in comp:
+            prefix.append(prefix[-1] + n)
+        coeffs = tuple(prefix[j] + prefix[j + 1] - N for j in range(len(comp)))
+        const = (self.genus - 1) * sum(
+            comp[i] * comp[j] for i in range(len(comp)) for j in range(i + 1, len(comp)))
+        return coeffs, const
+
+
+def cone_sum(cs, d, field):
+    """Closed-form sum of stratum masses over all degree vectors of the cone.
+
+    The slope-gap coordinates gamma_k >= 1 carve the cone into finitely many
+    residue cells; on each cell the exponent decreases by the integer
+    W_k = m_k (N - m_k) N per period step, so each cell contributes its base
+    term times prod_k 1/(1 - q^{-W_k}).
+    """
+    comp = cs.composition
+    r = len(comp)
+    if r == 1:
+        return cs.factors[0][d % comp[0]]
+    weights, periods = gap_weights(comp)
+    if any(w <= 0 for w in weights):
+        raise InvariantViolation("cone weight must be positive")
+    _, const = cs.exponent_form()
+    geom = []
+    for w, P in zip(weights, periods):
+        W = w * P
+        if W.denominator != 1 or W <= 0:
+            raise InvariantViolation("period step must be a positive integer")
+        ratio = field.q_power(-int(W))
+        if ratio == RatFun.one():
+            raise InvariantViolation("geometric ratio 1 in a cone sum")
+        geom.append(RatFun.one() / (RatFun.one() - ratio))
+    total = RatFun.zero()
+    for gamma in itertools.product(*(range(1, P + 1) for P in periods)):
+        degrees = degrees_from_gaps(comp, d, gamma)
+        if degrees is None:
+            continue
+        exponent = Fraction(const) - sum(w * c for w, c in zip(weights, gamma))
+        if exponent.denominator != 1:
+            raise InvariantViolation("non-integer exponent on an integral cell")
+        term = field.q_power(int(exponent))
+        for j, dj in enumerate(degrees):
+            term = term * cs.factors[j][dj % comp[j]]
+        for gfac in geom:
+            term = term * gfac
+        total = total + term
+    return total
+
+
+def cone_for(comp, field, mass):
+    """Cone-sum data for one composition, with part masses from ``mass``."""
+    factors = tuple(
+        tuple(mass(nj, res, field) for res in range(nj)) for nj in comp)
+    return ConeSum(comp, field.genus, factors)

@@ -268,19 +268,35 @@ def test_symprod_genus_one_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv, blamed", [
-    (["hn-types", "--n", "3", "--d", "1", "--g", "2", "--max-codim", "100000"], "gap vectors"),
+    (["hn-types", "--n", "3", "--d", "1", "--g", "2", "--max-codim", "100000"],
+     "lattice points"),
     (["hn-types", "--n", "40", "--d", "1", "--g", "2", "--max-codim", "3"], "compositions"),
     (["siegel", "--n", "3", "--d", "1", "--curve", "{curve}", "--max-codim", "100000"],
-     "gap vectors"),
+     "lattice points"),
     (["count", "--n", "17", "--d", "1", "--curve", "{curve}"], "numeric mass limit 16"),
     (["mass", "--n", "30", "--d", "1", "--mode", "betti", "--g", "2"], "betti mass limit 9"),
     (["mass", "--n", "7", "--d", "1", "--mode", "hodge", "--g", "3"], "hodge mass limit 6"),
+    (["betti", "--n", "16", "--d", "1", "--g", "2"], "lattice points"),
+    (["betti", "--n", "20", "--d", "1", "--g", "2"], "compositions"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "count-rank", "mass-betti-rank",
-        "mass-hodge-rank"])
+        "mass-hodge-rank", "betti-types", "betti-rank"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
     assert time.perf_counter() - start < 2.0
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
+
+
+@pytest.mark.parametrize("argv, blamed", [
+    (["mass", "--n", "3", "--d", "1", "--curve", "{curve}", "--mode", "hodge", "--g", "3"],
+     "not both"),
+    (["mass", "--n", "3", "--d", "1", "--curve", "{curve}", "--g", "3"], "not both"),
+    (["symprod", "--n", "3", "--curve", "{curve}", "--g", "5"], "not both"),
+    (["symprod", "--n", "3", "--g", "2", "--enumerate"], "--enumerate needs --curve"),
+], ids=["mass-curve-mode-g", "mass-curve-g", "symprod-curve-g", "symprod-enumerate-g"])
+def test_conflicting_options_are_refused(capsys, curve_file, argv, blamed):
+    status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
 

@@ -6,6 +6,8 @@ from modrec import hn
 from modrec.errors import ValidationError
 from modrec.hn import HNType, codim, compositions, enumerate_types, mass_exponent
 
+from oracles import enumerate_types_by_gaps
+
 
 def test_type_validation():
     HNType(((1, 1), (1, 0)))
@@ -95,37 +97,83 @@ def test_serialization():
     assert HNType(((2, 3), (1, 0))).to_json() == [[2, 3], [1, 0]]
 
 
+def test_prefix_degree_identity():
+    # n codim = n (g-1) sum_{i<j} n_i n_j + sum_{k<r} (n_k + n_{k+1}) c_k with
+    # c_k = n D_k - S_k d >= 1, for prefix degrees D_k and prefix ranks S_k
+    for g in (2, 3):
+        for n in range(2, 6):
+            for d in range(-1, n + 1):
+                for mu in enumerate_types(n, d, g, 12):
+                    ranks = [nj for nj, _ in mu.parts]
+                    S = D = 0
+                    steps = []
+                    for k in range(len(ranks) - 1):
+                        S += ranks[k]
+                        D += mu.parts[k][1]
+                        c = n * D - S * d
+                        assert c >= 1
+                        steps.append((ranks[k] + ranks[k + 1]) * c)
+                    pairs = sum(a * b for i, a in enumerate(ranks) for b in ranks[i + 1:])
+                    assert n * codim(mu, g) == n * (g - 1) * pairs + sum(steps), mu
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_enumeration_matches_gap_oracle(g):
+    # the integer prefix-degree walk against the Fraction slope-gap search
+    for n in range(1, 7):
+        for d in range(-1, n + 1):
+            for M in (0, 1, 5, 9, 20):
+                assert enumerate_types(n, d, g, M) == enumerate_types_by_gaps(n, d, g, M), \
+                    (n, d, g, M)
+
+
 def test_enumeration_refuses_far_past_budget():
-    with pytest.raises(ValidationError, match="gap vectors"):
+    with pytest.raises(ValidationError, match="lattice points"):
         enumerate_types(3, 1, 2, 100000)
     with pytest.raises(ValidationError, match="compositions"):
         enumerate_types(40, 1, 2, 3)
 
 
+# top calls of moduli_poincare(n, 1, g), at bound n^2 (g - 1) + 3: the budget
+# admits and refuses the same ones as the slope-gap estimate it replaced
+@pytest.mark.parametrize("n, g, admitted", [
+    (9, 2, True), (7, 3, True), (6, 4, True), (5, 5, True), (4, 6, True), (6, 6, True),
+    (10, 2, False), (8, 3, False), (7, 4, False), (6, 7, False),
+])
+def test_budget_boundary_of_top_calls(n, g, admitted):
+    M = n * n * (g - 1) + 3
+    if admitted:
+        assert len(enumerate_types(n, 1, g, M)) > 1
+    else:
+        with pytest.raises(ValidationError, match="lattice points"):
+            enumerate_types(n, 1, g, M)
+
+
 def test_admitted_enumerations_stay_within_budget(monkeypatch):
-    # the up-front estimate must bound the gap vectors the search visits:
-    # with a small budget, every admitted request visits at most that many
+    # the walk counts the prefix-degree vectors it visits and stops past the
+    # budget: with a small budget every admitted request is complete (it
+    # equals the oracle), a refused bound stays refused for every larger
+    # bound, and the count is of the order of the work, since some request
+    # admitted at the budget is refused at a third of it
     budget = 300
-    monkeypatch.setattr(hn, "MAX_GAP_VECTORS", budget)
-    visited = []
-    original = hn.degrees_from_gaps
-
-    def counting(comp, d, gaps):
-        visited.append(gaps)
-        return original(comp, d, gaps)
-
-    monkeypatch.setattr(hn, "degrees_from_gaps", counting)
-    admitted, refused, busiest = 0, 0, 0
+    admitted, refused, tight = 0, 0, 0
     for g in (2, 3):
         for n in (2, 3, 4, 5):
+            was_refused = False
             for M in range(0, 80, 3):
-                visited.clear()
+                monkeypatch.setattr(hn, "MAX_LATTICE_POINTS", budget)
+                try:
+                    types = enumerate_types(n, 1, g, M)
+                except ValidationError:
+                    refused += 1
+                    was_refused = True
+                    continue
+                assert not was_refused, (n, g, M)
+                admitted += 1
+                assert types == enumerate_types_by_gaps(n, 1, g, M), (n, g, M)
+                monkeypatch.setattr(hn, "MAX_LATTICE_POINTS", budget // 3)
                 try:
                     enumerate_types(n, 1, g, M)
                 except ValidationError:
-                    refused += 1
-                    continue
-                admitted += 1
-                busiest = max(busiest, len(visited))
-                assert len(visited) <= budget, (n, g, M)
-    assert admitted and refused and busiest > budget // 3
+                    tight += 1
+    assert admitted and refused and tight

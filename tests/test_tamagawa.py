@@ -18,9 +18,6 @@ from modrec.exactalg import Poly, RatFun
 from modrec.hn import codim, compositions, enumerate_types
 from modrec.tamagawa import (
     MASS_RANK_LIMIT,
-    ConeSum,
-    _cone_for,
-    cone_sum,
     fixed_determinant_count,
     siegel_check,
     ss_mass,
@@ -29,6 +26,8 @@ from modrec.tamagawa import (
     total_mass,
 )
 from modrec.yangmills import classifying_series, moduli_poincare
+
+from oracles import ConeSum, cone_for, cone_sum
 
 T = Poly.var("t")
 
@@ -262,7 +261,7 @@ def cone_mass(n, d, field, memo):
         value = total_mass(n, d, field)
         for comp in compositions(n):
             if len(comp) > 1:
-                parts = _cone_for(comp, field, lambda m, e, F: cone_mass(m, e, F, memo))
+                parts = cone_for(comp, field, lambda m, e, F: cone_mass(m, e, F, memo))
                 value = value - cone_sum(parts, d, field)
         memo[key] = value
     return memo[key]
@@ -292,11 +291,16 @@ def test_closed_form_matches_cone_recursion(mode, g, top, make):
 
 
 def test_closed_form_betti_rank_five_and_six():
-    # the cone recursion takes minutes here; the gauge recursion does not
-    F = SpecializationField.betti(2)
-    for n, d in [(5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 5)]:
+    # the cone recursion takes minutes here; the gauge recursion does not.
+    # Also rank 7 at g = 2 and ranks 4 and 5 at g = 3, every coprime d
+    cases = [(5, 1, 2), (5, 2, 2), (5, 3, 2), (5, 4, 2), (6, 1, 2), (6, 5, 2)]
+    cases += [(7, d, 2) for d in range(1, 7)]
+    cases += [(n, d, 3) for n in (4, 5) for d in range(1, n) if gcd(n, d) == 1]
+    fields = {g: SpecializationField.betti(g) for g in (2, 3)}
+    for n, d, g in cases:
+        F = fields[g]
         lhs = (F.q - RatFun.one()) * ss_mass(n, d, F)
-        assert lhs == RatFun(moduli_poincare(n, d, 2)), (n, d)
+        assert lhs == RatFun(moduli_poincare(n, d, g)), (n, d, g)
 
 
 def test_fixed_determinant_counts_integral_to_rank_nine():
