@@ -836,11 +836,6 @@ def _cancel(a, b):
     return poly_divexact(a, g), poly_divexact(b, g)
 
 
-def substitute(f, bindings):
-    """Module-level alias for :meth:`RatFun.substitute`."""
-    return RatFun._coerce(f).substitute(bindings)
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------

@@ -43,15 +43,14 @@ def sym_hodge(g, n):
         raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
-    u, v = Poly.var("u"), Poly.var("v")
-    out = Poly.zero()
+    terms = {}
     for i in range(0, min(g, n) + 1):
         ci = comb(g, i)
         for j in range(0, min(g, n - i) + 1):
             cij = ci * comb(g, j)
             for b in range(0, n - i - j + 1):
-                out = out + cij * u ** (i + b) * v ** (j + b)
-    return out
+                terms[i + b, j + b] = terms.get((i + b, j + b), 0) + cij
+    return Poly(("u", "v"), terms)
 
 
 def sym_count(curve, n):

@@ -8,6 +8,10 @@
   vector, in closed form per residue cell of the slope-gap lattice.  With
   ``cone_for`` it drives the Harder-Narasimhan recursion that the closed-form
   ``tamagawa.ss_mass`` must match.
+* ``torsion_vectors`` lists the torus cells (d_1, ..., d_n) of a matrix
+  divisor space, and ``div_poincare_by_cells`` / ``div_hodge_by_cells`` sum
+  the cell polynomials one cell at a time.  ``matrixdiv.div_poincare`` and
+  ``div_hodge`` convolve symmetric-power lists instead and must agree.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from modrec.errors import InvariantViolation
-from modrec.exactalg import RatFun
+from modrec.exactalg import Poly, RatFun
 from modrec.hn import HNType, codim, compositions
+from modrec.symprod import sym_hodge, sym_poincare
 
 
 def gap_weights(comp):
@@ -168,3 +173,33 @@ def cone_for(comp, field, mass):
     factors = tuple(
         tuple(mass(nj, res, field) for res in range(nj)) for nj in comp)
     return ConeSum(comp, field.genus, factors)
+
+
+def torsion_vectors(n, e):
+    """All vectors of n non-negative integers with sum e, lexicographic."""
+    if n == 1:
+        yield (e,)
+        return
+    for first in range(e + 1):
+        for rest in torsion_vectors(n - 1, e - first):
+            yield (first,) + rest
+
+
+def _cell_sum(n, e, sym, unit):
+    total = Poly.zero()
+    for vec in torsion_vectors(n, e):
+        term = unit ** sum(i * di for i, di in enumerate(vec))
+        for di in vec:
+            term = term * sym(di)
+        total = total + term
+    return total
+
+
+def div_poincare_by_cells(n, e, g):
+    """Betti polynomial of the matrix divisor space, one torus cell at a time."""
+    return _cell_sum(n, e, lambda k: sym_poincare(g, k), Poly.var("t") ** 2)
+
+
+def div_hodge_by_cells(n, e, g):
+    """Hodge polynomial, one torus cell at a time; the cell unit is u v."""
+    return _cell_sum(n, e, lambda k: sym_hodge(g, k), Poly.var("u") * Poly.var("v"))

@@ -112,10 +112,14 @@ def test_symprod_and_enumeration(capsys, curve_file):
 
 
 def test_bridge_document(capsys):
-    status, out, _ = run_cli(capsys, "bridge", "--n", "2", "--g", "2",
-                             "--e", "30", "--cutoff", "8")
-    assert status == 0
-    assert json.loads(out)["match"] is True
+    # the README case and the slowest benchmark query
+    for n, cutoff in [("2", "8"), ("3", "12")]:
+        status, out, _ = run_cli(capsys, "bridge", "--n", n, "--g", "2",
+                                 "--e", "30", "--cutoff", cutoff)
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["match"] is True
+        assert doc["divisor_coeffs"] == doc["stabilized_coeffs"] == doc["classifying_coeffs"]
 
 
 def test_kirwan_ops(capsys):
@@ -278,8 +282,12 @@ def test_symprod_genus_one_rejected(capsys):
     (["mass", "--n", "7", "--d", "1", "--mode", "hodge", "--g", "3"], "hodge mass limit 6"),
     (["betti", "--n", "16", "--d", "1", "--g", "2"], "lattice points"),
     (["betti", "--n", "20", "--d", "1", "--g", "2"], "compositions"),
+    (["matrixdiv", "--n", "10", "--e", "40", "--g", "2"], "coefficient products"),
+    (["bridge", "--n", "3", "--g", "2", "--e", "300", "--cutoff", "12"], "coefficient products"),
+    (["matrixdiv", "--n", "2", "--e", "100000000", "--g", "2"], "coefficient products"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "count-rank", "mass-betti-rank",
-        "mass-hodge-rank", "betti-types", "betti-rank"])
+        "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank", "bridge-degree",
+        "matrixdiv-degree"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])

@@ -2,11 +2,13 @@
 
 import pytest
 
+from modrec import matrixdiv
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly, series_expand
 from modrec.matrixdiv import div_bridge_check, div_hodge, div_poincare
 from modrec.symprod import sym_hodge, sym_poincare
 from modrec.yangmills import classifying_series
+from oracles import div_hodge_by_cells, div_poincare_by_cells, torsion_vectors
 
 T = Poly.var("t")
 
@@ -66,12 +68,10 @@ def test_bridge_precondition():
 def test_cell_weight_ignores_first_entry():
     # the cell shift sums (i-1) d_i from i = 1, so the first entry is free:
     # this is what lets the coefficients stabilize as the degree grows
-    from modrec.matrixdiv import _torsion_vectors
-
     def shift(vec):
         return sum(i * di for i, di in enumerate(vec))
 
-    for vec in _torsion_vectors(3, 4):
+    for vec in torsion_vectors(3, 4):
         bumped = (vec[0] + 7,) + vec[1:]
         assert shift(bumped) == shift(vec)
 
@@ -89,3 +89,70 @@ def test_report_json():
     report = div_bridge_check(2, 2, e=30, cutoff=4)
     obj = report.to_json()
     assert obj["match"] is True and obj["first_mismatch"] is None
+
+
+def test_convolution_matches_cell_oracle():
+    for g in (2, 3):
+        for n in range(1, 6):
+            for e in range(11):
+                assert div_poincare(n, e, g) == div_poincare_by_cells(n, e, g), (n, e, g)
+        for n in range(1, 4):
+            for e in range(7):
+                assert div_hodge(n, e, g) == div_hodge_by_cells(n, e, g), (n, e, g)
+
+
+def _charge(n, e, g, div, sym):
+    """The convolution's charge from term counts: the rank-m entry at k is the
+    rank-m divisor polynomial, and the shift by w^k keeps its term count."""
+    def pad(p):
+        return len(p.terms) + matrixdiv.TERM_PAD
+
+    def step(m, js):
+        shifts = sum(pad(Poly.one()) * pad(div(m, k, g)) for k in range(e + 1))
+        return shifts + sum(pad(div(m, k, g)) * pad(sym(g, j - k))
+                            for j in js for k in range(j + 1))
+
+    return sum(step(m, range(e + 1)) for m in range(1, n - 1)) + step(n - 1, [e])
+
+
+def test_betti_charge_closed_form():
+    for n in range(2, 6):
+        for e in range(1, 9):
+            for g in (2, 3):
+                betti = _charge(n, e, g, div_poincare, sym_poincare)
+                assert matrixdiv._betti_charge(n, e) == betti, (n, e, g)
+                if n <= 3 and e <= 5:
+                    assert _charge(n, e, g, div_hodge, sym_hodge) >= betti, (n, e, g)
+
+
+@pytest.mark.parametrize("div, sym, oracle, weight", [
+    (div_poincare, sym_poincare, div_poincare_by_cells, 1),
+    (div_hodge, sym_hodge, div_hodge_by_cells, matrixdiv.SPARSE_WEIGHT)])
+def test_running_charge_is_exact(monkeypatch, div, sym, oracle, weight):
+    # with the closed-form check off, the charge counted step by step admits
+    # a request at its exact charge and refuses it one product below
+    n, e, g = 3, 4, 2
+    charge = weight * _charge(n, e, g, div, sym)
+    monkeypatch.setattr(matrixdiv, "_betti_charge", lambda n, e: 0)
+    monkeypatch.setattr(matrixdiv, "MAX_PRODUCTS", charge)
+    assert div(n, e, g) == oracle(n, e, g)
+    monkeypatch.setattr(matrixdiv, "MAX_PRODUCTS", charge - 1)
+    with pytest.raises(ValidationError, match="coefficient products"):
+        div(n, e, g)
+
+
+def test_budget_boundary():
+    # the largest admitted torsion degree at ranks 2 and 3, and one past it
+    for n, e in [(2, 222), (3, 72)]:
+        assert matrixdiv._betti_charge(n, e) <= matrixdiv.MAX_PRODUCTS
+        assert matrixdiv._betti_charge(n, e + 1) > matrixdiv.MAX_PRODUCTS
+    assert div_poincare(3, 72, 2).scalar_coeffs("t")[:6] == [1, 4, 8, 16, 34, 64]
+    with pytest.raises(ValidationError, match="more than 9000000 coefficient products"):
+        div_poincare(3, 73, 2)
+
+
+def test_rank_one_and_degree_zero_are_free():
+    assert div_poincare(1, 2000, 2) == sym_poincare(2, 2000)
+    assert div_poincare(10 ** 9, 0, 2) == Poly.one()
+    with pytest.raises(ValidationError, match="genus"):
+        div_poincare(10 ** 9, 0, 1)
