@@ -6,12 +6,17 @@ each d = (d_1, ..., d_n) with sum e, contributing prod_i S_{d_i} w^{(i-1) d_i}
 
     sum_d prod_i S_{d_i} w^{(i-1) d_i} = [x^e] prod_{i<n} sum_k S_k (w^i x)^k.
 
-The cell weight ignores d_1, so the low-order coefficients stabilize as e
-grows, to the classifying series of the rank-n gauge group (the bridge).
-Requests charged more than MAX_PRODUCTS coefficient products are refused.
+The cell weight ignores d_1, so raising e pushes new contributions to ever
+higher degrees and the low-order coefficients stabilize; the stabilized
+series is the classifying series of the rank-n gauge group, which is the
+bridge between the divisor picture and the gauge picture.  Requests charged
+more than MAX_PRODUCTS coefficient products are refused before the
+symmetric powers are built.
 """
 
-from dataclasses import asdict, dataclass
+from __future__ import annotations
+
+from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -23,17 +28,18 @@ from .yangmills import classifying_series
 
 # A product of polynomials with a and b terms is charged (a + TERM_PAD) *
 # (b + TERM_PAD) coefficient products, padded for building and summing the
-# result, times SPARSE_WEIGHT if it has two variables (exactalg's sparse path).
-# Slowest admitted on the 2-core host: Betti (8, 32) 1.4 s at g = 2, 1.8 s at
-# g = 40; Hodge (2, 59, 2) 1.2 s.  Betti refusals are instant, Hodge <= 0.8 s.
+# result, each weighted 1 + bits / COEFF_BITS for coefficients of about bits
+# bits.  Terms are counted for Betti; Hodge has more, so for div_hodge the
+# charge is a lower bound.  Slowest admitted Betti requests, best of 3 on the
+# 2-core host: rank 2 at e = 220, g = 2 1.2 s; e = 201, g = 40 1.6 s.
 MAX_PRODUCTS = 9_000_000
 TERM_PAD = 10
-SPARSE_WEIGHT = 8
+COEFF_BITS = 512
 
 
 def _betti_charge(n, e):
-    """Closed-form Betti charge, n >= 2: step m shifts the rank-m entries (2km + 1
-    terms at k), then multiplies them by S_{j-k}; a lower bound for Hodge."""
+    """Padded products of the Betti convolution, n >= 2: step m shifts the
+    rank-m entries (2km + 1 terms at k), then multiplies them by S_{j-k}."""
     a = 1 + TERM_PAD
     middle = 2 * (n - 1) * comb(e + 2, 4) + a * (n + 1) * comb(e + 2, 3) + a * a * comb(e + 2, 2)
     last = 4 * (n - 1) * comb(e + 1, 3) + 2 * a * n * comb(e + 1, 2) + a * a * (e + 1)
@@ -41,45 +47,37 @@ def _betti_charge(n, e):
     return (n - 2) * middle + last + shifts
 
 
-def _refuse_past_budget(spent, n, e):
-    if spent > MAX_PRODUCTS:
-        raise ValidationError("rank %d at torsion degree %d needs more than %d coefficient "
-                              "products (about 1.5 s)" % (n, e, MAX_PRODUCTS))
-
-
-def _matrix_divisor(n, e, sym, w):
-    """[x^e] P_n, where P_1 = sum_k sym(k) x^k and P_{m+1}(x) = P_1(x) P_m(w x)."""
+def _matrix_divisor(n, e, g, sym, w):
+    """[x^e] P_n, where P_1 = sum_k sym(g, k) x^k and P_{m+1}(x) = P_1(x) P_m(w x)."""
     if n < 1:
         raise ValidationError("rank must be positive")
     if e < 0:
         raise ValidationError("torsion degree must be >= 0")
     if n == 1 or e == 0:
-        return sym(e)  # at e = 0 the one cell is S_0^n = 1
-    S = [sym(0)]  # checks the genus before the budget
-    weight = 1 if len(w.vars) == 1 else SPARSE_WEIGHT
-    _refuse_past_budget(weight * _betti_charge(n, e), n, e)
-    S += [sym(k) for k in range(1, e + 1)]
+        return sym(g, e)  # at e = 0 the one cell is S_0^n = 1
+    S = [sym(g, 0)]  # checks the genus before the budget
+    bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
+    if _betti_charge(n, e) * (COEFF_BITS + bits) > MAX_PRODUCTS * COEFF_BITS:
+        raise ValidationError("rank %d at torsion degree %d and genus %d needs more than "
+                              "%d coefficient products" % (n, e, g, MAX_PRODUCTS))
+    S += [sym(g, k) for k in range(1, e + 1)]
     units = list(accumulate([w] * e, mul, initial=Poly.one()))
-    acc, spent = S, 0
+    acc = S
     for m in range(1, n):
         shifted = [unit * p for unit, p in zip(units, acc)]
-        sizes = [len(p.terms) + TERM_PAD for p in shifted]
         js = range(e if m == n - 1 else 0, e + 1)  # the last step needs x^e only
-        spent += weight * ((1 + TERM_PAD) * sum(sizes) + sum(
-            sizes[k] * (len(S[j - k].terms) + TERM_PAD) for j in js for k in range(j + 1)))
-        _refuse_past_budget(spent, n, e)
         acc = [sum((shifted[k] * S[j - k] for k in range(j + 1)), Poly.zero()) for j in js]
     return acc[-1]
 
 
 def div_poincare(n, e, g):
     """Betti polynomial of the rank-n matrix divisor space of torsion degree e."""
-    return _matrix_divisor(n, e, lambda k: sym_poincare(g, k), Poly.var("t") ** 2)
+    return _matrix_divisor(n, e, g, sym_poincare, Poly.var("t") ** 2)
 
 
 def div_hodge(n, e, g):
     """Hodge polynomial; the cell unit t^2 becomes u v."""
-    return _matrix_divisor(n, e, lambda k: sym_hodge(g, k), Poly.var("u") * Poly.var("v"))
+    return _matrix_divisor(n, e, g, sym_hodge, Poly.var("u") * Poly.var("v"))
 
 
 @dataclass(frozen=True)
@@ -95,20 +93,40 @@ class BridgeReport:
     classifying_coeffs: tuple
 
     def to_json(self):
-        return {k: [str(c) for c in v] if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
+        return {
+            "n": self.n,
+            "g": self.g,
+            "e": self.e,
+            "cutoff": self.cutoff,
+            "match": self.match,
+            "first_mismatch": self.first_mismatch,
+            "divisor_coeffs": [str(c) for c in self.divisor_coeffs],
+            "stabilized_coeffs": [str(c) for c in self.stabilized_coeffs],
+            "classifying_coeffs": [str(c) for c in self.classifying_coeffs],
+        }
 
 
 def div_bridge_check(n, g, e, cutoff):
-    """Coefficients t^0..t^cutoff at torsion degrees e and e + 1 must agree with
-    each other and the classifying series; a mismatch falsifies the setup."""
+    """Stabilization and bridge in one report.
+
+    Coefficients of t^0..t^cutoff of the divisor polynomial at torsion
+    degrees e and e+1 must agree with each other and with the classifying
+    series.  A mismatch is reported with its first differing power rather
+    than silently absorbed: it falsifies the configuration.
+    """
     if cutoff < 0:
         raise ValidationError("cutoff must be >= 0")
     if e < cutoff + n * 2 * g:
-        raise ValidationError("torsion degree %d is too small for cutoff %d; "
-                              "need e >= cutoff + 2ng" % (e, cutoff))
-    here, there = (tuple(div_poincare(n, f, g).scalar_coeffs("t", upto=cutoff)[: cutoff + 1])
-                   for f in (e, e + 1))
-    target = tuple(series_expand(classifying_series(n, g), "t", cutoff).coefficient_values())
-    first = next((k for k in range(cutoff + 1) if not here[k] == there[k] == target[k]), None)
-    return BridgeReport(n, g, e, cutoff, first is None, first, here, there, target)
+        raise ValidationError(
+            "torsion degree %d is too small for cutoff %d; need e >= cutoff + 2ng"
+            % (e, cutoff))
+    here = div_poincare(n, e, g).scalar_coeffs("t", upto=cutoff)[: cutoff + 1]
+    there = div_poincare(n, e + 1, g).scalar_coeffs("t", upto=cutoff)[: cutoff + 1]
+    target = series_expand(classifying_series(n, g), "t", cutoff).coefficient_values()
+    first_mismatch = None
+    for k in range(cutoff + 1):
+        if not (here[k] == there[k] == target[k]):
+            first_mismatch = k
+            break
+    return BridgeReport(n, g, e, cutoff, first_mismatch is None, first_mismatch,
+                        tuple(here), tuple(there), tuple(target))

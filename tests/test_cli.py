@@ -285,9 +285,10 @@ def test_symprod_genus_one_rejected(capsys):
     (["matrixdiv", "--n", "10", "--e", "40", "--g", "2"], "coefficient products"),
     (["bridge", "--n", "3", "--g", "2", "--e", "300", "--cutoff", "12"], "coefficient products"),
     (["matrixdiv", "--n", "2", "--e", "100000000", "--g", "2"], "coefficient products"),
+    (["matrixdiv", "--n", "2", "--e", "222", "--g", "1000000000"], "coefficient products"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "count-rank", "mass-betti-rank",
         "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank", "bridge-degree",
-        "matrixdiv-degree"])
+        "matrixdiv-degree", "matrixdiv-genus"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
