@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curve import CurveData, HyperellipticModel, SpecializationField, count_points
 from .exactalg import Poly, RatFun, is_palindrome
@@ -171,12 +171,7 @@ def criterion_9_property_suite():
     return "moduli properties, periodicity, exponent identity on %d types" % checked
 
 
-@dataclass(frozen=True)
-class Criterion:
-    number: int
-    title: str
-    limit_seconds: float
-    run: callable
+Criterion = namedtuple("Criterion", "number title limit_seconds run")
 
 
 CRITERIA = (

@@ -7,6 +7,9 @@ disagrees, so CI can treat it as a defect signal.
 
 All rational numbers are emitted as "p/q" strings; no floating point
 appears in any output.  Output goes to stdout, diagnostics to stderr.
+
+Each handler imports the modules it calls, so a process pays at start-up
+only for its own subcommand's code.
 """
 
 from __future__ import annotations
@@ -15,21 +18,8 @@ import argparse
 import json
 import sys
 
-from .curve import (
-    CurveData,
-    HyperellipticModel,
-    SpecializationField,
-    zeta_from_counts,
-    zeta_value,
-)
 from .errors import InvariantViolation, ValidationError
-from .exactalg import RatFun, fraction_to_str, ratfun_to_json
-from .hn import codim, enumerate_types
-from .kirwan import WeightSystem, bb_decomposition, perfection_check, quotient_poincare, strata
-from .matrixdiv import div_bridge_check, div_poincare
-from .symprod import divisor_enumerate, sym_count, sym_poincare
-from .tamagawa import fixed_determinant_count, siegel_check, ss_mass, stable_count
-from .yangmills import fixed_determinant_poly, moduli_poincare
+from .exactalg import fraction_to_str, ratfun_to_json
 
 FORMATS = ("json", "csv", "plain")
 
@@ -68,6 +58,8 @@ def _json_int(text):
 
 def load_curve(path):
     """Read and validate a curve config file; returns CurveData."""
+    from .curve import CurveData, zeta_from_counts
+
     raw, mode = _read_config(path)
     if mode == "symbolic":
         return CurveData.symbolic(_field(raw, "genus", int, path))
@@ -89,6 +81,8 @@ def load_model(path):
 
 
 def _model(raw, path):
+    from .curve import HyperellipticModel
+
     h = _int_list(raw, "h", path) if "h" in raw else []
     return HyperellipticModel(p=_field(raw, "p", int, path),
                               k=_field(raw, "k", int, path),
@@ -114,6 +108,8 @@ def _int_list(raw, name, path):
 
 
 def _numeric_field(args):
+    from .curve import SpecializationField
+
     curve = load_curve(args.curve)
     if not curve.is_arithmetic:
         raise ValidationError("this command needs an arithmetic curve config")
@@ -134,6 +130,8 @@ def _poly_doc(poly, **extra):
 
 
 def _cmd_betti(args):
+    from .yangmills import fixed_determinant_poly, moduli_poincare
+
     if args.fixed_det:
         poly = fixed_determinant_poly(args.n, args.d, args.g)
     else:
@@ -142,6 +140,8 @@ def _cmd_betti(args):
 
 
 def _cmd_count(args):
+    from .tamagawa import fixed_determinant_count, stable_count
+
     field = _numeric_field(args)
     doc = {"stable_count": fraction_to_str(stable_count(args.n, args.d, field))}
     if args.fixed_det:
@@ -150,6 +150,9 @@ def _cmd_count(args):
 
 
 def _cmd_mass(args):
+    from .curve import SpecializationField
+    from .tamagawa import ss_mass
+
     if args.curve:
         if args.mode is not None or args.g is not None:
             raise ValidationError("mass takes --curve, or --mode with --g, not both")
@@ -169,12 +172,16 @@ def _cmd_mass(args):
 
 
 def _cmd_siegel(args):
+    from .tamagawa import siegel_check
+
     field = _numeric_field(args)
     report = siegel_check(args.n, args.d, field, args.max_codim)
     return report.to_json(), 0
 
 
 def _cmd_hn_types(args):
+    from .hn import codim, enumerate_types
+
     types = enumerate_types(args.n, args.d, args.g, args.max_codim)
     return {
         "n": args.n, "d": args.d, "g": args.g, "max_codim": args.max_codim,
@@ -184,6 +191,8 @@ def _cmd_hn_types(args):
 
 
 def _cmd_symprod(args):
+    from .symprod import divisor_enumerate, sym_count, sym_poincare
+
     if args.curve:
         if args.g is not None:
             raise ValidationError("symprod takes --curve or --g, not both")
@@ -201,16 +210,22 @@ def _cmd_symprod(args):
 
 
 def _cmd_matrixdiv(args):
+    from .matrixdiv import div_poincare
+
     return _poly_doc(div_poincare(args.n, args.e, args.g),
                      n=args.n, e=args.e, g=args.g), 0
 
 
 def _cmd_bridge(args):
+    from .matrixdiv import div_bridge_check
+
     report = div_bridge_check(args.n, args.g, args.e, args.cutoff)
     return report.to_json(), 0 if report.match else 2
 
 
 def _cmd_kirwan(args):
+    from .kirwan import WeightSystem, bb_decomposition, perfection_check, quotient_poincare, strata
+
     try:
         weights = json.loads(args.weights, parse_int=_json_int)
     except ValueError as exc:
@@ -237,6 +252,11 @@ def _cmd_kirwan(args):
 
 
 def _cmd_crosscheck(args):
+    from .curve import SpecializationField
+    from .exactalg import RatFun
+    from .tamagawa import ss_mass
+    from .yangmills import moduli_poincare
+
     F = SpecializationField.betti(args.g)
     lhs = (F.q - RatFun.one()) * ss_mass(args.n, args.d, F)
     rhs = RatFun(moduli_poincare(args.n, args.d, args.g))
@@ -245,6 +265,8 @@ def _cmd_crosscheck(args):
 
 
 def _cmd_zeta(args):
+    from .curve import SpecializationField, zeta_value
+
     curve = load_curve(args.curve)
     if not curve.is_arithmetic:
         raise ValidationError("zeta needs an arithmetic curve config")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -192,28 +191,23 @@ def _exp_log(p, m, modulus):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HyperellipticModel:
     """y^2 + h(x) y = f(x) over F_{p^k}, with f, h defined over F_p.
 
     deg f is 2g+1 or 2g+2 and deg h <= g; the affine curve must be smooth.
     """
 
-    p: int
-    k: int
-    f: tuple
-    h: tuple
+    __slots__ = ("p", "k", "f", "h")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, p, k, f, h):
+        if k < 1:
             raise ValidationError("extension exponent k must be >= 1")
-        check_field_size(self.p, self.k)
-        if not _is_prime(self.p):
-            raise ValidationError("p must be prime, got %d" % self.p)
-        f = _trim([c % self.p for c in self.f])
-        h = _trim([c % self.p for c in self.h])
-        object.__setattr__(self, "f", tuple(f))
-        object.__setattr__(self, "h", tuple(h))
+        check_field_size(p, k)
+        if not _is_prime(p):
+            raise ValidationError("p must be prime, got %d" % p)
+        f = _trim([c % p for c in f])
+        h = _trim([c % p for c in h])
+        self.p, self.k, self.f, self.h = p, k, tuple(f), tuple(h)
         d = len(f) - 1
         if d < 5:
             raise ValidationError("deg f must be at least 5 (genus >= 2)")
@@ -304,23 +298,21 @@ def count_points(model, r):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CurveData:
     """Genus plus, in arithmetic mode, the size of the base field and the
     degree-2g zeta numerator (integer coefficients, constant term 1)."""
 
-    genus: int
-    q: int | None = None
-    numerator: Poly | None = None
+    __slots__ = ("genus", "q", "numerator")
 
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValidationError("genus must be at least 2, got %d" % self.genus)
-        if (self.q is None) != (self.numerator is None):
+    def __init__(self, genus, q=None, numerator=None):
+        if genus < 2:
+            raise ValidationError("genus must be at least 2, got %d" % genus)
+        if (q is None) != (numerator is None):
             raise ValidationError("arithmetic mode needs both q and the zeta numerator")
-        if self.q is not None:
-            _validate_prime_power(self.q)
-            _validate_numerator(self.numerator, self.q, self.genus)
+        if q is not None:
+            _validate_prime_power(q)
+            _validate_numerator(numerator, q, genus)
+        self.genus, self.q, self.numerator = genus, q, numerator
 
     @property
     def is_arithmetic(self):

@@ -421,11 +421,10 @@ def _mul_dense_univar(a, b):
     ca = a.scalar_coeffs(name)
     cb = b.scalar_coeffs(name)
     out = [0] * (len(ca) + len(cb) - 1)
+    nonzero = [(j, y) for j, y in enumerate(cb) if y]  # zeros skipped on both sides
     for i, x in enumerate(ca):
-        if not x:
-            continue
-        for j, y in enumerate(cb):
-            if y:
+        if x:
+            for j, y in nonzero:
                 out[i + j] += x * y
     return Poly.univariate(name, [_cnorm(c) for c in out])
 

@@ -20,7 +20,6 @@ the bounded enumeration an integer walk over the D_k, finite and complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, ValidationError
@@ -34,13 +33,14 @@ from .errors import InvariantViolation, ValidationError
 MAX_LATTICE_POINTS = 140_000
 
 
-@dataclass(frozen=True)
 class HNType:
-    parts: tuple
+    """A type: a non-empty tuple of (rank, degree) parts, positive ranks,
+    strictly decreasing slopes.  Equal parts make equal types."""
 
-    def __post_init__(self):
-        parts = tuple((int(n), int(d)) for n, d in self.parts)
-        object.__setattr__(self, "parts", parts)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        parts = tuple((int(n), int(d)) for n, d in parts)
         if not parts:
             raise ValidationError("a type needs at least one part")
         for n, _ in parts:
@@ -49,6 +49,16 @@ class HNType:
         for (n1, d1), (n2, d2) in zip(parts, parts[1:]):
             if d1 * n2 <= d2 * n1:
                 raise ValidationError("slopes must be strictly decreasing")
+        self.parts = parts
+
+    def __eq__(self, other):
+        return self.parts == other.parts if type(other) is HNType else NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return "HNType(parts=%r)" % (self.parts,)
 
     @property
     def is_trivial(self):
@@ -110,10 +120,30 @@ def compositions(n):
     return out
 
 
+def _compositions_within(n, bound):
+    """(composition, pair sum) for each composition of n whose pair sum
+    sum_{i<j} n_i n_j is at most bound.  A prefix of sum s and pair sum P
+    ends with a pair sum of at least P + s (n - s), so a prefix past the
+    bound is cut with all its extensions."""
+    out = []
+
+    def extend(prefix, s, pairs):
+        if s == n:
+            out.append((prefix, pairs))
+        for part in range(1, n - s + 1):
+            grown = pairs + s * part
+            if grown + (s + part) * (n - s - part) <= bound:
+                extend(prefix + (part,), s + part, grown)
+
+    extend((), 0, 0)
+    return out
+
+
 def enumerate_types(n, d, g, max_codim):
     """All types of total rank n and degree d with codim <= max_codim.
 
-    For each composition the prefix degrees D_1, ..., D_{r-1} are walked in
+    Compositions whose rank pairs alone cost more than max_codim are never
+    built.  For each other composition the prefix degrees D_1, ..., D_{r-1} are walked in
     turn, each upwards from the value that puts c_k at its least.  A step
     raises c_k by n, so n codim by (n_k + n_{k+1}) n, and raises the slope
     of part k, so the walk of D_k stops at the first value past the
@@ -133,12 +163,11 @@ def enumerate_types(n, d, g, max_codim):
             % (n, n - 1, MAX_LATTICE_POINTS))
     found = [HNType.trivial(n, d)]
     visited = 0
-    for comp in compositions(n):
+    for comp, pairs in _compositions_within(n, max_codim // (g - 1)):
         r = len(comp)
         if r < 2:
             continue
-        budget = n * (max_codim - (g - 1) * sum(
-            comp[i] * comp[j] for i in range(r) for j in range(i + 1, r)))
+        budget = n * (max_codim - (g - 1) * pairs)
         prefix = list(accumulate(comp[:-1]))
         weights = [comp[k] + comp[k + 1] for k in range(r - 1)]
         least = [(-s * d - 1) % n + 1 for s in prefix]

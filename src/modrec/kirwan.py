@@ -16,21 +16,22 @@ stable the latter is the Poincare polynomial of the quotient variety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantViolation, ValidationError
 from .exactalg import Poly, RatFun, is_palindrome
 
 
-@dataclass(frozen=True)
 class WeightSystem:
-    weights: tuple
+    """Integer weights w_0..w_N of the torus on P^N, N >= 1."""
 
-    def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        w = tuple(int(x) for x in weights)
         if len(w) < 2:
             raise ValidationError("need at least two weights (a positive-dimensional space)")
+        self.weights = w
 
     @property
     def dim(self):
@@ -46,11 +47,9 @@ class WeightSystem:
         return list(self.weights)
 
 
-@dataclass(frozen=True)
-class Stratum:
-    beta: int
-    fixed_dim: int | None
-    codim: int
+# weight value beta (0 for the semistable stratum, whose fixed_dim is None),
+# dimension of its fixed subspace, codimension
+Stratum = namedtuple("Stratum", "beta fixed_dim codim")
 
 
 def _proj_poincare(dim):
@@ -90,11 +89,8 @@ def _check_partition(ws, stratum_list):
         raise InvariantViolation("strata do not match the occurring weight values")
 
 
-@dataclass(frozen=True)
-class BBReport:
-    total: Poly
-    pieces: tuple
-    match: bool
+class BBReport(namedtuple("BBReport", "total pieces match")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -126,12 +122,9 @@ def bb_decomposition(ws):
     return BBReport(total=total, pieces=tuple(pieces), match=True)
 
 
-@dataclass(frozen=True)
-class PerfectionReport:
-    ss_series: RatFun
-    polynomial_part: Poly
-    periodic_tail: Poly
-    is_polynomial: bool
+class PerfectionReport(namedtuple(
+        "PerfectionReport", "ss_series polynomial_part periodic_tail is_polynomial")):
+    __slots__ = ()
 
     def series_coefficients(self, order):
         from .exactalg import series_expand

@@ -16,7 +16,7 @@ symmetric powers are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -80,17 +80,9 @@ def div_hodge(n, e, g):
     return _matrix_divisor(n, e, g, sym_hodge, Poly.var("u") * Poly.var("v"))
 
 
-@dataclass(frozen=True)
-class BridgeReport:
-    n: int
-    g: int
-    e: int
-    cutoff: int
-    match: bool
-    first_mismatch: int | None
-    divisor_coeffs: tuple
-    stabilized_coeffs: tuple
-    classifying_coeffs: tuple
+class BridgeReport(namedtuple("BridgeReport", "n g e cutoff match first_mismatch divisor_coeffs "
+                                               "stabilized_coeffs classifying_coeffs")):
+    __slots__ = ()
 
     def to_json(self):
         return {

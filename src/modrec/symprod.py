@@ -11,6 +11,7 @@ its Hodge refinement the x^n coefficient of
 On the arithmetic side, points of the n-th symmetric power are effective
 divisors of degree n, whose generating function is the zeta function; the
 brute-force oracle counts multisets of closed points directly instead.
+Polynomials charged more than MAX_LOOP_STEPS are refused before any loop.
 """
 
 from __future__ import annotations
@@ -22,12 +23,42 @@ from .errors import InvariantViolation, ValidationError
 from .exactalg import Poly, series_expand
 
 
-def sym_poincare(g, n):
-    """Betti polynomial of the n-th symmetric power of a genus-g curve."""
+# A symmetric-power polynomial is charged the steps of its loop plus ROW_PAD
+# steps per power of x, for building and printing its coefficients.  Slowest
+# admitted requests on the 2-core host, best of 3: symprod --n 2812 --g 1500
+# 1.6 s, --n 34631 --g 100 1.5 s and --n 228570 --g 2 1.4 s.  Unbudgeted, the
+# first refused request of each family took 1.4-1.6 s; a refusal such as
+# symprod --n 100000000 --g 2 exits in 0.1 s.  Every symmetric power that
+# matrixdiv's own budget admits is charged under 900,000 steps.
+MAX_LOOP_STEPS = 8_000_000
+ROW_PAD = 30
+
+
+def _poincare_steps(g, n):
+    return (min(2 * g, n) + 1 + ROW_PAD) * (n + 1)
+
+
+def _hodge_steps(g, n):
+    """Triples i, j <= g with i + j + b <= n (by inclusion-exclusion), plus the pad."""
+    def triples(m):
+        return comb(m + 3, 3) if m >= 0 else 0
+
+    return triples(n) - 2 * triples(n - g - 1) + triples(n - 2 * g - 2) + ROW_PAD * (n + 1)
+
+
+def _check_index(g, n, steps):
     if g < 2:
         raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
+    if steps(g, n) > MAX_LOOP_STEPS:
+        raise ValidationError("symmetric power %d at genus %d needs more than %d loop steps"
+                              % (n, g, MAX_LOOP_STEPS))
+
+
+def sym_poincare(g, n):
+    """Betti polynomial of the n-th symmetric power of a genus-g curve."""
+    _check_index(g, n, _poincare_steps)
     terms = {}
     for i in range(0, min(2 * g, n) + 1):
         c = comb(2 * g, i)
@@ -39,10 +70,7 @@ def sym_poincare(g, n):
 
 def sym_hodge(g, n):
     """Hodge polynomial in u, v; setting u = v = t recovers sym_poincare."""
-    if g < 2:
-        raise ValidationError("genus must be at least 2")
-    if n < 0:
-        raise ValidationError("symmetric power index must be >= 0")
+    _check_index(g, n, _hodge_steps)
     terms = {}
     for i in range(0, min(g, n) + 1):
         ci = comb(g, i)

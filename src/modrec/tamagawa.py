@@ -25,7 +25,7 @@ q = t^2) and Hodge refinements (q = u v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 
@@ -163,16 +163,9 @@ def _require_numeric(field):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiegelReport:
-    n: int
-    d: int
-    mode: str
-    total: Fraction
-    semistable: Fraction
-    partial_sums: tuple
-    gaps: tuple
-    tail_bound: Fraction
+class SiegelReport(namedtuple("SiegelReport", "n d mode total semistable partial_sums gaps "
+                                               "tail_bound")):
+    __slots__ = ()
 
     def to_json(self):
         from .exactalg import fraction_to_str

@@ -224,11 +224,12 @@ def test_invariant_violation_exits_two(capsys, monkeypatch):
 
 def test_crosscheck_mismatch_exits_two(capsys, monkeypatch):
     # a disagreement between the pipelines must surface as exit code 2 with
-    # the mismatch documented, not as an exception
-    import modrec.cli as cli_mod
+    # the mismatch documented, not as an exception; the handler imports
+    # ss_mass when it runs, so patching the library module reaches it
+    import modrec.tamagawa as tamagawa_mod
     from modrec.exactalg import RatFun
 
-    monkeypatch.setattr(cli_mod, "ss_mass", lambda n, d, field: RatFun.one())
+    monkeypatch.setattr(tamagawa_mod, "ss_mass", lambda n, d, field: RatFun.one())
     status, out, _ = run_cli(capsys, "crosscheck", "--n", "2", "--d", "1", "--g", "2")
     assert status == 2
     assert json.loads(out) == {"match": False}
@@ -286,15 +287,28 @@ def test_symprod_genus_one_rejected(capsys):
     (["bridge", "--n", "3", "--g", "2", "--e", "300", "--cutoff", "12"], "coefficient products"),
     (["matrixdiv", "--n", "2", "--e", "100000000", "--g", "2"], "coefficient products"),
     (["matrixdiv", "--n", "2", "--e", "222", "--g", "1000000000"], "coefficient products"),
+    (["symprod", "--n", "100000000", "--g", "2"], "loop steps"),
+    (["matrixdiv", "--n", "1", "--e", "100000000", "--g", "2"], "loop steps"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "count-rank", "mass-betti-rank",
         "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank", "bridge-degree",
-        "matrixdiv-degree", "matrixdiv-genus"])
+        "matrixdiv-degree", "matrixdiv-genus", "symprod-degree", "matrixdiv-rank-one"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
     assert time.perf_counter() - start < 2.0
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
+
+
+def test_high_rank_under_a_small_bound_is_quick(capsys):
+    # compositions whose rank pairs alone pass the bound are never built
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "hn-types", "--n", "18", "--d", "1", "--g", "2",
+                               "--max-codim", "3")
+    assert time.perf_counter() - start < 0.5
+    assert status == 0 and err == ""
+    assert out == ('{"codims": [0], "d": 1, "g": 2, "max_codim": 3, "n": 18, '
+                   '"types": [[[18, 1]]]}\n')
 
 
 @pytest.mark.parametrize("argv, blamed", [
@@ -398,3 +412,40 @@ def test_arithmetic_curves_need_no_numpy(tmp_path):
         json.dumps({"class_number": "5", "counts": ["3", "5"], "genus": 2,
                     "numerator_coeffs": ["1", "0", "0", "0", "4"], "q": 2}, sort_keys=True),
         json.dumps({"stable_count": "75"})]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["betti", "--n", "2", "--d", "1", "--g", "2"],
+     {"curve", "tamagawa", "kirwan", "matrixdiv", "symprod", "acceptance"}),
+    (["zeta", "--curve", "{model}"], {"hn", "yangmills", "tamagawa", "kirwan"}),
+    (["kirwan", "--weights", "[1,1,-1,-1]", "--op", "quotient"], {"curve", "hn", "yangmills"}),
+    (["count", "--n", "2", "--d", "1", "--curve", "{model}"], set()),
+], ids=["betti", "zeta", "kirwan", "count"])
+def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
+    # in a fresh process a subcommand imports none of the other subcommands'
+    # modules, and no module pulls in dataclasses (and inspect behind it)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(F2_CONFIG))
+    code = ("import json, sys\n"
+            "import modrec.cli\n"
+            "assert 'dataclasses' not in sys.modules, 'imported by modrec.cli'\n"
+            "assert modrec.cli.main(%r) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('modrec.')]))\n"
+            "print(json.dumps('dataclasses' in sys.modules))\n"
+            % [a.format(model=str(model)) for a in argv])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modrec.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    _, loaded, dataclasses_loaded = done.stdout.splitlines()
+    loaded = {name[len("modrec."):] for name in json.loads(loaded)}
+    assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
+    assert json.loads(dataclasses_loaded) is False
+
+
+def test_src_does_not_import_dataclasses():
+    package = os.path.dirname(modrec.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                assert "dataclasses" not in handle.read(), name

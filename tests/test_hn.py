@@ -93,6 +93,16 @@ def test_compositions():
     assert set(compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
 
 
+def test_bounded_compositions_are_the_filtered_ones():
+    # the pruned generator keeps exactly the compositions within the pair bound
+    for n in range(1, 9):
+        for bound in range(0, 30, 3):
+            pairs = {comp: sum(a * b for i, a in enumerate(comp) for b in comp[i + 1:])
+                     for comp in compositions(n)}
+            expected = sorted((c, p) for c, p in pairs.items() if p <= bound)
+            assert sorted(hn._compositions_within(n, bound)) == expected, (n, bound)
+
+
 def test_serialization():
     assert HNType(((2, 3), (1, 0))).to_json() == [[2, 3], [1, 0]]
 

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from modrec import matrixdiv, symprod
 from modrec.curve import CurveData, HyperellipticModel
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly
@@ -127,3 +128,56 @@ def test_stabilization():
             delta = sym_poincare(g, n + 1) - sym_poincare(g, n)
             low = delta.scalar_coeffs("t", upto=2 * (n - g) + 1)[: 2 * (n - g) + 2]
             assert all(c == 0 for c in low), (g, n)
+
+
+def test_charges_count_the_loops():
+    # the charges are the loop steps plus ROW_PAD per power of x
+    for g in range(2, 7):
+        for n in range(0, 25):
+            pad = symprod.ROW_PAD * (n + 1)
+            assert symprod._poincare_steps(g, n) - pad == (min(2 * g, n) + 1) * (n + 1)
+            steps = sum(n - i - j + 1 for i in range(min(g, n) + 1)
+                        for j in range(min(g, n - i) + 1))
+            assert symprod._hodge_steps(g, n) - pad == steps, (g, n)
+
+
+def test_budget_admits_every_power_matrixdiv_admits():
+    # matrixdiv builds sym(g, k) for k <= e once its own budget admits (n, e, g);
+    # a stub that stops at the first k >= 1 finds the largest admitted e
+    class Admitted(Exception):
+        pass
+
+    def stub(g, k):
+        if k:
+            raise Admitted
+        return Poly.one()
+
+    def admits(n, e, g):
+        try:
+            matrixdiv._matrix_divisor(n, e, g, stub, T ** 2)
+        except Admitted:
+            return True
+        except ValidationError:
+            return False
+        raise AssertionError("the stub was not reached")
+
+    checked = 0
+    for n in (2, 3, 4):
+        for g in (2, 3, 10, 91, 120, 400, 10 ** 6):
+            low, high = 1, 1000  # admits(n, low, g) holds, admits(n, high, g) fails
+            assert admits(n, low, g) and not admits(n, high, g)
+            while high - low > 1:
+                mid = (low + high) // 2
+                low, high = (mid, high) if admits(n, mid, g) else (low, mid)
+            assert symprod._poincare_steps(g, low) <= symprod.MAX_LOOP_STEPS
+            assert symprod._hodge_steps(g, low) <= symprod.MAX_LOOP_STEPS, (n, g, low)
+            checked += 1
+    assert checked == 21
+
+
+def test_past_budget_is_refused_before_any_loop():
+    for g, n in ((2, 10 ** 8), (10 ** 8, 10 ** 8), (3, 10 ** 30)):
+        with pytest.raises(ValidationError, match="loop steps"):
+            sym_poincare(g, n)
+        with pytest.raises(ValidationError, match="loop steps"):
+            sym_hodge(g, n)
