@@ -109,17 +109,6 @@ def _check_genus(g):
         raise ValidationError("genus must be at least 2")
 
 
-def compositions(n):
-    """All ordered tuples of positive integers summing to n."""
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            out.append((first,) + rest)
-    return out
-
-
 def _compositions_within(n, bound):
     """(composition, pair sum) for each composition of n whose pair sum
     sum_{i<j} n_i n_j is at most bound.  A prefix of sum s and pair sum P

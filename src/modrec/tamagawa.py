@@ -9,14 +9,15 @@ The total mass of all rank-n bundles of a fixed degree, weighted by
 together with the count of line-bundle twists).  Subtracting, per
 filtration type, q^{mass_exponent} times the product of lower-rank
 semistable masses leaves the semistable mass beta(n, d).  Zagier's
-inversion of that recursion writes beta(n, d) in closed form as a sum over
-the 2^(n-1) compositions of n of products of total masses (see
-``_zagier_sum``), which is what ``ss_mass`` computes.
+inversion of that recursion is a closed-form sum over the compositions of n
+of products of total masses.  Its exponents telescope to integers per part,
+so ``ss_mass`` computes it as a programme over prefix sums (``_zagier_sum``),
+and ``_tail_bound`` sums the Siegel tail over classes of compositions.
 
-The recursion itself is the test oracle, in ``tests/oracles.py``: per
-composition the infinite degree sum collapses on each residue cell of the
-slope-gap lattice, where the exponent is affine with negative weights, to a
-product of geometric series.
+The test oracles in ``tests/oracles.py`` are the term-by-term closed form,
+the tail bound per composition, and the recursion itself, whose degree sum
+per composition collapses on each residue cell of the slope-gap lattice to
+a product of geometric series.
 
 Everything is generic over the coefficient field, so the same formulas
 yield exact rational numbers (numeric mode), Poincare series (Betti mode,
@@ -32,7 +33,7 @@ from math import comb, gcd
 from .curve import SpecializationField
 from .errors import InvariantViolation, ValidationError
 from .exactalg import RatFun
-from .hn import codim, compositions, enumerate_types, mass_exponent
+from .hn import codim, enumerate_types, mass_exponent
 
 
 def total_mass(n, d, field):
@@ -48,50 +49,48 @@ def total_mass(n, d, field):
 
 
 # Largest rank ss_mass accepts per field, with the longest one mass at that
-# rank took at g = 2 and 3 on a 2-core x86-64 host (numeric: curves over
-# F_2).  The closed form has 2^(n-1) terms, so each further rank doubles it.
-MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (16, "3.5 s"),
-                   SpecializationField.BETTI: (9, "8 s"),
-                   SpecializationField.HODGE: (6, "4 s")}
+# rank took over every d at g = 2 and 3 on a 2-core x86-64 host (numeric:
+# curves over F_2).  Each limit is the largest rank within 3.5 s (numeric),
+# 8 s (Betti) or 4 s (Hodge); at the next rank one mass took 3.7 s, 13 s
+# and 5.2 s.
+MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (60, "3.4 s"),
+                   SpecializationField.BETTI: (10, "6.2 s"),
+                   SpecializationField.HODGE: (6, "3.1 s")}
 
 
 def _zagier_sum(n, d, field):
     """Closed inversion of the Harder-Narasimhan recursion (Zagier 1996).
 
-    The sum over compositions n = n_1 + ... + n_k of
+    The sum over compositions n = n_1 + ... + n_k, with prefix sums s_i, of
 
-        prod_i total(n_i) * q^((g-1) sum_{i<j} n_i n_j) * q^E
+        prod_i total(n_i) * q^((g-1) sum_{i<j} n_i n_j + E)
             * prod_{i<k} 1 / (1 - q^(n_i + n_{i+1})),
 
-    with E = sum_{i<k} (n_i + n_{i+1}) <(n_1 + ... + n_i) d / n> and
-    <x> = ceil(x) - x.  Single summands of E need not be integers, but E
-    must be.  Compositions are walked as a prefix tree, so the partial
-    products are shared.
+    E = sum_{i<k} (n_i + n_{i+1}) (u_{s_i} - s_i d / n), u_s = ceil(s d / n).
+    As sum_{i<k} (n_i + n_{i+1}) s_i = n s_{k-1}, E telescopes to the integer
+    sum_{i<k} (n_i + n_{i+1}) u_{s_i} - d s_{k-1}, which splits over parts.
+    So the sum is a programme over the O(n^2) states (prefix s, last part a):
+    the state (s + b, b) sums the states (s, a) times 1 / (1 - q^(a+b)), then
+    multiplies once by the weight of its last part.
     """
     g = field.genus
     one = RatFun.one()
     alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
-    # appending part b after part a multiplies by total(b) / (1 - q^(a+b))
-    link = {(a, b): alpha[b] / (one - field.q_power(a + b))
-            for a in range(1, n) for b in range(1, n - a + 1)}
-    terms = []
+    up = [-(-s * d // n) for s in range(n)]
+    geom = [None] + [one / (one - field.q_power(c)) for c in range(1, n + 1)]
 
-    def extend(prefix, last, term, exponent):
-        if prefix == n:
-            if exponent.denominator != 1:
-                raise InvariantViolation(
-                    "non-integer exponent %s in the closed-form mass" % exponent)
-            terms.append(term * field.q_power(int(exponent)))
-            return
-        x = Fraction(prefix * d, n)
-        up = -(-x.numerator // x.denominator) - x
-        for right in range(1, n - prefix + 1):
-            extend(prefix + right, right, term * link[last, right],
-                   exponent + (last + right) * up + (g - 1) * prefix * right)
+    def part(s, b):
+        t = s + b
+        e = b * up[s] + (g - 1) * s * b + (b * up[t] if t < n else -d * s)
+        return alpha[b] * field.q_power(e)
 
-    for first in range(1, n + 1):
-        extend(first, first, alpha[first], Fraction(0))
-    return sum(terms, RatFun.zero())
+    # states[s][a]: the sum over compositions of s whose last part is a
+    states = [{}] + [{a: part(0, a)} for a in range(1, n + 1)]
+    for s in range(1, n):
+        for b in range(1, n - s + 1):
+            inner = sum((value * geom[a + b] for a, value in states[s].items()), RatFun.zero())
+            states[s + b][b] = inner * part(s, b)
+    return sum(states[n].values(), RatFun.zero())
 
 
 def ss_mass(n, d, field):
@@ -106,8 +105,8 @@ def ss_mass(n, d, field):
     limit, seconds = MASS_RANK_LIMIT[field.mode]
     if n > limit:
         raise ValidationError(
-            "rank %d is past the %s mass limit %d: the closed form has 2^(n-1) terms, "
-            "and rank %d takes up to %s" % (n, field.mode, limit, limit, seconds))
+            "rank %d is past the %s mass limit %d: rank %d takes up to %s"
+            % (n, field.mode, limit, limit, seconds))
     key = (n, d % n)
     cached = field.mass_cache.get(key)
     if cached is not None:
@@ -188,16 +187,20 @@ def siegel_check(n, d, field, max_codim):
     The semistable term plus all strata of codimension <= level is compared
     with the zeta-value total for every level up to ``max_codim``; the gaps
     must shrink monotonically and the final gap must sit below a geometric
-    tail bound computed from the ratios actually used.
+    tail bound computed from the ratios actually used.  Types are enumerated
+    before any mass, so a rank that ``hn`` refuses costs nothing.  The
+    slowest admitted checks, at rank 18, took up to 6.0 s on a 2-core x86-64
+    host (both F_2 curves, max_codim 3 to 100).
     """
     _require_numeric(field)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
     g = field.genus
+    types = enumerate_types(n, d, g, max_codim)
     total = total_mass(n, d, field).const_value()
     beta = ss_mass(n, d, field).const_value()
     level_mass = {}
-    for mu in enumerate_types(n, d, g, max_codim):
+    for mu in types:
         if mu.is_trivial:
             continue
         c = codim(mu, g)
@@ -215,7 +218,7 @@ def siegel_check(n, d, field, max_codim):
         if gaps and level in level_mass and not gap < gaps[-1]:
             raise InvariantViolation("gap failed to shrink on an occupied level")
         gaps.append(gap)
-    bound = _tail_bound(n, d, field, max_codim)
+    bound = _tail_bound(n, field, max_codim)
     if gaps[-1] > bound:
         raise InvariantViolation(
             "final gap %s exceeds the geometric tail bound %s" % (gaps[-1], bound))
@@ -223,36 +226,42 @@ def siegel_check(n, d, field, max_codim):
                         tuple(partials), tuple(gaps), bound)
 
 
-def _tail_bound(n, d, field, max_codim):
+def _tail_bound(n, field, max_codim):
     """Rigorous overcount of all stratum masses with codim > max_codim.
 
-    Per composition: every such stratum has mass q^{K - c} times a product
-    of part masses, with K = 2(g-1) sum n_i n_j; the number of strata at
-    codimension c is at most (c - G + 1)^{r-2}.  Summing the resulting
-    polynomial-times-geometric series in closed form bounds the tail.
+    Per composition into r >= 2 parts with G = (g-1) sum_{i<j} n_i n_j,
+    every such stratum has mass q^{2G - c} times a product of part masses,
+    each at most M(n_i) = max over residues of ss_mass(n_i, .), and at most
+    (c - G + 1)^{r-2} strata have codimension c.  A composition enters only
+    through r, its pair sum P and the product of its M(n_i), so W[s] sums
+    those products over the compositions of s by (r, P), appending parts
+    b < n; each class adds q^{2G} W times the tail sum, in closed form.
     """
     g = field.genus
     q = field.q.const_value()
     x = 1 / q
+    top = [None] + [max(ss_mass(m, res, field).const_value() for res in range(m))
+                    for m in range(1, n)]
+    weights = [{(0, 0): Fraction(1)}] + [{} for _ in range(n)]
+    for s in range(n):
+        for (r, P), w in weights[s].items():
+            for b in range(1, min(n - s, n - 1) + 1):
+                key = (r + 1, P + s * b)
+                row = weights[s + b]
+                row[key] = row.get(key, 0) + w * top[b]
+    powers = {}
     bound = Fraction(0)
-    for comp in compositions(n):
-        r = len(comp)
-        if r < 2:
-            continue
-        G = (g - 1) * sum(comp[i] * comp[j]
-                          for i in range(r) for j in range(i + 1, r))
-        K = 2 * G
-        best = Fraction(1)
-        for nj in comp:
-            best = best * max(ss_mass(nj, res, field).const_value() for res in range(nj))
+    for (r, P), w in weights[n].items():
+        G = (g - 1) * P
         start = max(max_codim + 1, G + 1)
         tail = Fraction(0)
         # sum_{c >= start} (c - G + 1)^(r-2) x^c, exact
         p = r - 2
         for s in range(p + 1):
-            shift = 1 - G
-            tail += comb(p, s) * shift ** (p - s) * _power_tail(x, s, start)
-        bound += q ** K * best * tail
+            if (s, start) not in powers:
+                powers[s, start] = _power_tail(x, s, start)
+            tail += comb(p, s) * (1 - G) ** (p - s) * powers[s, start]
+        bound += q ** (2 * G) * w * tail
     return bound
 
 

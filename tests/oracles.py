@@ -1,5 +1,15 @@
 """Slow reference paths that the production code replaced, kept for tests.
 
+* ``compositions`` lists all 2^(n-1) ordered compositions of n.  Production
+  code never lists them all: ``hn`` builds only those under a pair-sum bound,
+  and ``tamagawa`` sums over them as programmes over prefix sums.
+* ``zagier_sum_by_prefix_tree`` walks Zagier's closed-form mass term by term
+  down a tree of compositions, with the exponent as a ``Fraction`` that must
+  come out an integer.  ``tamagawa._zagier_sum`` telescopes the exponent into
+  integer links and must give the same rational function.
+* ``tail_bound_by_compositions`` adds the Siegel tail bound one composition at
+  a time; ``tamagawa._tail_bound`` groups compositions by part count and pair
+  sum and must give the same ``Fraction``.
 * ``enumerate_types_by_gaps`` walks rational slope gaps, solves for the
   degrees in ``Fraction`` and drops every gap vector whose degrees are not
   integers.  ``hn.enumerate_types`` walks integer prefix degrees instead and
@@ -19,11 +29,84 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from modrec.errors import InvariantViolation
 from modrec.exactalg import Poly, RatFun
-from modrec.hn import HNType, codim, compositions
+from modrec.hn import HNType, codim
 from modrec.symprod import sym_hodge, sym_poincare
+from modrec.tamagawa import _power_tail, ss_mass, total_mass
+
+
+def compositions(n):
+    """All ordered tuples of positive integers summing to n."""
+    if n == 0:
+        return [()]
+    out = []
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            out.append((first,) + rest)
+    return out
+
+
+def zagier_sum_by_prefix_tree(n, d, field):
+    """Zagier's closed-form semistable mass, one composition at a time.
+
+    Compositions are walked as a prefix tree, so partial products are shared;
+    each appended part b after part a multiplies by total(b) / (1 - q^(a+b)),
+    and the exponent accumulates (a + b) <s d / n> + (g - 1) s b in
+    ``Fraction``, with <x> = ceil(x) - x.  Single summands need not be
+    integers, but each finished exponent must be.
+    """
+    g = field.genus
+    one = RatFun.one()
+    alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
+    link = {(a, b): alpha[b] / (one - field.q_power(a + b))
+            for a in range(1, n) for b in range(1, n - a + 1)}
+    terms = []
+
+    def extend(prefix, last, term, exponent):
+        if prefix == n:
+            if exponent.denominator != 1:
+                raise InvariantViolation(
+                    "non-integer exponent %s in the closed-form mass" % exponent)
+            terms.append(term * field.q_power(int(exponent)))
+            return
+        x = Fraction(prefix * d, n)
+        up = -(-x.numerator // x.denominator) - x
+        for right in range(1, n - prefix + 1):
+            extend(prefix + right, right, term * link[last, right],
+                   exponent + (last + right) * up + (g - 1) * prefix * right)
+
+    for first in range(1, n + 1):
+        extend(first, first, alpha[first], Fraction(0))
+    return sum(terms, RatFun.zero())
+
+
+def tail_bound_by_compositions(n, field, max_codim):
+    """The Siegel tail bound, summed over each composition with r >= 2 parts
+    of q^{2G} * prod_i max_res ss_mass(n_i, res) * sum_{c >= start}
+    (c - G + 1)^(r-2) q^(-c), with G = (g-1) sum_{i<j} n_i n_j."""
+    g = field.genus
+    q = field.q.const_value()
+    x = 1 / q
+    bound = Fraction(0)
+    for comp in compositions(n):
+        r = len(comp)
+        if r < 2:
+            continue
+        G = (g - 1) * sum(comp[i] * comp[j]
+                          for i in range(r) for j in range(i + 1, r))
+        best = Fraction(1)
+        for nj in comp:
+            best = best * max(ss_mass(nj, res, field).const_value() for res in range(nj))
+        start = max(max_codim + 1, G + 1)
+        tail = Fraction(0)
+        p = r - 2
+        for s in range(p + 1):
+            tail += comb(p, s) * (1 - G) ** (p - s) * _power_tail(x, s, start)
+        bound += q ** (2 * G) * best * tail
+    return bound
 
 
 def gap_weights(comp):

@@ -278,8 +278,10 @@ def test_symprod_genus_one_rejected(capsys):
     (["hn-types", "--n", "40", "--d", "1", "--g", "2", "--max-codim", "3"], "compositions"),
     (["siegel", "--n", "3", "--d", "1", "--curve", "{curve}", "--max-codim", "100000"],
      "lattice points"),
-    (["count", "--n", "17", "--d", "1", "--curve", "{curve}"], "numeric mass limit 16"),
-    (["mass", "--n", "30", "--d", "1", "--mode", "betti", "--g", "2"], "betti mass limit 9"),
+    (["siegel", "--n", "48", "--d", "1", "--curve", "{curve}", "--max-codim", "3"],
+     "compositions"),
+    (["count", "--n", "61", "--d", "1", "--curve", "{curve}"], "numeric mass limit 60"),
+    (["mass", "--n", "30", "--d", "1", "--mode", "betti", "--g", "2"], "betti mass limit 10"),
     (["mass", "--n", "7", "--d", "1", "--mode", "hodge", "--g", "3"], "hodge mass limit 6"),
     (["betti", "--n", "16", "--d", "1", "--g", "2"], "lattice points"),
     (["betti", "--n", "20", "--d", "1", "--g", "2"], "compositions"),
@@ -289,9 +291,10 @@ def test_symprod_genus_one_rejected(capsys):
     (["matrixdiv", "--n", "2", "--e", "222", "--g", "1000000000"], "coefficient products"),
     (["symprod", "--n", "100000000", "--g", "2"], "loop steps"),
     (["matrixdiv", "--n", "1", "--e", "100000000", "--g", "2"], "loop steps"),
-], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "count-rank", "mass-betti-rank",
-        "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank", "bridge-degree",
-        "matrixdiv-degree", "matrixdiv-genus", "symprod-degree", "matrixdiv-rank-one"])
+], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "siegel-rank", "count-rank",
+        "mass-betti-rank", "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank",
+        "bridge-degree", "matrixdiv-degree", "matrixdiv-genus", "symprod-degree",
+        "matrixdiv-rank-one"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])

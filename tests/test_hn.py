@@ -4,9 +4,9 @@ import pytest
 
 from modrec import hn
 from modrec.errors import ValidationError
-from modrec.hn import HNType, codim, compositions, enumerate_types, mass_exponent
+from modrec.hn import HNType, codim, enumerate_types, mass_exponent
 
-from oracles import enumerate_types_by_gaps
+from oracles import compositions, enumerate_types_by_gaps
 
 
 def test_type_validation():

@@ -1,8 +1,10 @@
 """Arithmetic recursion: zeta-value totals, cone sums, counts, mass formula.
 
-Two oracles are the point: closed-form cone sums must agree with honest
-finite truncations over enumerated types, and the closed-form semistable
-mass must agree exactly with the recursion that subtracts those cone sums.
+Three oracles are the point: closed-form cone sums must agree with honest
+finite truncations over enumerated types, the closed-form semistable mass
+must agree exactly with the recursion that subtracts those cone sums, and
+the programmes over prefix sums (mass and Siegel tail bound) must agree
+exactly with the term-by-term sums over compositions.
 """
 
 from fractions import Fraction
@@ -14,10 +16,12 @@ import pytest
 from modrec.cli import load_curve
 from modrec.curve import CurveData, HyperellipticModel, SpecializationField, zeta_from_counts
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, RatFun
-from modrec.hn import codim, compositions, enumerate_types
+from modrec.exactalg import Poly, RatFun, ratfun_to_json
+from modrec.hn import codim, enumerate_types
 from modrec.tamagawa import (
     MASS_RANK_LIMIT,
+    _tail_bound,
+    _zagier_sum,
     fixed_determinant_count,
     siegel_check,
     ss_mass,
@@ -27,7 +31,14 @@ from modrec.tamagawa import (
 )
 from modrec.yangmills import classifying_series, moduli_poincare
 
-from oracles import ConeSum, cone_for, cone_sum
+from oracles import (
+    ConeSum,
+    compositions,
+    cone_for,
+    cone_sum,
+    tail_bound_by_compositions,
+    zagier_sum_by_prefix_tree,
+)
 
 T = Poly.var("t")
 
@@ -292,9 +303,10 @@ def test_closed_form_matches_cone_recursion(mode, g, top, make):
 
 def test_closed_form_betti_rank_five_and_six():
     # the cone recursion takes minutes here; the gauge recursion does not.
-    # Also rank 7 at g = 2 and ranks 4 and 5 at g = 3, every coprime d
+    # Also ranks 7 and 8 at g = 2 and ranks 4 and 5 at g = 3, every coprime d
+    # at ranks 4 to 7
     cases = [(5, 1, 2), (5, 2, 2), (5, 3, 2), (5, 4, 2), (6, 1, 2), (6, 5, 2)]
-    cases += [(7, d, 2) for d in range(1, 7)]
+    cases += [(7, d, 2) for d in range(1, 7)] + [(8, 1, 2), (8, 3, 2)]
     cases += [(n, d, 3) for n in (4, 5) for d in range(1, n) if gcd(n, d) == 1]
     fields = {g: SpecializationField.betti(g) for g in (2, 3)}
     for n, d, g in cases:
@@ -304,17 +316,52 @@ def test_closed_form_betti_rank_five_and_six():
 
 
 def test_fixed_determinant_counts_integral_to_rank_nine():
+    # every coprime d to rank 9, then d = 1 at ranks 17, 32 and the numeric
+    # limit; fixed_determinant_count checks divisibility by the class number
     config = Path(__file__).resolve().parent.parent / "configs" / "g2q2.json"
-    F = SpecializationField.numeric(load_curve(str(config)))
-    for n in range(1, 10):
-        for d in range(n):
-            if gcd(n, d) == 1:
-                assert fixed_determinant_count(n, d, F) > 0, (n, d)
+    curve = load_curve(str(config))
+    F = SpecializationField.numeric(curve)
+    cases = [(n, d) for n in range(1, 10) for d in range(n) if gcd(n, d) == 1]
+    cases += [(17, 1), (32, 1), (MASS_RANK_LIMIT["numeric"][0], 1)]
+    for n, d in cases:
+        count = stable_count(n, d, F)
+        assert count > 0 and count % curve.class_number() == 0, (n, d)
+        assert fixed_determinant_count(n, d, F) > 0, (n, d)
 
 
 def test_mass_rank_limit():
     for mode, _, _, make in SWEEP[::2]:
         F = make()
         limit, _ = MASS_RANK_LIMIT[mode]
-        with pytest.raises(ValidationError, match="2\\^\\(n-1\\) terms"):
+        with pytest.raises(ValidationError, match="mass limit %d: rank %d takes up to"
+                                                  % (limit, limit)):
             ss_mass(limit + 1, 1, F)
+
+
+# -- the programmes over prefix sums against the composition sums -----------
+
+
+# the same fields as SWEEP, to the ranks where the prefix tree stays quick
+PROGRAMME_SWEEP = [(mode, g, top, make)
+                   for (mode, g, _, make), top in zip(SWEEP, (8, 8, 6, 5, 4, 3))]
+
+
+@pytest.mark.parametrize("mode, g, top, make", PROGRAMME_SWEEP,
+                         ids=["%s-g%d" % (mode, g) for mode, g, _, _ in PROGRAMME_SWEEP])
+def test_mass_programme_matches_prefix_tree(mode, g, top, make):
+    # every d from -1 to 2n - 1, so the telescoped exponent meets negative
+    # degrees and degrees past n, not just residues
+    F = make()
+    for n in range(1, top + 1):
+        for d in range(-1, 2 * n):
+            expected = ratfun_to_json(zagier_sum_by_prefix_tree(n, d, F))
+            assert ratfun_to_json(_zagier_sum(n, d, F)) == expected, (n, d)
+
+
+@pytest.mark.parametrize("make", [make for _, _, _, make in SWEEP[:2]],
+                         ids=["numeric-g2", "numeric-g3"])
+def test_tail_bound_matches_composition_loop(make):
+    F = make()
+    for n in range(1, 9):
+        for max_codim in (0, 3, 20):
+            assert _tail_bound(n, F, max_codim) == tail_bound_by_compositions(n, F, max_codim)
