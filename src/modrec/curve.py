@@ -543,6 +543,7 @@ class SpecializationField:
         self._zeta = {}
         self._P_one = None
         self.mass_cache = {}
+        self.total_cache = {}
 
     @staticmethod
     def numeric(curve):

@@ -24,6 +24,22 @@ Representation choices:
   coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
   Arithmetic never reads past the truncation order.
 
+Integer path: every stored coefficient is an ``int`` or a ``Fraction`` with
+denominator > 1, so int inputs give int outputs and an integral Fraction
+comes back as ``int``.  Sums and products of ints are ints, so a result list
+is normalised once, and only when it holds a non-int (``_normed``).
+
+``RatFun`` skips the gcds whose answer is already known:
+
+* a sum over coprime denominators, (n_a d_b + n_b d_a) / (d_a d_b), is
+  reduced as it stands: an irreducible factor of d_a divides neither d_b nor
+  n_a, so not the numerator (likewise for d_b); and d_a d_b is normalised,
+  being primitive by Gauss's lemma with leading term the product of the two
+  positive leading terms.  Such a sum vanishes only when both denominators
+  are 1, so a zero sum is 0/1, the canonical zero;
+* an inverse den / num of a reduced pair is coprime, so it only needs its
+  new denominator normalised.
+
 >>> one_minus_t = Poly.one() - Poly.var("t")
 >>> f = RatFun(1, one_minus_t)
 >>> series_expand(f, "t", 3).coefficient_values()
@@ -42,13 +58,27 @@ VARIABLES = ("t", "u", "v")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
+_INT = {int}
+
+
+def _all_int(values):
+    """True when every value is a plain int (one C-level pass over the types)."""
+    return set(map(type, values)) <= _INT
+
+
 def _cnorm(c):
-    # keep integral coefficients as ints: int arithmetic is much faster
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
+    # keep integral coefficients as ints: int arithmetic is much faster; the
+    # type test spares ints the slow abstract-class isinstance check
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
     return c
+
+
+def _normed(values):
+    """The list with integral Fractions as ints; itself when it holds ints only."""
+    return values if _all_int(values) else [_cnorm(c) for c in values]
 
 
 def _as_coeff(c):
@@ -122,15 +152,9 @@ class Poly:
     def univariate(name, coeffs):
         """Build a polynomial in one variable from an ascending coefficient list."""
         _check_var(name)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            c = _as_coeff(c)
-            if c:
-                terms[(k,)] = c
-        if not terms:
-            return Poly.zero()
-        vars, terms = _strip_vars((name,), terms)
-        return Poly(vars, terms, _trusted=True)
+        if not _all_int(coeffs):
+            coeffs = [_as_coeff(c) for c in coeffs]
+        return _univar(name, coeffs)
 
     @staticmethod
     def _coerce(value):
@@ -188,15 +212,14 @@ class Poly:
         """Ascending list of scalar coefficients; requires univariate/const."""
         if any(v != name for v in self.vars):
             raise ValidationError("polynomial is not univariate in %s: %s" % (name, self))
-        d = self.degree(name)
-        top = d if upto is None else max(d, upto)
-        out = [0] * (top + 1)
-        if self.is_const:
-            if self.terms:
-                out[0] = self.terms[()]
-            return out
-        for e, c in self.terms.items():
-            out[e[0]] = c
+        terms = self.terms
+        d = max(terms)[0] if self.vars else len(terms) - 1  # constant 0, zero -1
+        out = [0] * ((d if upto is None else max(d, upto)) + 1)
+        if self.vars:
+            for (k,), c in terms.items():
+                out[k] = c
+        elif terms:
+            out[0] = terms[()]
         return out
 
     def __hash__(self):
@@ -220,6 +243,10 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         vars, ta, tb = _align(self, other)
         out = dict(ta)
         for e, c in tb.items():
@@ -329,16 +356,21 @@ class Poly:
 
     def signed_content(self):
         """Rational r with the sign of the leading coefficient such that
-        self / r has coprime integer coefficients and positive leading one."""
+        self / r has coprime integer coefficients and positive leading one.
+        Always a ``Fraction``, so that 1 / r stays exact."""
         if self.is_zero:
             raise ValidationError("zero polynomial has no content")
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num_gcd = _int_gcd(num_gcd, abs(f.numerator))
-            den_lcm = den_lcm * f.denominator // _int_gcd(den_lcm, f.denominator)
-        r = Fraction(num_gcd, den_lcm)
+        values = self.terms.values()
+        if _all_int(values):
+            r = Fraction(_int_gcd(*values))
+        else:
+            num_gcd = 0
+            den_lcm = 1
+            for c in values:
+                f = Fraction(c)
+                num_gcd = _int_gcd(num_gcd, f.numerator)
+                den_lcm = den_lcm * f.denominator // _int_gcd(den_lcm, f.denominator)
+            r = Fraction(num_gcd, den_lcm)
         return -r if self.terms[max(self.terms)] < 0 else r
 
     def scaled(self, factor):
@@ -416,6 +448,16 @@ def _align(a, b):
     return union, remap(a), remap(b)
 
 
+def _univar(name, coeffs):
+    """Trusted polynomial in ``name`` from normalised ascending coefficients."""
+    terms = {(k,): c for k, c in enumerate(coeffs) if c}
+    if not terms:
+        return Poly.zero()
+    if len(terms) == 1 and (0,) in terms:
+        return Poly((), {(): terms[(0,)]}, _trusted=True)
+    return Poly((name,), terms, _trusted=True)
+
+
 def _mul_dense_univar(a, b):
     name = a.vars[0]
     ca = a.scalar_coeffs(name)
@@ -426,7 +468,7 @@ def _mul_dense_univar(a, b):
         if x:
             for j, y in nonzero:
                 out[i + j] += x * y
-    return Poly.univariate(name, [_cnorm(c) for c in out])
+    return _univar(name, _normed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +478,8 @@ def _mul_dense_univar(a, b):
 
 def _int_coeffs(coeffs):
     """Clear denominators of a coefficient list; returns a primitive int list."""
+    if _all_int(coeffs):
+        return _int_primitive(coeffs)
     den = 1
     for c in coeffs:
         if isinstance(c, Fraction):
@@ -463,9 +507,7 @@ def _int_prem(a, b):
 
 
 def _int_primitive(a):
-    g = 0
-    for c in a:
-        g = _int_gcd(g, abs(c))
+    g = _int_gcd(*a)
     if g > 1:
         a = [c // g for c in a]
     return a
@@ -665,7 +707,7 @@ class RatFun:
         p = Poly._coerce(value)
         if p is NotImplemented:
             return NotImplemented
-        return RatFun(p, Poly.one())
+        return RatFun(p, Poly.one(), _reduced=True)
 
     # -- queries -----------------------------------------------------------
 
@@ -712,9 +754,9 @@ class RatFun:
             return self
         g = poly_gcd(self.den, other.den)
         if g.is_const:
+            # already reduced and normalised (see the module docstring)
             num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            return RatFun(num, den)
+            return RatFun(num, self.den * other.den, _reduced=True)
         # Fraction-style addition: keep gcd inputs small
         da = poly_divexact(self.den, g)
         db = poly_divexact(other.den, g)
@@ -763,7 +805,7 @@ class RatFun:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFun(other.den, other.num)
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
         other = RatFun._coerce(other)
@@ -780,9 +822,14 @@ class RatFun:
         if n < 0:
             if base.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            base = RatFun(base.den, base.num)
+            base = base._inverse()
             n = -n
         num, den = _unit_normalize(base.num ** n, base.den ** n)
+        return RatFun(num, den, _reduced=True)
+
+    def _inverse(self):
+        # den / num is coprime already: only the new denominator needs normalising
+        num, den = _unit_normalize(self.den, self.num)
         return RatFun(num, den, _reduced=True)
 
     def substitute(self, bindings):
@@ -860,7 +907,8 @@ class Series:
 
     @staticmethod
     def one(var, order):
-        return Series(var, [1] + [0] * order)
+        _check_var(var)
+        return Series(var, [1] + [0] * order, _trusted=True)
 
     def coefficient_values(self):
         """Coefficients as a fresh list of ints/Fractions."""
@@ -884,8 +932,8 @@ class Series:
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         # coefficient k is the dot product of a[:k+1] with b[k], ..., b[0]
-        out = [_cnorm(sum(map(_mul, a[: k + 1], b[k::-1]))) for k in range(n + 1)]
-        return Series(self.var, out, _trusted=True)
+        out = [sum(map(_mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
+        return Series(self.var, _normed(out), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -907,7 +955,7 @@ def series_expand(f, var, order):
     d0 = den[0]
     if not d0:
         raise ValidationError("pole at 0 in the expansion variable %s" % var)
-    inv = Fraction(1) / d0
+    inv = None if d0 == 1 else Fraction(1) / d0
     steps = [(k, c) for k, c in enumerate(den[: order + 1]) if k and c]
     out = []
     for n in range(order + 1):
@@ -916,7 +964,7 @@ def series_expand(f, var, order):
             if k > n:
                 break
             acc -= c * out[n - k]
-        out.append(_cnorm(acc if inv == 1 else acc * inv))
+        out.append(_cnorm(acc if inv is None else acc * inv))
     return Series(var, out, _trusted=True)
 
 

@@ -12,6 +12,11 @@ series is the classifying series of the rank-n gauge group, which is the
 bridge between the divisor picture and the gauge picture.  Requests charged
 more than MAX_PRODUCTS coefficient products are refused before the
 symmetric powers are built.
+
+The bridge reads only t^0..t^cutoff, so it passes that cutoff as a t-degree
+cap: every S_k, shifted entry and product is cut to degree <= cap inside the
+same convolution.  The budget still charges the uncapped work, an upper
+bound, so a capped request is refused exactly when the uncapped one is.
 """
 
 from __future__ import annotations
@@ -47,32 +52,45 @@ def _betti_charge(n, e):
     return (n - 2) * middle + last + shifts
 
 
-def _matrix_divisor(n, e, g, sym, w):
-    """[x^e] P_n, where P_1 = sum_k sym(g, k) x^k and P_{m+1}(x) = P_1(x) P_m(w x)."""
+def _head(p, cap):
+    """p cut to t-degree <= cap (all of p when cap is None)."""
+    if cap is None or p.degree() <= cap:
+        return p
+    return Poly.univariate("t", p.scalar_coeffs("t")[: cap + 1])
+
+
+def _matrix_divisor(n, e, g, sym, w, cap=None):
+    """[x^e] P_n, where P_1 = sum_k sym(g, k) x^k and P_{m+1}(x) = P_1(x) P_m(w x),
+    cut to t-degree <= cap when a cap is given (Betti only)."""
     if n < 1:
         raise ValidationError("rank must be positive")
     if e < 0:
         raise ValidationError("torsion degree must be >= 0")
     if n == 1 or e == 0:
-        return sym(g, e)  # at e = 0 the one cell is S_0^n = 1
+        return _head(sym(g, e), cap)  # at e = 0 the one cell is S_0^n = 1
     S = [sym(g, 0)]  # checks the genus before the budget
     bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
     if _betti_charge(n, e) * (COEFF_BITS + bits) > MAX_PRODUCTS * COEFF_BITS:
         raise ValidationError("rank %d at torsion degree %d and genus %d needs more than "
                               "%d coefficient products" % (n, e, g, MAX_PRODUCTS))
-    S += [sym(g, k) for k in range(1, e + 1)]
+    S += [_head(sym(g, k), cap) for k in range(1, e + 1)]
     units = list(accumulate([w] * e, mul, initial=Poly.one()))
+    if cap is not None:
+        units = [unit for unit in units if unit.degree() <= cap]  # a longer shift leaves 0
     acc = S
     for m in range(1, n):
-        shifted = [unit * p for unit, p in zip(units, acc)]
-        js = range(e if m == n - 1 else 0, e + 1)  # the last step needs x^e only
-        acc = [sum((shifted[k] * S[j - k] for k in range(j + 1)), Poly.zero()) for j in js]
+        shifted = [_head(unit * p, cap) for unit, p in zip(units, acc)]
+        # the last step needs x^e only, the others the entries a unit still reaches
+        js = [e] if m == n - 1 else range(len(units))
+        acc = [sum((_head(p * S[j - k], cap) for k, p in enumerate(shifted[: j + 1])),
+                   Poly.zero()) for j in js]
     return acc[-1]
 
 
-def div_poincare(n, e, g):
-    """Betti polynomial of the rank-n matrix divisor space of torsion degree e."""
-    return _matrix_divisor(n, e, g, sym_poincare, Poly.var("t") ** 2)
+def div_poincare(n, e, g, cap=None):
+    """Betti polynomial of the rank-n matrix divisor space of torsion degree e;
+    only its coefficients of t^0..t^cap when a cap is given."""
+    return _matrix_divisor(n, e, g, sym_poincare, Poly.var("t") ** 2, cap)
 
 
 def div_hodge(n, e, g):
@@ -112,8 +130,8 @@ def div_bridge_check(n, g, e, cutoff):
         raise ValidationError(
             "torsion degree %d is too small for cutoff %d; need e >= cutoff + 2ng"
             % (e, cutoff))
-    here = div_poincare(n, e, g).scalar_coeffs("t", upto=cutoff)[: cutoff + 1]
-    there = div_poincare(n, e + 1, g).scalar_coeffs("t", upto=cutoff)[: cutoff + 1]
+    here = div_poincare(n, e, g, cap=cutoff).scalar_coeffs("t", upto=cutoff)
+    there = div_poincare(n, e + 1, g, cap=cutoff).scalar_coeffs("t", upto=cutoff)
     target = series_expand(classifying_series(n, g), "t", cutoff).coefficient_values()
     first_mismatch = None
     for k in range(cutoff + 1):

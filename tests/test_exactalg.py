@@ -379,3 +379,103 @@ def test_series_expand_needs_scalar_coefficients():
     with pytest.raises(ValidationError):
         series_expand(f, "t", 3)
     assert series_expand(RatFun(Poly.one(), Poly.one() - U), "u", 2).coeffs == [1, 1, 1]
+
+
+# -- integer path ------------------------------------------------------------------
+
+
+def _int_coefficients(values):
+    return all(type(c) is int for c in values)
+
+
+def test_int_inputs_give_int_coefficients():
+    rng = random.Random(606)
+    for vars in [("t",), ("u", "v"), ("t", "u", "v")]:
+        for _ in range(20):
+            a = _random_poly(rng, vars=vars)
+            b = _random_poly(rng, vars=vars)
+            for p in (a + b, a - b, a * b, a ** 3, -a):
+                assert _int_coefficients(p.terms.values()), p
+    p = Poly.univariate("t", [3, 0, -2, 0, 0])
+    assert p.terms == {(0,): 3, (2,): -2} and _int_coefficients(p.terms.values())
+    f = RatFun(Poly.one() + T ** 3, (Poly.one() - T) * (Poly.one() - T ** 2))
+    s = series_expand(f, "t", 12)
+    assert _int_coefficients(s.coeffs)
+    assert _int_coefficients((s * s).coeffs)
+
+
+def test_integral_fractions_come_back_as_int():
+    half = Fraction(1, 2)
+    assert Poly.univariate("t", [Fraction(4, 2), 0, Fraction(-6, 3)]).terms == {(0,): 2, (2,): -2}
+    assert type(Poly.univariate("t", [Fraction(4, 2)]).terms[()]) is int
+    assert type(Poly.const(Fraction(6, 3)).terms[()]) is int
+    a = Poly.univariate("t", [half, half])  # (1 + t) / 2
+    b = Poly.univariate("t", [2, 2])
+    for p in (a * b, a * 2, a + a, (a * U) * (b * U)):
+        assert _int_coefficients(p.terms.values()), p
+    assert (a * b).scalar_coeffs("t") == [1, 2, 1]
+    s = series_expand(RatFun(Poly.univariate("t", [half, half])), "t", 3)
+    assert s.coeffs == [half, half, 0, 0]
+    assert _int_coefficients((s * series_expand(RatFun(2), "t", 3)).coeffs)
+    assert _int_coefficients(series_expand(RatFun(2, Poly.const(2) - 2 * T), "t", 5).coeffs)
+
+
+def test_signed_content_is_an_exact_fraction():
+    for p in (Poly.univariate("t", [4, -6, 8]), -Poly.univariate("t", [4, -6, 8]),
+              Poly.const(5), Poly.univariate("t", [Fraction(1, 3), 2]), 6 * U * V - 4 * V):
+        r = p.signed_content()
+        assert type(r) is Fraction
+        assert type(1 / r) is Fraction
+        q = p.scaled(1 / r)
+        assert _int_coefficients(q.terms.values()) and q.signed_content() == 1
+    assert Poly.univariate("t", [4, -6, 8]).signed_content() == 2
+    assert (-Poly.univariate("t", [4, -6, 8])).signed_content() == -2
+
+
+# -- gcd skips against the fully reduced form ------------------------------------
+
+
+def _coprime_pairs(rng, count, hodge):
+    """Reduced pairs whose denominators are coprime, in t or of the form u^i v^j f(uv)."""
+    def poly():
+        if not hodge:
+            return _random_univar(rng, 4, fractions=False)
+        return U ** rng.randint(0, 2) * V ** rng.randint(0, 2) * _random_uv_poly(rng, 3)
+
+    pairs = []
+    while len(pairs) < count:
+        dens = [poly() for _ in range(2)]
+        nums = [poly() for _ in range(2)]
+        if any(p.is_zero for p in dens + nums) or not poly_gcd(*dens).is_const:
+            continue
+        pairs.append(tuple(RatFun(n, d) for n, d in zip(nums, dens)))
+    return pairs
+
+
+def _value(f, point):
+    return f.num.evaluate(point) / f.den.evaluate(point)
+
+
+@pytest.mark.parametrize("hodge", [False, True], ids=["t", "uv"])
+def test_gcd_skips_match_full_reduction(hodge):
+    rng = random.Random(8128 + hodge)
+    for a, b in _coprime_pairs(rng, 40, hodge):
+        k = rng.randint(1, 3)
+        got = {"sum": a + b, "quotient": a / b, "power": a ** -k}
+        want = {"sum": RatFun(a.num * b.den + b.num * a.den, a.den * b.den),
+                "quotient": RatFun(a.num * b.den, a.den * b.num),
+                "power": RatFun(a.den ** k, a.num ** k)}
+        for name in got:
+            assert got[name].num == want[name].num and got[name].den == want[name].den, name
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in ("t", "u", "v")}
+            values = [f.num.evaluate(point) * f.den.evaluate(point) for f in (a, b)]
+            if not all(values):
+                continue
+            x, y = _value(a, point), _value(b, point)
+            assert _value(got["sum"], point) == x + y
+            assert _value(got["quotient"], point) == x / y
+            assert _value(got["power"], point) == x ** -k
+        for p in (a, RatFun(a.num)):
+            zero = p + (-p)
+            assert zero.num == Poly.zero() and zero.den == Poly.one()

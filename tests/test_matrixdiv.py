@@ -85,6 +85,22 @@ def test_stabilization_is_monotone():
     assert values[0] == values[1] == values[2] == values[3]
 
 
+def test_capped_head_matches_full_polynomial():
+    # the bridge's t-degree cap changes no coefficient it keeps
+    for n in range(1, 5):
+        for g in (2, 3):
+            full = {}
+            for cutoff in (0, 6, 12):
+                low = cutoff + 2 * n * g
+                for e in (low, low + 1, low + 7):
+                    if e not in full:
+                        full[e] = div_poincare(n, e, g).scalar_coeffs("t")
+                    head = div_poincare(n, e, g, cap=cutoff)
+                    assert head.degree("t") <= cutoff
+                    assert head.scalar_coeffs("t", upto=cutoff) == full[e][: cutoff + 1], (
+                        n, g, cutoff, e)
+
+
 def test_report_json():
     report = div_bridge_check(2, 2, e=30, cutoff=4)
     obj = report.to_json()
