@@ -50,7 +50,7 @@ def criterion_2_three_way_cross_check():
     for g in (2, 3):
         for n, d in [(2, 1), (3, 1), (3, 2)]:
             F = SpecializationField.betti(g)
-            lhs = (F.q - RatFun.one()) * ss_mass(n, d, F)
+            lhs = (F.q - 1) * ss_mass(n, d, F)
             rhs = RatFun(moduli_poincare(n, d, g))
             assert lhs == rhs, "cross-check fails at (n,d,g)=(%d,%d,%d)" % (n, d, g)
             cases.append((n, d, g))

@@ -511,10 +511,12 @@ class SpecializationField:
     betti:   q = t^2 and P(x) = (1 + t x)^{2g}.
     hodge:   q = u v and P(x) = ((1 + u x)(1 + v x))^g.
 
-    All elements are exact rational functions; numeric mode stays inside the
-    constants.  Each instance owns the memoization stores of the arithmetic
-    recursion built on top of it, so independently created fields recompute
-    from scratch.
+    Numeric elements are plain ints and Fractions: q is a Fraction, so
+    1 / q and q^(-i) stay exact.  Betti and Hodge elements are exact
+    rational functions.  Both kinds mix with the literals 0 and 1, so the
+    arithmetic recursion is written once for every field.  Each instance
+    owns the memoization stores of the recursion built on top of it, so
+    independently created fields recompute from scratch.
     """
 
     NUMERIC = "numeric"
@@ -534,12 +536,12 @@ class SpecializationField:
         self.genus = genus
         self.curve = curve
         if mode == self.NUMERIC:
-            self.q = RatFun(curve.q)
+            self.q = Fraction(curve.q)
         elif mode == self.BETTI:
             self.q = RatFun(Poly.var("t") ** 2)
         else:
             self.q = RatFun(Poly.var("u") * Poly.var("v"))
-        self._qpow = {0: RatFun.one(), 1: self.q}
+        self._qpow = {1: self.q}
         self._zeta = {}
         self._P_one = None
         self.mass_cache = {}
@@ -563,24 +565,20 @@ class SpecializationField:
         return self._qpow[e]
 
     def P_at(self, x):
-        """The numerator P evaluated at a rational-function argument."""
-        x = RatFun._coerce(x)
+        """The numerator P evaluated at x (a number in numeric mode)."""
         g = self.genus
         if self.mode == self.NUMERIC:
-            acc = RatFun.zero()
-            xp = RatFun.one()
-            for c in self.curve.coefficients():
-                if c:
-                    acc = acc + c * xp
-                xp = xp * x
+            acc = 0
+            for c in reversed(self.curve.coefficients()):
+                acc = acc * x + c
             return acc
         if self.mode == self.BETTI:
-            return (RatFun.one() + RatFun.var("t") * x) ** (2 * g)
-        return ((RatFun.one() + RatFun.var("u") * x) * (RatFun.one() + RatFun.var("v") * x)) ** g
+            return (1 + RatFun.var("t") * x) ** (2 * g)
+        return ((1 + RatFun.var("u") * x) * (1 + RatFun.var("v") * x)) ** g
 
     def P_one(self):
         if self._P_one is None:
-            self._P_one = self.P_at(RatFun.one())
+            self._P_one = self.P_at(1)
         return self._P_one
 
     def zeta(self, i):
@@ -589,17 +587,5 @@ class SpecializationField:
             raise ValidationError("zeta values are used for i >= 2")
         if i not in self._zeta:
             qi = self.q_power(-i)
-            one = RatFun.one()
-            self._zeta[i] = self.P_at(qi) / ((one - qi) * (one - self.q_power(1 - i)))
+            self._zeta[i] = self.P_at(qi) / ((1 - qi) * (1 - self.q_power(1 - i)))
         return self._zeta[i]
-
-    def out(self, value):
-        """Mode-appropriate external form: Fraction in numeric mode."""
-        if self.mode == self.NUMERIC:
-            return value.const_value()
-        return value
-
-
-def zeta_value(field, i):
-    """Z(q^{-i}) computed in the given specialization field."""
-    return field.out(field.zeta(i))

@@ -905,11 +905,6 @@ class Series:
     def order(self):
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def one(var, order):
-        _check_var(var)
-        return Series(var, [1] + [0] * order, _trusted=True)
-
     def coefficient_values(self):
         """Coefficients as a fresh list of ints/Fractions."""
         return list(self.coeffs)

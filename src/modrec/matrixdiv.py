@@ -1,10 +1,10 @@
 """Spaces of matrix divisors as one convolution of symmetric-power lists.
 
 The rank-n matrix divisor space of torsion degree e has a torus cell for
-each d = (d_1, ..., d_n) with sum e, contributing prod_i S_{d_i} w^{(i-1) d_i}
-(S_k the k-th symmetric power's polynomial, w = t^2 for Betti, uv for Hodge):
+each d = (d_1, ..., d_n) with sum e, contributing prod_i S_{d_i} t^{2(i-1) d_i}
+to the Betti polynomial (S_k the k-th symmetric power's polynomial):
 
-    sum_d prod_i S_{d_i} w^{(i-1) d_i} = [x^e] prod_{i<n} sum_k S_k (w^i x)^k.
+    sum_d prod_i S_{d_i} t^{2(i-1) d_i} = [x^e] prod_{i<n} sum_k S_k (t^{2i} x)^k.
 
 The cell weight ignores d_1, so raising e pushes new contributions to ever
 higher degrees and the low-order coefficients stabilize; the stabilized
@@ -28,15 +28,14 @@ from operator import mul
 
 from .errors import ValidationError
 from .exactalg import Poly, series_expand
-from .symprod import sym_hodge, sym_poincare
+from .symprod import sym_poincare
 from .yangmills import classifying_series
 
 # A product of polynomials with a and b terms is charged (a + TERM_PAD) *
 # (b + TERM_PAD) coefficient products, padded for building and summing the
 # result, each weighted 1 + bits / COEFF_BITS for coefficients of about bits
-# bits.  Terms are counted for Betti; Hodge has more, so for div_hodge the
-# charge is a lower bound.  Slowest admitted Betti requests, best of 3 on the
-# 2-core host: rank 2 at e = 220, g = 2 1.2 s; e = 201, g = 40 1.6 s.
+# bits.  Slowest admitted requests, best of 3 on the 2-core host: rank 2 at
+# e = 220, g = 2 1.2 s; e = 201, g = 40 1.6 s.
 MAX_PRODUCTS = 9_000_000
 TERM_PAD = 10
 COEFF_BITS = 512
@@ -59,22 +58,25 @@ def _head(p, cap):
     return Poly.univariate("t", p.scalar_coeffs("t")[: cap + 1])
 
 
-def _matrix_divisor(n, e, g, sym, w, cap=None):
-    """[x^e] P_n, where P_1 = sum_k sym(g, k) x^k and P_{m+1}(x) = P_1(x) P_m(w x),
-    cut to t-degree <= cap when a cap is given (Betti only)."""
+def div_poincare(n, e, g, cap=None):
+    """Betti polynomial of the rank-n matrix divisor space of torsion degree e;
+    only its coefficients of t^0..t^cap when a cap is given.
+
+    It is [x^e] P_n, where P_1 = sum_k S_k x^k and P_{m+1}(x) = P_1(x) P_m(t^2 x).
+    """
     if n < 1:
         raise ValidationError("rank must be positive")
     if e < 0:
         raise ValidationError("torsion degree must be >= 0")
     if n == 1 or e == 0:
-        return _head(sym(g, e), cap)  # at e = 0 the one cell is S_0^n = 1
-    S = [sym(g, 0)]  # checks the genus before the budget
+        return _head(sym_poincare(g, e), cap)  # at e = 0 the one cell is S_0^n = 1
+    S = [sym_poincare(g, 0)]  # checks the genus before the budget
     bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
     if _betti_charge(n, e) * (COEFF_BITS + bits) > MAX_PRODUCTS * COEFF_BITS:
         raise ValidationError("rank %d at torsion degree %d and genus %d needs more than "
                               "%d coefficient products" % (n, e, g, MAX_PRODUCTS))
-    S += [_head(sym(g, k), cap) for k in range(1, e + 1)]
-    units = list(accumulate([w] * e, mul, initial=Poly.one()))
+    S += [_head(sym_poincare(g, k), cap) for k in range(1, e + 1)]
+    units = list(accumulate([Poly.var("t") ** 2] * e, mul, initial=Poly.one()))
     if cap is not None:
         units = [unit for unit in units if unit.degree() <= cap]  # a longer shift leaves 0
     acc = S
@@ -85,17 +87,6 @@ def _matrix_divisor(n, e, g, sym, w, cap=None):
         acc = [sum((_head(p * S[j - k], cap) for k, p in enumerate(shifted[: j + 1])),
                    Poly.zero()) for j in js]
     return acc[-1]
-
-
-def div_poincare(n, e, g, cap=None):
-    """Betti polynomial of the rank-n matrix divisor space of torsion degree e;
-    only its coefficients of t^0..t^cap when a cap is given."""
-    return _matrix_divisor(n, e, g, sym_poincare, Poly.var("t") ** 2, cap)
-
-
-def div_hodge(n, e, g):
-    """Hodge polynomial; the cell unit t^2 becomes u v."""
-    return _matrix_divisor(n, e, g, sym_hodge, Poly.var("u") * Poly.var("v"))
 
 
 class BridgeReport(namedtuple("BridgeReport", "n g e cutoff match first_mismatch divisor_coeffs "

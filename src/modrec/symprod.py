@@ -2,11 +2,7 @@
 
 The Betti polynomial of the n-th symmetric power is the x^n coefficient of
 
-    (1 + x t)^{2g} / ((1 - x)(1 - x t^2)),
-
-its Hodge refinement the x^n coefficient of
-
-    (1 + x u)^g (1 + x v)^g / ((1 - x)(1 - x u v)).
+    (1 + x t)^{2g} / ((1 - x)(1 - x t^2)).
 
 On the arithmetic side, points of the n-th symmetric power are effective
 divisors of degree n, whose generating function is the zeta function; the
@@ -38,27 +34,15 @@ def _poincare_steps(g, n):
     return (min(2 * g, n) + 1 + ROW_PAD) * (n + 1)
 
 
-def _hodge_steps(g, n):
-    """Triples i, j <= g with i + j + b <= n (by inclusion-exclusion), plus the pad."""
-    def triples(m):
-        return comb(m + 3, 3) if m >= 0 else 0
-
-    return triples(n) - 2 * triples(n - g - 1) + triples(n - 2 * g - 2) + ROW_PAD * (n + 1)
-
-
-def _check_index(g, n, steps):
+def sym_poincare(g, n):
+    """Betti polynomial of the n-th symmetric power of a genus-g curve."""
     if g < 2:
         raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
-    if steps(g, n) > MAX_LOOP_STEPS:
+    if _poincare_steps(g, n) > MAX_LOOP_STEPS:
         raise ValidationError("symmetric power %d at genus %d needs more than %d loop steps"
                               % (n, g, MAX_LOOP_STEPS))
-
-
-def sym_poincare(g, n):
-    """Betti polynomial of the n-th symmetric power of a genus-g curve."""
-    _check_index(g, n, _poincare_steps)
     terms = {}
     for i in range(0, min(2 * g, n) + 1):
         c = comb(2 * g, i)
@@ -66,19 +50,6 @@ def sym_poincare(g, n):
             k = i + 2 * b
             terms[k] = terms.get(k, 0) + c
     return Poly.univariate("t", [terms.get(k, 0) for k in range(2 * n + 1)])
-
-
-def sym_hodge(g, n):
-    """Hodge polynomial in u, v; setting u = v = t recovers sym_poincare."""
-    _check_index(g, n, _hodge_steps)
-    terms = {}
-    for i in range(0, min(g, n) + 1):
-        ci = comb(g, i)
-        for j in range(0, min(g, n - i) + 1):
-            cij = ci * comb(g, j)
-            for b in range(0, n - i - j + 1):
-                terms[i + b, j + b] = terms.get((i + b, j + b), 0) + cij
-    return Poly(("u", "v"), terms)
 
 
 def sym_count(curve, n):

@@ -19,9 +19,12 @@ the tail bound per composition, and the recursion itself, whose degree sum
 per composition collapses on each residue cell of the slope-gap lattice to
 a product of geometric series.
 
-Everything is generic over the coefficient field, so the same formulas
-yield exact rational numbers (numeric mode), Poincare series (Betti mode,
-q = t^2) and Hodge refinements (q = u v).
+The code is written once for every field of ``SpecializationField``: it
+uses only field arithmetic and the literals 0 and 1.  The numeric field's
+elements are plain ints and Fractions, so numeric masses, counts and
+Siegel reports come out as exact rational numbers with no wrapping.  The
+Betti (q = t^2) and Hodge (q = u v) fields hold exact rational functions,
+so the same formulas give Poincare series and their Hodge refinements.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from math import comb, gcd
 
 from .curve import SpecializationField
 from .errors import InvariantViolation, ValidationError
-from .exactalg import RatFun
 from .hn import codim, enumerate_types, mass_exponent
 
 
@@ -46,7 +48,7 @@ def total_mass(n, d, field):
     if cached is not None:
         return cached
     g = field.genus
-    value = field.P_one() / (field.q - RatFun.one())
+    value = field.P_one() / (field.q - 1)
     value = value * field.q_power((n * n - 1) * (g - 1))
     for i in range(2, n + 1):
         value = value * field.zeta(i)
@@ -56,10 +58,12 @@ def total_mass(n, d, field):
 
 # Largest rank ss_mass accepts per field, with the longest one mass at that
 # rank took over every d at g = 2 and 3 on a 2-core x86-64 host (numeric:
-# curves over F_2).  Each limit is the largest rank within 3.5 s (numeric),
-# 8 s (Betti) or 4 s (Hodge); at the next rank one mass took 3.7 s, 13 s
-# and 5.2 s.
-MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (60, "3.4 s"),
+# curves over F_2).  Betti and Hodge are the largest ranks within 8 s and
+# 4 s; at the next rank one mass took 13 s and 5.2 s.  Numeric rank 61 took
+# 1.4 s, but the numeric cost grows with q (rank 60 over F_81 takes about
+# 9 s end to end), so the numeric limit stays at 60 until it is charged by
+# the size of q as well.
+MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (60, "1.3 s"),
                    SpecializationField.BETTI: (10, "6.2 s"),
                    SpecializationField.HODGE: (6, "3.1 s")}
 
@@ -80,10 +84,9 @@ def _zagier_sum(n, d, field):
     multiplies once by the weight of its last part.
     """
     g = field.genus
-    one = RatFun.one()
     alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
     up = [-(-s * d // n) for s in range(n)]
-    geom = [None] + [one / (one - field.q_power(c)) for c in range(1, n + 1)]
+    geom = [None] + [1 / (1 - field.q_power(c)) for c in range(1, n + 1)]
 
     def part(s, b):
         t = s + b
@@ -94,9 +97,9 @@ def _zagier_sum(n, d, field):
     states = [{}] + [{a: part(0, a)} for a in range(1, n + 1)]
     for s in range(1, n):
         for b in range(1, n - s + 1):
-            inner = sum((value * geom[a + b] for a, value in states[s].items()), RatFun.zero())
+            inner = sum(value * geom[a + b] for a, value in states[s].items())
             states[s + b][b] = inner * part(s, b)
-    return sum(states[n].values(), RatFun.zero())
+    return sum(states[n].values())
 
 
 def ss_mass(n, d, field):
@@ -118,7 +121,7 @@ def ss_mass(n, d, field):
     if cached is not None:
         return cached
     value = _zagier_sum(n, d, field)
-    if field.mode == SpecializationField.NUMERIC and value.const_value() <= 0:
+    if field.mode == SpecializationField.NUMERIC and value <= 0:
         raise InvariantViolation("numeric semistable mass is not positive")
     field.mass_cache[key] = value
     return value
@@ -142,7 +145,7 @@ def stable_count(n, d, field):
     _require_numeric(field)
     if gcd(n, d) != 1:
         raise ValidationError("rank and degree must be coprime for stable counts")
-    value = ((field.q - RatFun.one()) * ss_mass(n, d, field)).const_value()
+    value = (field.q - 1) * ss_mass(n, d, field)
     if value.denominator != 1 or value < 0:
         raise InvariantViolation("stable count %s is not a non-negative integer" % value)
     return int(value)
@@ -151,7 +154,7 @@ def stable_count(n, d, field):
 def fixed_determinant_count(n, d, field):
     """Stable bundles with one fixed determinant: the count divided by P(1)."""
     count = stable_count(n, d, field)
-    classes = int(field.P_one().const_value())
+    classes = field.P_one()
     if count % classes:
         raise InvariantViolation(
             "stable count %d is not divisible by the class number %d" % (count, classes))
@@ -195,7 +198,7 @@ def siegel_check(n, d, field, max_codim):
     must shrink monotonically and the final gap must sit below a geometric
     tail bound computed from the ratios actually used.  Types are enumerated
     before any mass, so a rank that ``hn`` refuses costs nothing.  The
-    slowest admitted checks, at rank 18, took up to 1.7 s end to end on a
+    slowest admitted checks, at rank 18, took up to 1.2 s end to end on a
     2-core x86-64 host (both F_2 curve configs, max_codim 3 and 100, best
     of 3).
     """
@@ -204,18 +207,18 @@ def siegel_check(n, d, field, max_codim):
         raise ValidationError("codimension bound must be >= 0")
     g = field.genus
     types = enumerate_types(n, d, g, max_codim)
-    total = total_mass(n, d, field).const_value()
-    beta = ss_mass(n, d, field).const_value()
+    total = total_mass(n, d, field)
+    beta = ss_mass(n, d, field)
     level_mass = {}
     for mu in types:
         if mu.is_trivial:
             continue
         c = codim(mu, g)
-        level_mass[c] = level_mass.get(c, Fraction(0)) + stratum_mass(mu, field).const_value()
+        level_mass[c] = level_mass.get(c, 0) + stratum_mass(mu, field)
     partials, gaps = [], []
     acc = beta
     for level in range(max_codim + 1):
-        acc += level_mass.get(level, Fraction(0))
+        acc += level_mass.get(level, 0)
         partials.append(acc)
         gap = total - acc
         if gap < 0 or (n > 1 and gap == 0):
@@ -245,9 +248,9 @@ def _tail_bound(n, field, max_codim):
     b < n; each class adds q^{2G} W times the tail sum, in closed form.
     """
     g = field.genus
-    q = field.q.const_value()
+    q = field.q
     x = 1 / q
-    top = [None] + [max(ss_mass(m, res, field).const_value() for res in range(m))
+    top = [None] + [max(ss_mass(m, res, field) for res in range(m))
                     for m in range(1, n)]
     weights = [{(0, 0): Fraction(1)}] + [{} for _ in range(n)]
     for s in range(n):

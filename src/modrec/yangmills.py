@@ -73,9 +73,10 @@ def ss_equivariant_series(n, d, g, order):
             continue
         shift = 2 * codim(mu, g)
         sub_order = order - shift
-        prod = Series.one("t", sub_order)
-        for nj, dj in mu.parts:
-            prod = prod * ss_equivariant_series(nj, dj, g, sub_order)
+        parts = [ss_equivariant_series(nj, dj, g, sub_order) for nj, dj in mu.parts]
+        prod = parts[0]
+        for series in parts[1:]:
+            prod = prod * series
         for k, c in enumerate(prod.coeffs):
             if c:
                 coeffs[shift + k] -= c

@@ -18,10 +18,15 @@
   vector, in closed form per residue cell of the slope-gap lattice.  With
   ``cone_for`` it drives the Harder-Narasimhan recursion that the closed-form
   ``tamagawa.ss_mass`` must match.
+* ``ConstantRatFunField`` is the numeric field as it was before its elements
+  became plain ints and Fractions: q, its powers and P(x) are constant
+  ``RatFun``s (``OrderedConstant``, which compares by value as the old code
+  compared ``const_value()``).  Masses and Siegel reports computed in it must
+  equal the Fraction ones.
 * ``torsion_vectors`` lists the torus cells (d_1, ..., d_n) of a matrix
-  divisor space, and ``div_poincare_by_cells`` / ``div_hodge_by_cells`` sum
-  the cell polynomials one cell at a time.  ``matrixdiv.div_poincare`` and
-  ``div_hodge`` convolve symmetric-power lists instead and must agree.
+  divisor space, and ``div_poincare_by_cells`` sums the cell polynomials one
+  cell at a time.  ``matrixdiv.div_poincare`` convolves symmetric-power lists
+  instead and must agree.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import comb
 
+from modrec.curve import SpecializationField
 from modrec.errors import InvariantViolation
 from modrec.exactalg import Poly, RatFun
 from modrec.hn import HNType, codim
-from modrec.symprod import sym_hodge, sym_poincare
+from modrec.symprod import sym_poincare
 from modrec.tamagawa import _power_tail, ss_mass, total_mass
 
 
@@ -88,7 +95,7 @@ def tail_bound_by_compositions(n, field, max_codim):
     of q^{2G} * prod_i max_res ss_mass(n_i, res) * sum_{c >= start}
     (c - G + 1)^(r-2) q^(-c), with G = (g-1) sum_{i<j} n_i n_j."""
     g = field.genus
-    q = field.q.const_value()
+    q = field.q
     x = 1 / q
     bound = Fraction(0)
     for comp in compositions(n):
@@ -99,7 +106,7 @@ def tail_bound_by_compositions(n, field, max_codim):
                           for i in range(r) for j in range(i + 1, r))
         best = Fraction(1)
         for nj in comp:
-            best = best * max(ss_mass(nj, res, field).const_value() for res in range(nj))
+            best = best * max(ss_mass(nj, res, field) for res in range(nj))
         start = max(max_codim + 1, G + 1)
         tail = Fraction(0)
         p = r - 2
@@ -258,6 +265,54 @@ def cone_for(comp, field, mass):
     return ConeSum(comp, field.genus, factors)
 
 
+@total_ordering
+class OrderedConstant(RatFun):
+    """A constant rational function that compares by its value; arithmetic is
+    RatFun's on a plain copy (so reflected operators do not dispatch back
+    here), with every result wrapped again."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(value):
+        if value is NotImplemented:
+            return value
+        value = RatFun._coerce(value)
+        return OrderedConstant(value.num, value.den, _reduced=True)
+
+    def __lt__(self, other):
+        return self.const_value() < RatFun._coerce(other).const_value()
+
+
+def _wrapped(op):
+    return lambda self, *args: OrderedConstant.of(
+        op(RatFun(self.num, self.den, _reduced=True), *args))
+
+
+for _name in ("__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__"):
+    setattr(OrderedConstant, _name, _wrapped(getattr(RatFun, _name)))
+
+
+class ConstantRatFunField(SpecializationField):
+    """The numeric field with constant-RatFun elements: q, its powers and
+    P(x) by the loop over the numerator's coefficients."""
+
+    def __init__(self, curve):
+        super().__init__(SpecializationField.NUMERIC, curve.genus, curve)
+        self.q = OrderedConstant.of(curve.q)
+        self._qpow = {1: self.q}
+
+    def P_at(self, x):
+        acc = OrderedConstant.of(0)
+        xp = OrderedConstant.of(1)
+        for c in self.curve.coefficients():
+            if c:
+                acc = acc + c * xp
+            xp = xp * x
+        return acc
+
+
 def torsion_vectors(n, e):
     """All vectors of n non-negative integers with sum e, lexicographic."""
     if n == 1:
@@ -268,21 +323,12 @@ def torsion_vectors(n, e):
             yield (first,) + rest
 
 
-def _cell_sum(n, e, sym, unit):
-    total = Poly.zero()
-    for vec in torsion_vectors(n, e):
-        term = unit ** sum(i * di for i, di in enumerate(vec))
-        for di in vec:
-            term = term * sym(di)
-        total = total + term
-    return total
-
-
 def div_poincare_by_cells(n, e, g):
     """Betti polynomial of the matrix divisor space, one torus cell at a time."""
-    return _cell_sum(n, e, lambda k: sym_poincare(g, k), Poly.var("t") ** 2)
-
-
-def div_hodge_by_cells(n, e, g):
-    """Hodge polynomial, one torus cell at a time; the cell unit is u v."""
-    return _cell_sum(n, e, lambda k: sym_hodge(g, k), Poly.var("u") * Poly.var("v"))
+    total = Poly.zero()
+    for vec in torsion_vectors(n, e):
+        term = Poly.var("t") ** (2 * sum(i * di for i, di in enumerate(vec)))
+        for di in vec:
+            term = term * sym_poincare(g, di)
+        total = total + term
+    return total

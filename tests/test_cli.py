@@ -10,7 +10,7 @@ import pytest
 
 import modrec
 from modrec.cli import load_curve, main
-from modrec.curve import SpecializationField, zeta_value
+from modrec.curve import SpecializationField
 from modrec.errors import InvariantViolation
 from modrec.symprod import sym_count
 
@@ -368,7 +368,7 @@ def test_zeta_value_past_digit_guard_prints_in_full(capsys, curve_file):
     limit = sys.get_int_max_str_digits()
     status, out, err = run_cli(capsys, "zeta", "--curve", curve_file, "--i", "5000")
     assert status == 0 and err == ""
-    expected = zeta_value(SpecializationField.numeric(load_curve(curve_file)), 5000)
+    expected = SpecializationField.numeric(load_curve(curve_file)).zeta(5000)
     _assert_full_fraction(json.loads(out)["value"], expected)
     assert sys.get_int_max_str_digits() == limit
 

@@ -24,7 +24,6 @@ from modrec.curve import (
     count_points,
     zeta_Z,
     zeta_from_counts,
-    zeta_value,
 )
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly, RatFun, series_expand
@@ -378,12 +377,12 @@ def test_invalid_counts_rejected():
 def test_zeta_value_numeric():
     c = zeta_from_counts(2, 2, [3, 5])
     F = SpecializationField.numeric(c)
-    assert zeta_value(F, 2) == Fraction(65, 24)
+    assert F.zeta(2) == Fraction(65, 24)
 
 
 def test_zeta_value_betti():
     F = SpecializationField.betti(2)
-    z = zeta_value(F, 2)
+    z = F.zeta(2)
     expected = RatFun((Poly.one() + T ** 3) ** 4,
                       T ** 6 * (T ** 4 - 1) * (T ** 2 - 1))
     assert z == expected
@@ -397,9 +396,9 @@ def test_zeta_value_betti():
 def test_zeta_value_hodge_specializes_to_betti():
     Fh = SpecializationField.hodge(2)
     Fb = SpecializationField.betti(2)
-    zh = zeta_value(Fh, 2)
+    zh = Fh.zeta(2)
     t = RatFun(T)
-    assert zh.substitute({"u": t, "v": t}) == zeta_value(Fb, 2)
+    assert zh.substitute({"u": t, "v": t}) == Fb.zeta(2)
 
 
 def test_hodge_numerator_specializes_to_betti():

@@ -5,10 +5,10 @@ import pytest
 from modrec import matrixdiv
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly, series_expand
-from modrec.matrixdiv import div_bridge_check, div_hodge, div_poincare
-from modrec.symprod import sym_hodge, sym_poincare
+from modrec.matrixdiv import div_bridge_check, div_poincare
+from modrec.symprod import sym_poincare
 from modrec.yangmills import classifying_series
-from oracles import div_hodge_by_cells, div_poincare_by_cells, torsion_vectors
+from oracles import div_poincare_by_cells, torsion_vectors
 
 T = Poly.var("t")
 
@@ -25,25 +25,12 @@ def test_rank_two_degree_one_example():
 
 def test_degree_zero_is_point():
     assert div_poincare(2, 0, 2) == Poly.one()
-    assert div_hodge(1, 0, 2) == Poly.one()
 
 
 def test_coefficients_nonnegative():
     for e in range(5):
         coeffs = div_poincare(2, e, 2).scalar_coeffs("t")
         assert all(isinstance(c, int) and c >= 0 for c in coeffs)
-
-
-def test_hodge_examples():
-    uv = Poly.var("u") * Poly.var("v")
-    s1 = sym_hodge(2, 1)
-    assert div_hodge(2, 1, 2) == s1 + uv * s1
-
-
-def test_hodge_specializes():
-    for (n, e, g) in [(2, 3, 2), (3, 2, 2)]:
-        h = div_hodge(n, e, g)
-        assert h.substitute({"u": T, "v": T}) == div_poincare(n, e, g)
 
 
 def test_bridge_rank_one():
@@ -112,20 +99,17 @@ def test_convolution_matches_cell_oracle():
         for n in range(1, 6):
             for e in range(11):
                 assert div_poincare(n, e, g) == div_poincare_by_cells(n, e, g), (n, e, g)
-        for n in range(1, 4):
-            for e in range(7):
-                assert div_hodge(n, e, g) == div_hodge_by_cells(n, e, g), (n, e, g)
 
 
-def _charge(n, e, g, div, sym):
+def _charge(n, e, g):
     """The convolution's charge from term counts: the rank-m entry at k is the
-    rank-m divisor polynomial, and the shift by w^k keeps its term count."""
+    rank-m divisor polynomial, and the shift by t^(2k) keeps its term count."""
     def pad(p):
         return len(p.terms) + matrixdiv.TERM_PAD
 
     def step(m, js):
-        shifts = sum(pad(Poly.one()) * pad(div(m, k, g)) for k in range(e + 1))
-        return shifts + sum(pad(div(m, k, g)) * pad(sym(g, j - k))
+        shifts = sum(pad(Poly.one()) * pad(div_poincare(m, k, g)) for k in range(e + 1))
+        return shifts + sum(pad(div_poincare(m, k, g)) * pad(sym_poincare(g, j - k))
                             for j in js for k in range(j + 1))
 
     return sum(step(m, range(e + 1)) for m in range(1, n - 1)) + step(n - 1, [e])
@@ -135,10 +119,7 @@ def test_betti_charge_closed_form():
     for n in range(2, 6):
         for e in range(1, 9):
             for g in (2, 3):
-                betti = _charge(n, e, g, div_poincare, sym_poincare)
-                assert matrixdiv._betti_charge(n, e) == betti, (n, e, g)
-                if n <= 3 and e <= 5:
-                    assert _charge(n, e, g, div_hodge, sym_hodge) >= betti, (n, e, g)
+                assert matrixdiv._betti_charge(n, e) == _charge(n, e, g), (n, e, g)
 
 
 def test_budget_boundary():

@@ -9,9 +9,7 @@ from modrec import matrixdiv, symprod
 from modrec.curve import CurveData, HyperellipticModel
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly
-from modrec.symprod import divisor_enumerate, sym_count, sym_hodge, sym_poincare
-
-T = Poly.var("t")
+from modrec.symprod import divisor_enumerate, sym_count, sym_poincare
 
 MODEL_F2 = HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,))
 MODEL_F3 = HyperellipticModel(p=3, k=1, f=(1, 0, 0, 0, 0, 1), h=())
@@ -82,20 +80,6 @@ def test_sym_poincare_palindromic():
             assert is_palindrome(sym_poincare(g, n), 2 * n)
 
 
-def test_sym_hodge_examples():
-    assert sym_hodge(2, 0) == Poly.one()
-    u, v = Poly.var("u"), Poly.var("v")
-    assert sym_hodge(2, 1) == Poly.one() + 2 * u + 2 * v + u * v
-
-
-def test_sym_hodge_specializes_and_symmetric():
-    for g in (2, 3):
-        for n in range(6):
-            h = sym_hodge(g, n)
-            assert h.substitute({"u": T, "v": T}) == sym_poincare(g, n)
-            assert h.substitute({"u": Poly.var("v"), "v": Poly.var("u")}) == h
-
-
 def test_sym_count_examples():
     c = CurveData.from_model(MODEL_F2)
     assert sym_count(c, 0) == 1
@@ -136,14 +120,11 @@ def test_charges_count_the_loops():
         for n in range(0, 25):
             pad = symprod.ROW_PAD * (n + 1)
             assert symprod._poincare_steps(g, n) - pad == (min(2 * g, n) + 1) * (n + 1)
-            steps = sum(n - i - j + 1 for i in range(min(g, n) + 1)
-                        for j in range(min(g, n - i) + 1))
-            assert symprod._hodge_steps(g, n) - pad == steps, (g, n)
 
 
-def test_budget_admits_every_power_matrixdiv_admits():
-    # matrixdiv builds sym(g, k) for k <= e once its own budget admits (n, e, g);
-    # a stub that stops at the first k >= 1 finds the largest admitted e
+def test_budget_admits_every_power_matrixdiv_admits(monkeypatch):
+    # matrixdiv builds sym_poincare(g, k) for k <= e once its own budget admits
+    # (n, e, g); a stub that stops at the first k >= 1 finds the largest admitted e
     class Admitted(Exception):
         pass
 
@@ -152,9 +133,11 @@ def test_budget_admits_every_power_matrixdiv_admits():
             raise Admitted
         return Poly.one()
 
+    monkeypatch.setattr(matrixdiv, "sym_poincare", stub)
+
     def admits(n, e, g):
         try:
-            matrixdiv._matrix_divisor(n, e, g, stub, T ** 2)
+            matrixdiv.div_poincare(n, e, g)
         except Admitted:
             return True
         except ValidationError:
@@ -169,8 +152,7 @@ def test_budget_admits_every_power_matrixdiv_admits():
             while high - low > 1:
                 mid = (low + high) // 2
                 low, high = (mid, high) if admits(n, mid, g) else (low, mid)
-            assert symprod._poincare_steps(g, low) <= symprod.MAX_LOOP_STEPS
-            assert symprod._hodge_steps(g, low) <= symprod.MAX_LOOP_STEPS, (n, g, low)
+            assert symprod._poincare_steps(g, low) <= symprod.MAX_LOOP_STEPS, (n, g, low)
             checked += 1
     assert checked == 21
 
@@ -179,5 +161,3 @@ def test_past_budget_is_refused_before_any_loop():
     for g, n in ((2, 10 ** 8), (10 ** 8, 10 ** 8), (3, 10 ** 30)):
         with pytest.raises(ValidationError, match="loop steps"):
             sym_poincare(g, n)
-        with pytest.raises(ValidationError, match="loop steps"):
-            sym_hodge(g, n)

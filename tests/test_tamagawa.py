@@ -33,6 +33,7 @@ from modrec.yangmills import classifying_series, moduli_poincare
 
 from oracles import (
     ConeSum,
+    ConstantRatFunField,
     compositions,
     cone_for,
     cone_sum,
@@ -51,11 +52,11 @@ def F2():
 
 
 def test_total_mass_rank_one(F2):
-    assert total_mass(1, 0, F2).const_value() == Fraction(5)  # P(1)/(q-1) = 5/1
+    assert total_mass(1, 0, F2) == Fraction(5)  # P(1)/(q-1) = 5/1
 
 
 def test_total_mass_rank_two_example(F2):
-    assert total_mass(2, 1, F2).const_value() == Fraction(325, 3)
+    assert total_mass(2, 1, F2) == Fraction(325, 3)
 
 
 def test_total_mass_betti_matches_classifying_series():
@@ -75,11 +76,11 @@ def test_total_mass_betti_matches_classifying_series():
 
 def test_ss_mass_rank_one(F2):
     for d in (-1, 0, 7):
-        assert ss_mass(1, d, F2).const_value() == Fraction(5)
+        assert ss_mass(1, d, F2) == Fraction(5)
 
 
 def test_ss_mass_rank_two_example(F2):
-    assert ss_mass(2, 1, F2).const_value() == Fraction(75)
+    assert ss_mass(2, 1, F2) == Fraction(75)
 
 
 def test_cone_sum_two_line_bundle_strata():
@@ -109,13 +110,13 @@ def test_cone_sum_against_partial_sums(F2):
     closed = cone_sum(cs, 1, F2).const_value()
     for M in (5, 10, 15, 20):
         types = [mu for mu in enumerate_types(2, 1, g, M) if not mu.is_trivial]
-        partial = sum(stratum_mass(mu, F2).const_value() for mu in types)
+        partial = sum(stratum_mass(mu, F2) for mu in types)
         assert 0 < closed - partial
         omitted = [mu for mu in enumerate_types(2, 1, g, M + 4)
                    if not mu.is_trivial and codim(mu, g) > M]
         first = min(omitted, key=lambda mu: codim(mu, g))
-        first_mass = stratum_mass(first, F2).const_value()
-        q = F2.q.const_value()
+        first_mass = stratum_mass(first, F2)
+        q = F2.q
         assert closed - partial <= first_mass / (1 - 1 / q)
 
 
@@ -365,3 +366,44 @@ def test_tail_bound_matches_composition_loop(make):
     for n in range(1, 9):
         for max_codim in (0, 3, 20):
             assert _tail_bound(n, F, max_codim) == tail_bound_by_compositions(n, F, max_codim)
+
+
+# -- plain Fractions against the constant-RatFun numeric field ---------------
+
+
+ROOT = Path(__file__).resolve().parent.parent
+NUMERIC_CONFIGS = ["configs/g2q2.json", "configs/g2q2_counts.json",
+                   "bench/configs/g2_f3k4.json"]
+
+
+@pytest.mark.parametrize("config", NUMERIC_CONFIGS)
+def test_fraction_field_matches_constant_ratfun_field(config):
+    curve = load_curve(str(ROOT / config))
+    F, oracle = SpecializationField.numeric(curve), ConstantRatFunField(curve)
+    assert isinstance(ss_mass(3, 1, oracle), RatFun)
+    for n in range(1, 9):
+        for d in range(-1, 2 * n):
+            assert RatFun(ss_mass(n, d, F)) == ss_mass(n, d, oracle), (n, d)
+    for n in range(1, 7):
+        for d in (0, 1):
+            for max_codim in (3, 20):
+                report = siegel_check(n, d, F, max_codim)
+                assert report == siegel_check(n, d, oracle, max_codim), (n, d, max_codim)
+
+
+def _plain(value):
+    return type(value) in (int, Fraction)
+
+
+@pytest.mark.parametrize("config", NUMERIC_CONFIGS)
+def test_numeric_values_are_ints_or_fractions(config):
+    F = SpecializationField.numeric(load_curve(str(ROOT / config)))
+    assert _plain(F.q) and _plain(F.P_one())
+    assert all(_plain(F.zeta(i)) for i in range(2, 9))
+    for n in range(1, 7):
+        assert _plain(total_mass(n, 0, F))
+        assert all(_plain(ss_mass(n, d, F)) for d in range(n))
+        assert all(_plain(stratum_mass(mu, F)) for mu in enumerate_types(n, 1, F.genus, 6))
+        report = siegel_check(n, 1, F, 6)
+        numbers = [report.total, report.semistable, report.tail_bound]
+        assert all(_plain(v) for v in numbers + list(report.partial_sums) + list(report.gaps))
