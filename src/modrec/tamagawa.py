@@ -198,7 +198,7 @@ def siegel_check(n, d, field, max_codim):
     must shrink monotonically and the final gap must sit below a geometric
     tail bound computed from the ratios actually used.  Types are enumerated
     before any mass, so a rank that ``hn`` refuses costs nothing.  The
-    slowest admitted checks, at rank 18, took up to 1.2 s end to end on a
+    slowest admitted checks, at rank 18, took up to 0.6 s end to end on a
     2-core x86-64 host (both F_2 curve configs, max_codim 3 and 100, best
     of 3).
     """
@@ -276,21 +276,21 @@ def _tail_bound(n, field, max_codim):
 
 
 def _power_tail(x, p, start):
-    """sum_{i >= start} i^p x^i as an exact Fraction, for 0 < x < 1."""
-    # numerator of sum_{i>=0} i^p x^i over (1-x)^(p+1), by the derivative
-    # recurrence S_p = x * dS_{p-1}/dx
-    num = [Fraction(1)]
+    """sum_{i >= start} i^p x^i as an exact Fraction, for 0 < x < 1.
+
+    With i = start + j the sum is x^start sum_k C(p, k) start^(p-k) S_k(x),
+    where S_k(x) = sum_{j >= 0} j^k x^j = N_k(x) / (1 - x)^(k+1) and the
+    integer numerators come from the derivative recurrence
+    S_k = x dS_{k-1}/dx: N_k = x (N_{k-1}' (1 - x) + k N_{k-1}).
+    """
+    num, scale = [1], 1 - x
+    tail = start ** p / scale  # k = 0, N_0 = 1
     for k in range(1, p + 1):
         deriv = [i * c for i, c in enumerate(num)][1:]
-        mixed = [Fraction(0)] * (len(num) + 1)
-        for i, c in enumerate(deriv):
-            mixed[i] += c
-            mixed[i + 1] -= c
-        for i, c in enumerate(num):
-            mixed[i] += k * c
-        num = [Fraction(0)] + mixed  # multiply by x
-        while num and num[-1] == 0:
-            num.pop()
-    full = sum(c * x ** i for i, c in enumerate(num)) / (1 - x) ** (p + 1)
-    head = sum(Fraction(i) ** p * x ** i for i in range(start))
-    return full - head
+        num = [0] + [k * c + d - e for c, d, e in zip(num, deriv + [0], [0] + deriv)]
+        scale *= 1 - x
+        value = 0
+        for c in reversed(num):
+            value = value * x + c
+        tail += comb(p, k) * start ** (p - k) * value / scale
+    return x ** start * tail

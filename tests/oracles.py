@@ -23,6 +23,14 @@
   ``RatFun``s (``OrderedConstant``, which compares by value as the old code
   compared ``const_value()``).  Masses and Siegel reports computed in it must
   equal the Fraction ones.
+* ``exp_log_by_digit_walk`` builds a finite field's exp/log tables by
+  decoding each element to digits and multiplying by the generator with a
+  generic polynomial product and reduction.  ``curve._exp_log`` steps by
+  tables of half-digit products (or by ``a * g % p`` on prime fields) and
+  must build the same tables.
+* ``power_tail_by_head`` sums i^p x^i over i >= start as the full sum minus
+  its head, term by term.  ``tamagawa._power_tail`` expands (start + j)^p
+  binomially instead and must give the same ``Fraction``.
 * ``torsion_vectors`` lists the torus cells (d_1, ..., d_n) of a matrix
   divisor space, and ``div_poincare_by_cells`` sums the cell polynomials one
   cell at a time.  ``matrixdiv.div_poincare`` convolves symmetric-power lists
@@ -32,17 +40,18 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import comb
 
-from modrec.curve import SpecializationField
+from modrec.curve import SpecializationField, _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
 from modrec.exactalg import Poly, RatFun
 from modrec.hn import HNType, codim
 from modrec.symprod import sym_poincare
-from modrec.tamagawa import _power_tail, ss_mass, total_mass
+from modrec.tamagawa import ss_mass, total_mass
 
 
 def compositions(n):
@@ -111,9 +120,30 @@ def tail_bound_by_compositions(n, field, max_codim):
         tail = Fraction(0)
         p = r - 2
         for s in range(p + 1):
-            tail += comb(p, s) * (1 - G) ** (p - s) * _power_tail(x, s, start)
+            tail += comb(p, s) * (1 - G) ** (p - s) * power_tail_by_head(x, s, start)
         bound += q ** (2 * G) * best * tail
     return bound
+
+
+def power_tail_by_head(x, p, start):
+    """sum_{i >= start} i^p x^i as an exact Fraction, for 0 < x < 1: the full
+    sum N_p(x) / (1 - x)^(p+1), by the derivative recurrence S_p = x dS_{p-1}/dx,
+    minus the head sum_{i < start} i^p x^i."""
+    num = [Fraction(1)]
+    for k in range(1, p + 1):
+        deriv = [i * c for i, c in enumerate(num)][1:]
+        mixed = [Fraction(0)] * (len(num) + 1)
+        for i, c in enumerate(deriv):
+            mixed[i] += c
+            mixed[i + 1] -= c
+        for i, c in enumerate(num):
+            mixed[i] += k * c
+        num = [Fraction(0)] + mixed  # multiply by x
+        while num and num[-1] == 0:
+            num.pop()
+    full = sum(c * x ** i for i, c in enumerate(num)) / (1 - x) ** (p + 1)
+    head = sum(Fraction(i) ** p * x ** i for i in range(start))
+    return full - head
 
 
 def gap_weights(comp):
@@ -311,6 +341,28 @@ class ConstantRatFunField(SpecializationField):
                 acc = acc + c * xp
             xp = xp * x
         return acc
+
+
+def exp_log_by_digit_walk(p, m, modulus):
+    """exp/log tables of F_{p^m}: g is the first element, in encoding order,
+    of order q - 1, and each step decodes a to its digits and multiplies by
+    g with a generic product and reduction mod the modulus."""
+    q, powers = p ** m, [p ** i for i in range(m)]
+    n = q - 1
+    cofactors = [n // ell for ell in _prime_divisors(n)]
+    g = next(g for g in range(1, q) if all(
+        _ppowmod([g // pw % p for pw in powers], e, modulus, p) != [1] for e in cofactors))
+    gd = [g // pw % p for pw in powers]
+    exp, log = [0] * n, [0] * q
+    a = 1
+    for k in range(n):
+        exp[k] = a
+        log[a] = k
+        prod = _pmod(_pmul([a // pw % p for pw in powers], gd, p), modulus, p)
+        a = sum(map(operator.mul, prod, powers))
+    if a != 1:
+        raise InvariantViolation("%d is not primitive in F_{%d^%d}" % (g, p, m))
+    return exp, log
 
 
 def torsion_vectors(n, e):

@@ -28,6 +28,8 @@ from modrec.curve import (
 from modrec.errors import ValidationError
 from modrec.exactalg import Poly, RatFun, series_expand
 
+from oracles import exp_log_by_digit_walk
+
 T = Poly.var("t")
 
 MODEL_F2 = HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,))  # y^2+y = x^5
@@ -212,6 +214,38 @@ def test_largest_binary_field_counts_in_budget(monkeypatch):
     count = count_points(MODEL_F2, LIMIT_BITS)
     assert time.perf_counter() - start < 5.0
     assert count == CurveData.from_model(MODEL_F2).point_count(LIMIT_BITS)
+
+
+def _odd_sweep_fields():
+    # every odd p^m <= 3^8 with p <= 13, and one prime field past the tables
+    fields = [(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 9) if p ** m <= 3 ** 8]
+    return fields + [(65521, 1)]
+
+
+def test_odd_field_tables_match_digit_walk(monkeypatch):
+    monkeypatch.setattr(GF, "_cache", {})
+    fields = _odd_sweep_fields()
+    assert len(fields) == 24
+    for p, m in fields:
+        K = GF(p, m)
+        assert (K.exp, K.log) == exp_log_by_digit_walk(p, m, K.modulus), (p, m)
+
+
+def test_largest_odd_fields_build_quickly(monkeypatch):
+    for p, m in ((3, 11), (509, 2), (262139, 1)):
+        monkeypatch.setattr(GF, "_cache", {})
+        start = time.perf_counter()
+        K = GF(p, m)
+        assert time.perf_counter() - start < 1.0, (p, m)
+        assert len(K.exp) == K.q - 1 and K.exp[0] == 1
+
+
+def test_largest_odd_field_counts_in_budget(monkeypatch):
+    monkeypatch.setattr(GF, "_cache", {})
+    start = time.perf_counter()
+    count = count_points(MODEL_F3, 11)
+    assert time.perf_counter() - start < 5.0
+    assert count == CurveData.from_model(MODEL_F3).point_count(11)
 
 
 def test_field_size_guard():

@@ -7,6 +7,7 @@ the programmes over prefix sums (mass and Siegel tail bound) must agree
 exactly with the term-by-term sums over compositions.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -20,6 +21,7 @@ from modrec.exactalg import Poly, RatFun, ratfun_to_json
 from modrec.hn import codim, enumerate_types
 from modrec.tamagawa import (
     MASS_RANK_LIMIT,
+    _power_tail,
     _tail_bound,
     _zagier_sum,
     fixed_determinant_count,
@@ -37,6 +39,7 @@ from oracles import (
     compositions,
     cone_for,
     cone_sum,
+    power_tail_by_head,
     tail_bound_by_compositions,
     zagier_sum_by_prefix_tree,
 )
@@ -366,6 +369,18 @@ def test_tail_bound_matches_composition_loop(make):
     for n in range(1, 9):
         for max_codim in (0, 3, 20):
             assert _tail_bound(n, F, max_codim) == tail_bound_by_compositions(n, F, max_codim)
+
+
+def test_power_tail_matches_head_subtraction():
+    rng = random.Random(2008)
+    cases = [(Fraction(1, q), p, start) for q in (2, 3, 4, 81) for p in range(0, 9)
+             for start in (1, 2, 7)]
+    for _ in range(200):
+        den = rng.randint(2, 100)
+        cases.append((Fraction(rng.randint(1, den - 1), den), rng.randint(0, 16),
+                      rng.randint(1, 60)))
+    for x, p, start in cases:
+        assert _power_tail(x, p, start) == power_tail_by_head(x, p, start), (x, p, start)
 
 
 # -- plain Fractions against the constant-RatFun numeric field ---------------
