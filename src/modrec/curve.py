@@ -8,7 +8,8 @@ Finite fields F_{p^m} are realized as polynomial quotients.  The defining
 irreducible is the smallest one in lexicographic order on the ascending
 coefficient tuple (c_0, ..., c_{m-1}), so counts are reproducible across
 runs.  An element is the int sum c_i p^i of its coefficients, and products
-go through exp/log tables of a primitive element; fields are capped at
+go through exp/log tables of a primitive element, except on prime fields,
+which count with plain arithmetic mod p; fields are capped at
 FIELD_SIZE_LIMIT elements, the largest size that counts in a few seconds.
 """
 
@@ -320,13 +321,37 @@ def count_points(model, r):
     """
     if r < 1:
         raise ValidationError("extension degree r must be >= 1")
-    K = GF(model.p, model.k * r)
-    p, n, exp, log = K.p, K.q - 1, K.exp, K.log
-    f, h = model.f, model.h
+    p, f, h = model.p, model.f, model.h
     if p > 2:
         inv4 = pow(4, p - 2, p)
         f = [(a + b * inv4) % p for a, b in itertools.zip_longest(f, _pmul(h, h, p), fillvalue=0)]
         h = ()
+    if p > 2 and model.k * r == 1:
+        count, sols = _count_prime_field(f, p)
+    else:
+        count, sols = _count_by_tables(GF(p, model.k * r), f, h)
+    # points at infinity: one for odd degree; for even degree (odd
+    # characteristic only) solve z^2 = lead, i.e. 2 points or none
+    return count + (1 if (len(f) - 1) % 2 else sols[f[-1]])
+
+
+def _count_prime_field(f, p):
+    """Affine count of z^2 = f(x) over F_p, p odd, and the table
+    sols[w] = #{z : z^2 = w}: plain Horner steps mod p over every x at once,
+    with no exp/log tables."""
+    sols = bytearray(p)
+    for w in [x * x % p for x in range(p)]:
+        sols[w] += 1
+    values = [f[-1]] * p
+    for c in reversed(f[:-1]):
+        values = [(v * x + c) % p for v, x in zip(values, range(p))]
+    return sum(map(sols.__getitem__, values)), sols
+
+
+def _count_by_tables(K, f, h):
+    """Affine count over the field K through its exp/log tables, and the
+    table sols: #{z : z^2 = w} for odd p, #{z : z^2 + z = w} for p = 2."""
+    p, n, exp, log = K.p, K.q - 1, K.exp, K.log
     sols = bytearray(K.q)
     sols[0] = 1
     squares = (exp * 2)[::2]  # (g^k)^2
@@ -347,10 +372,7 @@ def count_points(model, r):
         return sols[b] if p > 2 else 1
 
     count = over(h[0] if h else 0, f[0])  # x = 0
-    count += sum(over(value(h, k), value(f, k)) for k in range(n))
-    # points at infinity: one for odd degree; for even degree (odd
-    # characteristic only) solve z^2 = lead, i.e. 2 points or none
-    return count + (1 if (len(f) - 1) % 2 else sols[f[-1]])
+    return count + sum(over(value(h, k), value(f, k)) for k in range(n)), sols
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +594,13 @@ class SpecializationField:
     hodge:   q = u v and P(x) = ((1 + u x)(1 + v x))^g.
 
     Numeric elements are plain ints and Fractions: q is a Fraction, so
-    1 / q and q^(-i) stay exact.  Betti and Hodge elements are exact
-    rational functions.  Both kinds mix with the literals 0 and 1, so the
+    1 / q and q^(-i) stay exact.  Betti and Hodge elements are ``Factored``
+    (``factored.BettiFactored`` and ``HodgeFactored``): an integer Laurent
+    numerator over a product of factors (1 - q^c), which every value of the
+    mass programme has, so its sums and products need no gcd; ``reduce``
+    turns one into the canonical ``RatFun``.  Every field answers the same
+    calls: ``q_power``, ``geom``, ``P_power``, ``P_one``, ``zeta`` and
+    ``reduce``, and its elements mix with the int literals 0 and 1, so the
     arithmetic recursion is written once for every field.  Each instance
     owns the memoization stores of the recursion built on top of it, so
     independently created fields recompute from scratch.
@@ -596,12 +623,15 @@ class SpecializationField:
         self.genus = genus
         self.curve = curve
         if mode == self.NUMERIC:
+            self._kind = None
             self.q = Fraction(curve.q)
-        elif mode == self.BETTI:
-            self.q = RatFun(Poly.var("t") ** 2)
         else:
-            self.q = RatFun(Poly.var("u") * Poly.var("v"))
+            from .factored import BettiFactored, HodgeFactored
+
+            self._kind = BettiFactored if mode == self.BETTI else HodgeFactored
+            self.q = self._kind.monomial(1)
         self._qpow = {1: self.q}
+        self._geom = {}
         self._zeta = {}
         self._P_one = None
         self.mass_cache = {}
@@ -621,31 +651,45 @@ class SpecializationField:
 
     def q_power(self, e):
         if e not in self._qpow:
-            self._qpow[e] = self.q ** e
+            self._qpow[e] = self.q ** e if self._kind is None else self._kind.monomial(e)
         return self._qpow[e]
 
+    def geom(self, c):
+        """1 / (1 - q^c) for c >= 1."""
+        if c not in self._geom:
+            self._geom[c] = (1 / (1 - self.q_power(c)) if self._kind is None
+                             else self._kind.geom(c))
+        return self._geom[c]
+
     def P_at(self, x):
-        """The numerator P evaluated at x (a number in numeric mode)."""
-        g = self.genus
-        if self.mode == self.NUMERIC:
-            acc = 0
-            for c in reversed(self.curve.coefficients()):
-                acc = acc * x + c
-            return acc
-        if self.mode == self.BETTI:
-            return (1 + RatFun.var("t") * x) ** (2 * g)
-        return ((1 + RatFun.var("u") * x) * (1 + RatFun.var("v") * x)) ** g
+        """The zeta numerator P evaluated at a number x (numeric mode)."""
+        acc = 0
+        for c in reversed(self.curve.coefficients()):
+            acc = acc * x + c
+        return acc
+
+    def P_power(self, e):
+        """P(q^e) in the field."""
+        if self._kind is None:
+            return self.P_at(self.q_power(e))
+        return self._kind.P_power(self.genus, e)
 
     def P_one(self):
         if self._P_one is None:
-            self._P_one = self.P_at(1)
+            self._P_one = self.P_at(1) if self._kind is None else self.P_power(0)
         return self._P_one
 
     def zeta(self, i):
-        """Z(q^{-i}) in the field: P(q^{-i}) / ((1 - q^{-i})(1 - q^{1-i}))."""
+        """Z(q^{-i}) in the field: P(q^{-i}) / ((1 - q^{-i})(1 - q^{1-i})),
+        written as P(q^{-i}) q^{2i-1} / ((1 - q^i)(1 - q^{i-1}))."""
         if i < 2:
             raise ValidationError("zeta values are used for i >= 2")
         if i not in self._zeta:
-            qi = self.q_power(-i)
-            self._zeta[i] = self.P_at(qi) / ((1 - qi) * (1 - self.q_power(1 - i)))
+            self._zeta[i] = (self.P_power(-i) * self.q_power(2 * i - 1)
+                             * self.geom(i) * self.geom(i - 1))
         return self._zeta[i]
+
+    def reduce(self, value):
+        """The canonical form of a field element: itself in numeric mode, the
+        reduced ``RatFun`` in the others."""
+        return value if self._kind is None else value.ratfun()

@@ -15,10 +15,10 @@ Representation choices:
 * ``RatFun`` is a quotient of two polynomials kept in a canonical form:
   numerator and denominator are coprime, and the denominator has coprime
   integer coefficients with a positive leading coefficient (lexicographic
-  term order).  Equality is therefore plain structural equality.  A
-  rational function in several variables must live in Q(u, v) with
-  denominators of the form u^i v^j f(uv), as the Hodge mass recursion's do:
-  that is the domain ``poly_gcd`` reduces in.
+  term order).  Equality is therefore plain structural equality.  The gcd
+  is univariate, so arithmetic that needs one stays in one variable; Hodge
+  masses in (u, v) are reduced against their known cyclotomic denominators
+  by ``modrec.factored``, which builds their canonical form directly.
 
 * ``Series`` is a dense truncated power series in one variable whose
   coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
@@ -530,10 +530,10 @@ def _gcd_univar(A, B):
 def poly_gcd(a, b):
     """Greatest common divisor, primitive with positive leading coefficient.
 
-    Univariate pairs take the primitive remainder sequence.  Multivariate
-    pairs must lie in Q[u, v] with one argument of the form u^i v^j f(uv),
-    the only shape the Hodge mass recursion produces (see ``_gcd_graded``);
-    any other multivariate pair raises ``ValidationError``.
+    Univariate pairs take the primitive remainder sequence; a multivariate
+    pair raises ``ValidationError``.  No production path needs one: Hodge
+    masses are reduced against their known cyclotomic denominators instead
+    (``modrec.factored``).
     """
     if a.is_zero and b.is_zero:
         return Poly.zero()
@@ -544,98 +544,25 @@ def poly_gcd(a, b):
     if a.is_const or b.is_const:
         return Poly.one()
     union = set(a.vars) | set(b.vars)
-    if len(union) == 1:
-        name = a.vars[0]
-        return Poly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
-    return _gcd_graded(a, b)
-
-
-def _graded_parts(p):
-    """Write p = u^i v^j * sum_s c_s(uv) x_s with the monomial u^i v^j maximal.
-
-    Here x_s = u^s for s >= 0 and v^-s for s < 0, a basis of Q[u, v] over
-    Q[uv].  Returns ((i, j), {s: ascending coefficient list of c_s}).
-    """
-    exps = []
-    for e, c in p.terms.items():
-        x = dict(zip(p.vars, e))
-        exps.append((x.get("u", 0), x.get("v", 0), c))
-    mu = min(i for i, _, _ in exps)
-    mv = min(j for _, j, _ in exps)
-    parts = {}
-    for i, j, c in exps:
-        i, j = i - mu, j - mv
-        coeffs = parts.setdefault(i - j, {})
-        coeffs[min(i, j)] = c
-    return (mu, mv), {s: [cs.get(k, 0) for k in range(max(cs) + 1)]
-                      for s, cs in parts.items()}
-
-
-def _gcd_graded(a, b):
-    """gcd in Q[u, v] when one argument is u^i v^j f(uv).
-
-    Q[u, v] is free over Q[w], w = uv, so A = u^i v^j sum_s c_s(w) x_s.  With
-    f(0) != 0 every divisor of f(uv) is h(uv) for a divisor h of f, and h(uv)
-    divides A exactly when h divides every c_s; the monomial parts meet in
-    their componentwise minimum.
-    """
-    if not set(a.vars) | set(b.vars) <= {"u", "v"}:
-        raise ValidationError("multivariate gcd is supported only in u, v: %s and %s" % (a, b))
-    (ma, parts_a), (mb, parts_b) = _graded_parts(a), _graded_parts(b)
-    if len(parts_b) > 1:
-        if len(parts_a) > 1:
-            raise ValidationError("multivariate gcd needs one argument of the form "
-                                  "u^i*v^j*f(u*v): %s and %s" % (a, b))
-        parts_a, parts_b = parts_b, parts_a
-    h = parts_b[0]
-    for c in parts_a.values():
-        if len(h) == 1:
-            break
-        h = _gcd_univar(h, c)
-    mu, mv = min(ma[0], mb[0]), min(ma[1], mb[1])
-    if len(h) == 1:
-        h = [1]
-    terms = {(mu + k, mv + k): c for k, c in enumerate(h) if c}
-    vars, terms = _strip_vars(("u", "v"), terms)
-    return Poly(vars, terms, _trusted=True)
+    if len(union) > 1:
+        raise ValidationError("multivariate gcd is not supported: %s and %s" % (a, b))
+    name = a.vars[0]
+    return Poly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
 
 
 def poly_divexact(a, b):
-    """Exact polynomial division; raises if the division leaves a remainder."""
+    """Exact polynomial division in one variable; raises if the division
+    leaves a remainder, and on a multivariate pair."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return Poly.zero()
     if b.is_const:
         return a.scaled(Fraction(1) / Fraction(b.terms[()]))
-    union = tuple(sorted(set(a.vars) | set(b.vars), key=_VAR_INDEX.__getitem__))
-    if len(union) == 1:
-        return _divexact_univar(a, b, union[0])
-    return _divexact_sparse(a, b, union[-1])
-
-
-def _divexact_sparse(a, b, main):
-    """Division by leading terms in ``main``, recursing on their coefficients."""
-    db = b.degree(main)
-    lb = b.coefficient(main, db)
-    v = Poly.var(main)
-    quot = Poly.zero()
-    r = a
-    while not r.is_zero and r.degree(main) >= db:
-        dr = r.degree(main)
-        lr = r.coefficient(main, dr)
-        if lb.is_const:
-            qc = lr.scaled(Fraction(1) / Fraction(lb.terms[()]))
-        else:
-            qc = poly_divexact(lr, lb)
-        step = qc * v ** (dr - db)
-        quot = quot + step
-        r = r - step * b
-        if not r.is_zero and r.degree(main) == dr:
-            raise ValidationError("non-exact polynomial division")
-    if not r.is_zero:
-        raise ValidationError("non-exact polynomial division")
-    return quot
+    union = set(a.vars) | set(b.vars)
+    if len(union) > 1:
+        raise ValidationError("multivariate exact division is not supported: %s by %s" % (a, b))
+    return _divexact_univar(a, b, b.vars[0])
 
 
 def _divexact_univar(a, b, name):

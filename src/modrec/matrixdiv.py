@@ -27,9 +27,9 @@ from math import comb
 from operator import mul
 
 from .errors import ValidationError
-from .exactalg import Poly, series_expand
+from .exactalg import Poly
 from .symprod import sym_poincare
-from .yangmills import classifying_series
+from .yangmills import classifying_coefficients
 
 # A product of polynomials with a and b terms is charged (a + TERM_PAD) *
 # (b + TERM_PAD) coefficient products, padded for building and summing the
@@ -123,7 +123,7 @@ def div_bridge_check(n, g, e, cutoff):
             % (e, cutoff))
     here = div_poincare(n, e, g, cap=cutoff).scalar_coeffs("t", upto=cutoff)
     there = div_poincare(n, e + 1, g, cap=cutoff).scalar_coeffs("t", upto=cutoff)
-    target = series_expand(classifying_series(n, g), "t", cutoff).coefficient_values()
+    target = classifying_coefficients(n, g, cutoff)
     first_mismatch = None
     for k in range(cutoff + 1):
         if not (here[k] == there[k] == target[k]):

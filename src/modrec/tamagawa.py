@@ -20,11 +20,15 @@ per composition collapses on each residue cell of the slope-gap lattice to
 a product of geometric series.
 
 The code is written once for every field of ``SpecializationField``: it
-uses only field arithmetic and the literals 0 and 1.  The numeric field's
-elements are plain ints and Fractions, so numeric masses, counts and
-Siegel reports come out as exact rational numbers with no wrapping.  The
-Betti (q = t^2) and Hodge (q = u v) fields hold exact rational functions,
-so the same formulas give Poincare series and their Hodge refinements.
+uses only the field's q-powers, 1 / (1 - q^c), P(q^e) and zeta values,
+field arithmetic and the literals 0 and 1.  The numeric field's elements
+are plain ints and Fractions, so numeric masses, counts and Siegel reports
+come out as exact rational numbers with no wrapping.  In the Betti
+(q = t^2) and Hodge (q = u v) fields every total mass and every state of
+the programme is a ``Factored`` element, an integer numerator over a
+product of factors (1 - q^c), so its sums and products run no gcd; the
+mass is reduced to a canonical ``RatFun`` once, at the end of ``ss_mass``.
+The same formulas thus give Poincare series and their Hodge refinements.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def total_mass(n, d, field):
     if cached is not None:
         return cached
     g = field.genus
-    value = field.P_one() / (field.q - 1)
+    value = -field.P_one() * field.geom(1)  # P(1) / (q - 1)
     value = value * field.q_power((n * n - 1) * (g - 1))
     for i in range(2, n + 1):
         value = value * field.zeta(i)
@@ -58,14 +62,19 @@ def total_mass(n, d, field):
 
 # Largest rank ss_mass accepts per field, with the longest one mass at that
 # rank took over every d at g = 2 and 3 on a 2-core x86-64 host (numeric:
-# curves over F_2).  Betti and Hodge are the largest ranks within 8 s and
-# 4 s; at the next rank one mass took 13 s and 5.2 s.  Numeric rank 61 took
-# 1.4 s, but the numeric cost grows with q (rank 60 over F_81 takes about
-# 9 s end to end), so the numeric limit stays at 60 until it is charged by
-# the size of q as well.
+# curves over F_2; Betti and Hodge: a fresh field per d, in process).
+# Betti and Hodge are the largest ranks within 8 s and 4 s; at the next rank
+# one mass took 9.2 s and 4.7 s.
 MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (60, "1.3 s"),
-                   SpecializationField.BETTI: (10, "6.2 s"),
-                   SpecializationField.HODGE: (6, "3.1 s")}
+                   SpecializationField.BETTI: (26, "7.5 s"),
+                   SpecializationField.HODGE: (11, "2.7 s")}
+
+# A numeric mass works on Fractions of about n^2 g log q bits, so below the
+# rank limit it is also charged n^6 bits(q)^2 g and refused past this
+# charge.  Rank 60 over F_2 at g = 3 is admitted; the slowest admitted
+# masses, over q from 81 to 2^81 at g = 2, 3 and 6, took up to 1.4 s on
+# the same host, while rank 40 over q = 10^9 + 7 took 16 s.
+NUMERIC_MASS_CHARGE = 6 * 10 ** 11
 
 
 def _zagier_sum(n, d, field):
@@ -86,7 +95,7 @@ def _zagier_sum(n, d, field):
     g = field.genus
     alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
     up = [-(-s * d // n) for s in range(n)]
-    geom = [None] + [1 / (1 - field.q_power(c)) for c in range(1, n + 1)]
+    geom = [None] + [field.geom(c) for c in range(1, n + 1)]
 
     def part(s, b):
         t = s + b
@@ -107,7 +116,9 @@ def ss_mass(n, d, field):
 
     Memoized per field instance on (n, d mod n): twisting by a degree-1 line
     bundle shifts d by n without changing the mass.  Ranks past the field's
-    MASS_RANK_LIMIT are refused with ValidationError.
+    MASS_RANK_LIMIT, and numeric masses past NUMERIC_MASS_CHARGE, are
+    refused with ValidationError.  Betti and Hodge masses come out of the
+    programme in factored form and are reduced once, here, to a ``RatFun``.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
@@ -116,11 +127,19 @@ def ss_mass(n, d, field):
         raise ValidationError(
             "rank %d is past the %s mass limit %d: rank %d takes up to %s"
             % (n, field.mode, limit, limit, seconds))
+    if field.mode == SpecializationField.NUMERIC:
+        bits = field.curve.q.bit_length()
+        charge = n ** 6 * bits * bits * field.genus
+        if charge > NUMERIC_MASS_CHARGE:
+            raise ValidationError(
+                "rank %d over q = %d at genus %d is past the numeric mass charge: "
+                "n^6 bits(q)^2 g = %d exceeds %d" % (n, field.curve.q, field.genus, charge,
+                                                     NUMERIC_MASS_CHARGE))
     key = (n, d % n)
     cached = field.mass_cache.get(key)
     if cached is not None:
         return cached
-    value = _zagier_sum(n, d, field)
+    value = field.reduce(_zagier_sum(n, d, field))
     if field.mode == SpecializationField.NUMERIC and value <= 0:
         raise InvariantViolation("numeric semistable mass is not positive")
     field.mass_cache[key] = value

@@ -14,10 +14,12 @@ series to the Poincare polynomial of the moduli space.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
+from operator import add
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, RatFun, Series, is_palindrome, series_expand
+from .exactalg import Poly, RatFun, Series, is_palindrome
 from .hn import codim, enumerate_types
 
 _CLASSIFYING = {}
@@ -28,12 +30,17 @@ _SS_SERIES = {}
 TRUNCATION_SLACK = 4
 
 
-def classifying_series(n, g):
-    """Poincare series of the classifying space of the rank-n gauge group."""
+def _check_rank_genus(n, g):
     if n < 1:
         raise ValidationError("rank must be positive")
     if g < 2:
         raise ValidationError("genus must be at least 2")
+
+
+def classifying_series(n, g):
+    """Poincare series of the classifying space of the rank-n gauge group,
+    as a reduced ``RatFun``."""
+    _check_rank_genus(n, g)
     key = (n, g)
     if key not in _CLASSIFYING:
         t = Poly.var("t")
@@ -46,6 +53,23 @@ def classifying_series(n, g):
             den = den * (one - t ** (2 * j)) ** 2
         _CLASSIFYING[key] = RatFun(num, den)
     return _CLASSIFYING[key]
+
+
+def classifying_coefficients(n, g, order):
+    """Coefficients of t^0..t^order of the classifying series, expanded from
+    the product form without reducing it: 2g shifted additions per factor
+    (1 + t^(2j-1)), then a running sum per residue class for each division
+    by (1 - t^(2j))."""
+    _check_rank_genus(n, g)
+    coeffs = [1] + [0] * order
+    for j in range(1, n + 1):
+        step = 2 * j - 1
+        for _ in range(2 * g):
+            coeffs[step:] = map(add, coeffs[step:], coeffs[:order + 1 - step])
+    for step in [2 * n] + [2 * j for j in range(1, n) for _ in range(2)]:
+        for r in range(min(step, order + 1)):
+            coeffs[r::step] = accumulate(coeffs[r::step])
+    return coeffs
 
 
 def ss_equivariant_series(n, d, g, order):
@@ -64,10 +88,8 @@ def ss_equivariant_series(n, d, g, order):
     cached = _SS_SERIES.get(key)
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
-    # enumerate first: a request past the type budget is refused before the
-    # classifying series, whose reduction is the costly step at high rank
     types = enumerate_types(n, d, g, order // 2)
-    coeffs = series_expand(classifying_series(n, g), "t", order).coeffs
+    coeffs = classifying_coefficients(n, g, order)
     for mu in types:
         if mu.is_trivial:
             continue
@@ -93,10 +115,7 @@ def moduli_poincare(n, d, g):
     reported as a violation, as are failures of palindromic symmetry,
     integrality or vanishing at t = -1.
     """
-    if n < 1:
-        raise ValidationError("rank must be positive")
-    if g < 2:
-        raise ValidationError("genus must be at least 2")
+    _check_rank_genus(n, g)
     if gcd(n, d) != 1:
         raise ValidationError(
             "rank and degree must be coprime; use ss_equivariant_series for "

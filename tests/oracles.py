@@ -23,6 +23,19 @@
   ``RatFun``s (``OrderedConstant``, which compares by value as the old code
   compared ``const_value()``).  Masses and Siegel reports computed in it must
   equal the Fraction ones.
+* ``RatFunField`` is the Betti or Hodge field as it was before its elements
+  became ``Factored``: q, its powers, P(x) and the zeta values are reduced
+  ``RatFun``s, so every sum and product runs a gcd.  ``ratfun_zagier_sum``
+  is the mass programme with its total masses written over that field, as
+  ``tamagawa`` had them; the ``Factored`` masses must reduce to the same
+  rational functions.
+* ``graded_poly_gcd`` and ``graded_poly_divexact`` extend ``exactalg``'s
+  univariate gcd and exact division to Q[u, v] pairs with one argument of
+  the form u^i v^j f(uv), by a gcd over the graded pieces and a sparse
+  division.  ``exactalg`` refuses multivariate pairs since the Hodge masses
+  are reduced by known cyclotomic factors; the ``graded_gcd`` fixture
+  installs these two, so that ``RatFun`` arithmetic in u, v, which the
+  Hodge oracles above run on, works in the tests that ask for it.
 * ``exp_log_by_digit_walk`` builds a finite field's exp/log tables by
   decoding each element to digits and multiplying by the generator with a
   generic polynomial product and reduction.  ``curve._exp_log`` steps by
@@ -48,7 +61,10 @@ from math import comb
 
 from modrec.curve import SpecializationField, _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
-from modrec.exactalg import Poly, RatFun
+from modrec.exactalg import Poly, RatFun, _gcd_univar, _strip_vars
+from modrec.exactalg import poly_divexact as univariate_divexact
+from modrec.exactalg import poly_gcd as univariate_gcd
+from modrec.errors import ValidationError
 from modrec.hn import HNType, codim
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
@@ -341,6 +357,160 @@ class ConstantRatFunField(SpecializationField):
                 acc = acc + c * xp
             xp = xp * x
         return acc
+
+
+class RatFunField:
+    """The Betti or Hodge field with reduced ``RatFun`` elements: q, its
+    powers, P(x) and the zeta values, memoized per instance."""
+
+    def __init__(self, mode, genus):
+        self.mode, self.genus = mode, genus
+        self.q = RatFun(Poly.var("t") ** 2 if mode == SpecializationField.BETTI
+                        else Poly.var("u") * Poly.var("v"))
+        self._qpow, self._zeta, self._P_one = {}, {}, None
+        self.total_cache = {}
+
+    def q_power(self, e):
+        if e not in self._qpow:
+            self._qpow[e] = self.q ** e
+        return self._qpow[e]
+
+    def P_at(self, x):
+        if self.mode == SpecializationField.BETTI:
+            return (1 + RatFun.var("t") * x) ** (2 * self.genus)
+        return ((1 + RatFun.var("u") * x) * (1 + RatFun.var("v") * x)) ** self.genus
+
+    def P_one(self):
+        if self._P_one is None:
+            self._P_one = self.P_at(1)
+        return self._P_one
+
+    def zeta(self, i):
+        if i not in self._zeta:
+            qi = self.q_power(-i)
+            self._zeta[i] = self.P_at(qi) / ((1 - qi) * (1 - self.q_power(1 - i)))
+        return self._zeta[i]
+
+
+def ratfun_total_mass(n, field):
+    """P(1) / (q - 1) * q^((n^2-1)(g-1)) * zeta(2) ... zeta(n), memoized per field."""
+    if n not in field.total_cache:
+        value = field.P_one() / (field.q - 1)
+        value = value * field.q_power((n * n - 1) * (field.genus - 1))
+        for i in range(2, n + 1):
+            value = value * field.zeta(i)
+        field.total_cache[n] = value
+    return field.total_cache[n]
+
+
+def ratfun_zagier_sum(n, d, field):
+    """The programme over (prefix s, last part a) on ``RatFun`` elements."""
+    g = field.genus
+    alpha = [None] + [ratfun_total_mass(m, field) for m in range(1, n + 1)]
+    up = [-(-s * d // n) for s in range(n)]
+    geom = [None] + [1 / (1 - field.q_power(c)) for c in range(1, n + 1)]
+
+    def part(s, b):
+        t = s + b
+        e = b * up[s] + (g - 1) * s * b + (b * up[t] if t < n else -d * s)
+        return alpha[b] * field.q_power(e)
+
+    states = [{}] + [{a: part(0, a)} for a in range(1, n + 1)]
+    for s in range(1, n):
+        for b in range(1, n - s + 1):
+            inner = sum(value * geom[a + b] for a, value in states[s].items())
+            states[s + b][b] = inner * part(s, b)
+    return sum(states[n].values())
+
+
+def graded_poly_gcd(a, b):
+    """``exactalg.poly_gcd``, and in Q[u, v] when one argument is u^i v^j f(uv)."""
+    if a.is_zero or b.is_zero or a.is_const or b.is_const or len(set(a.vars) | set(b.vars)) < 2:
+        return univariate_gcd(a, b)
+    return gcd_graded(a, b)
+
+
+def graded_poly_divexact(a, b):
+    """``exactalg.poly_divexact``, and by leading terms in the last variable
+    when the pair is multivariate."""
+    union = sorted(set(a.vars) | set(b.vars))
+    if a.is_zero or b.is_const or len(union) < 2:
+        return univariate_divexact(a, b)
+    return divexact_sparse(a, b, union[-1])
+
+
+def graded_parts(p):
+    """Write p = u^i v^j * sum_s c_s(uv) x_s with the monomial u^i v^j maximal.
+
+    Here x_s = u^s for s >= 0 and v^-s for s < 0, a basis of Q[u, v] over
+    Q[uv].  Returns ((i, j), {s: ascending coefficient list of c_s}).
+    """
+    exps = []
+    for e, c in p.terms.items():
+        x = dict(zip(p.vars, e))
+        exps.append((x.get("u", 0), x.get("v", 0), c))
+    mu = min(i for i, _, _ in exps)
+    mv = min(j for _, j, _ in exps)
+    parts = {}
+    for i, j, c in exps:
+        i, j = i - mu, j - mv
+        coeffs = parts.setdefault(i - j, {})
+        coeffs[min(i, j)] = c
+    return (mu, mv), {s: [cs.get(k, 0) for k in range(max(cs) + 1)]
+                      for s, cs in parts.items()}
+
+
+def gcd_graded(a, b):
+    """gcd in Q[u, v] when one argument is u^i v^j f(uv).
+
+    Q[u, v] is free over Q[w], w = uv, so A = u^i v^j sum_s c_s(w) x_s.  With
+    f(0) != 0 every divisor of f(uv) is h(uv) for a divisor h of f, and h(uv)
+    divides A exactly when h divides every c_s; the monomial parts meet in
+    their componentwise minimum.
+    """
+    if not set(a.vars) | set(b.vars) <= {"u", "v"}:
+        raise ValidationError("multivariate gcd is supported only in u, v: %s and %s" % (a, b))
+    (ma, parts_a), (mb, parts_b) = graded_parts(a), graded_parts(b)
+    if len(parts_b) > 1:
+        if len(parts_a) > 1:
+            raise ValidationError("multivariate gcd needs one argument of the form "
+                                  "u^i*v^j*f(u*v): %s and %s" % (a, b))
+        parts_a, parts_b = parts_b, parts_a
+    h = parts_b[0]
+    for c in parts_a.values():
+        if len(h) == 1:
+            break
+        h = _gcd_univar(h, c)
+    mu, mv = min(ma[0], mb[0]), min(ma[1], mb[1])
+    if len(h) == 1:
+        h = [1]
+    terms = {(mu + k, mv + k): c for k, c in enumerate(h) if c}
+    vars, terms = _strip_vars(("u", "v"), terms)
+    return Poly(vars, terms, _trusted=True)
+
+
+def divexact_sparse(a, b, main):
+    """Division by leading terms in ``main``, recursing on their coefficients."""
+    db = b.degree(main)
+    lb = b.coefficient(main, db)
+    v = Poly.var(main)
+    quot = Poly.zero()
+    r = a
+    while not r.is_zero and r.degree(main) >= db:
+        dr = r.degree(main)
+        lr = r.coefficient(main, dr)
+        if lb.is_const:
+            qc = lr.scaled(Fraction(1) / Fraction(lb.terms[()]))
+        else:
+            qc = graded_poly_divexact(lr, lb)
+        step = qc * v ** (dr - db)
+        quot = quot + step
+        r = r - step * b
+        if not r.is_zero and r.degree(main) == dr:
+            raise ValidationError("non-exact polynomial division")
+    if not r.is_zero:
+        raise ValidationError("non-exact polynomial division")
+    return quot
 
 
 def exp_log_by_digit_walk(p, m, modulus):

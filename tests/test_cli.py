@@ -81,7 +81,7 @@ def test_mass_betti_document(capsys):
     assert set(doc["value"]) == {"num", "den"}
 
 
-def test_mass_hodge_document(capsys):
+def test_mass_hodge_document(capsys, graded_gcd):
     status, out, _ = run_cli(capsys, "mass", "--n", "2", "--d", "1",
                              "--mode", "hodge", "--g", "2")
     assert status == 0
@@ -281,8 +281,8 @@ def test_symprod_genus_one_rejected(capsys):
     (["siegel", "--n", "48", "--d", "1", "--curve", "{curve}", "--max-codim", "3"],
      "compositions"),
     (["count", "--n", "61", "--d", "1", "--curve", "{curve}"], "numeric mass limit 60"),
-    (["mass", "--n", "30", "--d", "1", "--mode", "betti", "--g", "2"], "betti mass limit 10"),
-    (["mass", "--n", "7", "--d", "1", "--mode", "hodge", "--g", "3"], "hodge mass limit 6"),
+    (["mass", "--n", "27", "--d", "1", "--mode", "betti", "--g", "2"], "betti mass limit 26"),
+    (["mass", "--n", "12", "--d", "1", "--mode", "hodge", "--g", "3"], "hodge mass limit 11"),
     (["betti", "--n", "16", "--d", "1", "--g", "2"], "lattice points"),
     (["betti", "--n", "20", "--d", "1", "--g", "2"], "compositions"),
     (["matrixdiv", "--n", "10", "--e", "40", "--g", "2"], "coefficient products"),
@@ -301,6 +301,18 @@ def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     assert time.perf_counter() - start < 2.0
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
+
+
+def test_numeric_mass_over_a_large_q_is_refused(capsys, tmp_path):
+    q = 10 ** 9 + 7
+    path = tmp_path / "large_q.json"
+    path.write_text(json.dumps({"mode": "counts", "q": q, "genus": 2,
+                                "counts": [q + 1, q * q + 1]}))
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "count", "--n", "60", "--d", "1", "--curve", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "mass charge" in err, err
 
 
 def test_high_rank_under_a_small_bound_is_quick(capsys):

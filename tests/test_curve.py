@@ -11,6 +11,8 @@ import pytest
 from modrec.curve import (
     FIELD_SIZE_LIMIT,
     GF,
+    _count_by_tables,
+    _count_prime_field,
     _find_irreducible,
     _is_irreducible,
     _is_prime,
@@ -154,6 +156,16 @@ def test_counts_match_tuple_oracle():
         assert count_points(model, m) == _tuple_count_points(model, m), (model, m)
         checked += 1
     assert checked == 32
+
+
+def test_prime_field_horner_matches_the_tables(monkeypatch):
+    # plain Horner steps mod p against the exp/log path, on the same f
+    monkeypatch.setattr(GF, "_cache", {})
+    rng = random.Random(262139)
+    for p in (3, 5, 7, 11, 101, 65521):
+        for _ in range(3):
+            f = [rng.randrange(p) for _ in range(rng.choice((5, 6, 7)))] + [rng.randrange(1, p)]
+            assert _count_prime_field(f, p) == _count_by_tables(GF(p, 1), f, ()), (p, f)
 
 
 def test_exp_log_are_inverse_bijections():
@@ -416,7 +428,7 @@ def test_zeta_value_numeric():
 
 def test_zeta_value_betti():
     F = SpecializationField.betti(2)
-    z = F.zeta(2)
+    z = F.reduce(F.zeta(2))
     expected = RatFun((Poly.one() + T ** 3) ** 4,
                       T ** 6 * (T ** 4 - 1) * (T ** 2 - 1))
     assert z == expected
@@ -430,19 +442,20 @@ def test_zeta_value_betti():
 def test_zeta_value_hodge_specializes_to_betti():
     Fh = SpecializationField.hodge(2)
     Fb = SpecializationField.betti(2)
-    zh = Fh.zeta(2)
+    zh = Fh.reduce(Fh.zeta(2))
     t = RatFun(T)
     assert zh.substitute({"u": t, "v": t}) == Fb.zeta(2)
 
 
 def test_hodge_numerator_specializes_to_betti():
-    Fh = SpecializationField.hodge(2)
-    Fb = SpecializationField.betti(2)
-    # Kronecker substitution: the coefficient of x^j has t-degree j <= 2g = 4
-    # after u = v = t, so x = t^5 keeps the identity in x intact
-    x = RatFun(T ** 5)
+    # P(q^e) in factored form, reduced: u = v = t takes the Hodge numerator
+    # ((1 + u x)(1 + v x))^g to the Betti one (1 + t x)^(2g), q = uv to t^2
     t = RatFun(T)
-    assert Fh.P_at(x).substitute({"u": t, "v": t}) == Fb.P_at(x)
+    for g in (2, 3):
+        Fh, Fb = SpecializationField.hodge(g), SpecializationField.betti(g)
+        for e in range(-3, 4):
+            hodge = Fh.reduce(Fh.P_power(e)).substitute({"u": t, "v": t})
+            assert hodge == Fb.reduce(Fb.P_power(e)) == (1 + t * RatFun(T) ** (2 * e)) ** (2 * g)
 
 
 def test_class_number_vs_divisor_classes():

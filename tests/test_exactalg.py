@@ -15,6 +15,7 @@ from modrec.exactalg import (
     RatFun,
     fraction_from_str,
     is_palindrome,
+    poly_divexact,
     poly_from_json,
     poly_gcd,
     poly_to_json,
@@ -22,6 +23,8 @@ from modrec.exactalg import (
     ratfun_to_json,
     series_expand,
 )
+
+from oracles import divexact_sparse, graded_poly_divexact, graded_poly_gcd
 
 T = Poly.var("t")
 U = Poly.var("u")
@@ -225,8 +228,7 @@ def _graded_gcd_cases(seed, count):
 
 
 def test_graded_gcd_randomized():
-    from modrec.exactalg import poly_divexact
-
+    poly_gcd, poly_divexact = graded_poly_gcd, graded_poly_divexact
     for a, b, planted in _graded_gcd_cases(31337, 40):
         g = poly_gcd(a, b)
         assert poly_divexact(a, g) * g == a
@@ -242,7 +244,7 @@ def test_graded_gcd_is_maximal_against_univariate_gcd():
     # g(u, v0) divides the gcd of the specializations, and u-degrees agree
     # for a generic v0: an independent check that g is the whole gcd
     for a, b, _ in _graded_gcd_cases(2718, 25):
-        deg = poly_gcd(a, b).degree("u")
+        deg = graded_poly_gcd(a, b).degree("u")
         seen = []
         for v0 in (2, -3, 5, 7, -11):
             special = poly_gcd(a.substitute({"v": v0}), b.substitute({"v": v0}))
@@ -250,7 +252,8 @@ def test_graded_gcd_is_maximal_against_univariate_gcd():
         assert min(seen) == deg, (a, b, seen)
 
 
-def test_graded_gcd_examples():
+def test_graded_gcd_examples(graded_gcd):
+    poly_gcd = graded_poly_gcd
     w = Poly.one() - U * V
     # normalized to a positive lexicographic leading coefficient
     assert poly_gcd(U ** 2 * V * w * (U - V), U * V ** 3 * w * (Poly.one() + U * V)) == -U * V * w
@@ -265,7 +268,12 @@ def test_graded_gcd_examples():
 def test_multivariate_gcd_refusals():
     # neither argument has the shape u^i v^j f(uv)
     with pytest.raises(ValidationError):
-        poly_gcd((U + V) * (U - V), (U + V) * (Poly.one() + U + V))
+        graded_poly_gcd((U + V) * (U - V), (U + V) * (Poly.one() + U + V))
+    # exactalg's own gcd and division are univariate
+    with pytest.raises(ValidationError):
+        poly_gcd(U * V, Poly.one() - U * V)
+    with pytest.raises(ValidationError):
+        poly_divexact(U * (Poly.one() - U * V), Poly.one() - U * V)
     # variables outside {u, v}
     with pytest.raises(ValidationError):
         poly_gcd(T + U, Poly.one() + T * U)
@@ -311,7 +319,7 @@ def test_ratfun_json_roundtrip():
     assert ratfun_from_json(ratfun_to_json(f)) == f
 
 
-def test_multivariate_json_roundtrip():
+def test_multivariate_json_roundtrip(graded_gcd):
     u, v = Poly.var("u"), Poly.var("v")
     p = Poly.one() + 2 * u + 2 * v + u * v
     assert poly_from_json(poly_to_json(p)) == p
@@ -340,7 +348,6 @@ def _random_univar(rng, max_deg, fractions):
 
 
 def test_univariate_divexact_matches_sparse_loop():
-    from modrec.exactalg import _divexact_sparse, poly_divexact
 
     rng = random.Random(4242)
     for trial in range(200):
@@ -351,18 +358,17 @@ def test_univariate_divexact_matches_sparse_loop():
             b = b + T
         got = poly_divexact(a * b, b)
         assert got == a
-        assert got == _divexact_sparse(a * b, b, "t")
+        assert got == divexact_sparse(a * b, b, "t")
         # a nonzero remainder of lower degree makes the division non-exact
         r = Poly.univariate("t", [rng.randint(1, 4)]
                             + [rng.randint(-3, 3) for _ in range(b.degree("t") - 1)])
         with pytest.raises(ValidationError):
             poly_divexact(a * b + r, b)
         with pytest.raises(ValidationError):
-            _divexact_sparse(a * b + r, b, "t")
+            divexact_sparse(a * b + r, b, "t")
 
 
 def test_univariate_divexact_edge_cases():
-    from modrec.exactalg import poly_divexact
 
     # a constant by a polynomial of positive degree is never exact
     with pytest.raises(ValidationError):
@@ -446,7 +452,7 @@ def _coprime_pairs(rng, count, hodge):
     while len(pairs) < count:
         dens = [poly() for _ in range(2)]
         nums = [poly() for _ in range(2)]
-        if any(p.is_zero for p in dens + nums) or not poly_gcd(*dens).is_const:
+        if any(p.is_zero for p in dens + nums) or not graded_poly_gcd(*dens).is_const:
             continue
         pairs.append(tuple(RatFun(n, d) for n, d in zip(nums, dens)))
     return pairs
@@ -457,7 +463,7 @@ def _value(f, point):
 
 
 @pytest.mark.parametrize("hodge", [False, True], ids=["t", "uv"])
-def test_gcd_skips_match_full_reduction(hodge):
+def test_gcd_skips_match_full_reduction(hodge, graded_gcd):
     rng = random.Random(8128 + hodge)
     for a, b in _coprime_pairs(rng, 40, hodge):
         k = rng.randint(1, 3)

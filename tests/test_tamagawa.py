@@ -8,6 +8,7 @@ exactly with the term-by-term sums over compositions.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -17,10 +18,12 @@ import pytest
 from modrec.cli import load_curve
 from modrec.curve import CurveData, HyperellipticModel, SpecializationField, zeta_from_counts
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, RatFun, ratfun_to_json
+from modrec import exactalg
+from modrec.exactalg import Poly, RatFun, poly_gcd, ratfun_to_json
 from modrec.hn import codim, enumerate_types
 from modrec.tamagawa import (
     MASS_RANK_LIMIT,
+    NUMERIC_MASS_CHARGE,
     _power_tail,
     _tail_bound,
     _zagier_sum,
@@ -36,10 +39,12 @@ from modrec.yangmills import classifying_series, moduli_poincare
 from oracles import (
     ConeSum,
     ConstantRatFunField,
+    RatFunField,
     compositions,
     cone_for,
     cone_sum,
     power_tail_by_head,
+    ratfun_zagier_sum,
     tail_bound_by_compositions,
     zagier_sum_by_prefix_tree,
 )
@@ -200,7 +205,7 @@ def test_hodge_specializes_to_betti():
         assert hodge.substitute({"u": t, "v": t}) == betti, (n, d, g)
 
 
-def test_hodge_mass_is_uv_symmetric():
+def test_hodge_mass_is_uv_symmetric(graded_gcd):
     u, v = RatFun.var("u"), RatFun.var("v")
     for n, d, g in HODGE_CASES:
         h = ss_mass(n, d, SpecializationField.hodge(g))
@@ -296,7 +301,7 @@ SWEEP = [
 
 @pytest.mark.parametrize("mode, g, top, make", SWEEP,
                          ids=["%s-g%d" % (mode, g) for mode, g, _, _ in SWEEP])
-def test_closed_form_matches_cone_recursion(mode, g, top, make):
+def test_closed_form_matches_cone_recursion(mode, g, top, make, graded_gcd):
     oracle_field, memo = make(), {}
     assert (oracle_field.mode, oracle_field.genus) == (mode, g)
     for n in range(1, top + 1):
@@ -342,6 +347,20 @@ def test_mass_rank_limit():
             ss_mass(limit + 1, 1, F)
 
 
+def test_numeric_mass_is_charged_by_the_size_of_q():
+    # n^6 bits(q)^2 g: over q = 10^9 + 7 at g = 2, rank 26 is the last admitted
+    q = 10 ** 9 + 7
+    F = SpecializationField.numeric(zeta_from_counts(q, 2, [q + 1, q * q + 1]))
+    start = time.perf_counter()
+    for n in (27, 60):
+        with pytest.raises(ValidationError, match="rank %d over q = %d at genus 2 is past "
+                                                  "the numeric mass charge" % (n, q)):
+            ss_mass(n, 1, F)
+    assert time.perf_counter() - start < 0.1
+    assert stable_count(5, 1, F) > 0
+    assert NUMERIC_MASS_CHARGE >= 60 ** 6 * 2 ** 2 * 3  # rank 60 over F_2 up to genus 3
+
+
 # -- the programmes over prefix sums against the composition sums -----------
 
 
@@ -352,14 +371,54 @@ PROGRAMME_SWEEP = [(mode, g, top, make)
 
 @pytest.mark.parametrize("mode, g, top, make", PROGRAMME_SWEEP,
                          ids=["%s-g%d" % (mode, g) for mode, g, _, _ in PROGRAMME_SWEEP])
-def test_mass_programme_matches_prefix_tree(mode, g, top, make):
+def test_mass_programme_matches_prefix_tree(mode, g, top, make, graded_gcd):
     # every d from -1 to 2n - 1, so the telescoped exponent meets negative
     # degrees and degrees past n, not just residues
     F = make()
     for n in range(1, top + 1):
         for d in range(-1, 2 * n):
             expected = ratfun_to_json(zagier_sum_by_prefix_tree(n, d, F))
-            assert ratfun_to_json(_zagier_sum(n, d, F)) == expected, (n, d)
+            assert ratfun_to_json(F.reduce(_zagier_sum(n, d, F))) == expected, (n, d)
+
+
+# Betti to rank 8 and Hodge to rank 5, at g = 2 and 3
+FACTORED_SWEEP = [(mode, g, top) for mode, top in (("betti", 8), ("hodge", 5)) for g in (2, 3)]
+
+
+@pytest.mark.parametrize("mode, g, top", FACTORED_SWEEP,
+                         ids=["%s-g%d" % (mode, g) for mode, g, _ in FACTORED_SWEEP])
+def test_factored_masses_match_ratfun_programme(mode, g, top, graded_gcd):
+    # every d from -1 to 2n - 1 on the Factored side; the RatFun programme
+    # runs once per residue, its mass being periodic in d
+    F, oracle = SpecializationField(mode, g), RatFunField(mode, g)
+    for n in range(1, top + 1):
+        expected = [ratfun_zagier_sum(n, d, oracle) for d in range(n)]
+        for d in range(-1, 2 * n):
+            assert F.reduce(_zagier_sum(n, d, F)) == expected[d % n], (n, d)
+        assert F.reduce(total_mass(n, 0, F)) == oracle.total_cache[n], n
+
+
+@pytest.mark.parametrize("mode", ["betti", "hodge"])
+def test_mass_programme_makes_no_gcd(monkeypatch, mode):
+    # the Factored programme and its cyclotomic reduction never reach the
+    # general gcd, which RatFun arithmetic would call on every sum
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    for g in (2, 3):
+        F = SpecializationField(mode, g)
+        for n in range(1, 6):
+            for d in range(n):
+                value = _zagier_sum(n, d, F)
+                assert not calls, (n, d)
+                assert F.reduce(value) == ss_mass(n, d, F)
+    assert not calls
+    RatFun(1, Poly.one() - T) + RatFun(1, Poly.one() - T ** 2)
+    assert calls  # while RatFun arithmetic does reach the wrapper
 
 
 @pytest.mark.parametrize("make", [make for _, _, _, make in SWEEP[:2]],

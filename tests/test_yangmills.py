@@ -9,6 +9,7 @@ from modrec import yangmills
 from modrec.exactalg import Poly, RatFun, is_palindrome, series_expand
 from modrec.hn import codim, enumerate_types
 from modrec.yangmills import (
+    classifying_coefficients,
     classifying_series,
     clear_caches,
     fixed_determinant_poly,
@@ -36,6 +37,20 @@ def test_classifying_series_examples():
     # polynomial generators coming from the (1 - t^2)^2 factor
     got = series_expand(classifying_series(2, 2), "t", 2).coefficient_values()
     assert got == [1, 4, 8]
+
+
+def test_classifying_coefficients_match_reduced_expansion():
+    # the product form expanded without reduction against series_expand of
+    # the reduced RatFun; orders below, at and past the longest step 2n
+    for g in (2, 3, 5):
+        for n in range(1, 8):
+            for order in (0, 1, 2 * n - 1, 2 * n, 2 * (n * n * (g - 1) + 1) + 4):
+                want = series_expand(classifying_series(n, g), "t", order).coefficient_values()
+                assert classifying_coefficients(n, g, order) == want, (n, g, order)
+    with pytest.raises(ValidationError):
+        classifying_coefficients(0, 2, 5)
+    with pytest.raises(ValidationError):
+        classifying_coefficients(2, 1, 5)
 
 
 def test_ss_series_rank_one_is_total():
