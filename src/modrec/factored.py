@@ -256,8 +256,7 @@ class BettiFactored(Factored):
     def _offset(s):
         return 0
 
-    @staticmethod
-    def _layout(other):
+    def _layout(self, other):
         # stride 2 reads t^(2k + s): a product landing in grade 2 is grade 0
         # one power of q up, which is x_1 x_1 = q
         return 0, 0, 2
