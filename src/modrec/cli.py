@@ -262,6 +262,15 @@ def _cmd_crosscheck(args):
     return {"match": match}, 0 if match else 2
 
 
+# Z(q^-i) is a Fraction of about 2 i g bits(q) bits, and its arithmetic and
+# printing are quadratic in that length, so zeta --i is charged
+# i bits(q) g and refused past this charge.  The slowest admitted values,
+# over q from 2 to 2^61 - 1 at g = 2, 3 and 6, took up to 1.25 s as CLI
+# processes on a 2-core x86-64 host (best of 3); q = 2 is the cheapest per
+# unit of charge, 0.4 s at the limit.
+ZETA_CHARGE = 240_000
+
+
 def _cmd_zeta(args):
     from .curve import SpecializationField
 
@@ -269,6 +278,12 @@ def _cmd_zeta(args):
     if not curve.is_arithmetic:
         raise ValidationError("zeta needs an arithmetic curve config")
     if args.i is not None:
+        charge = args.i * curve.q.bit_length() * curve.genus
+        if charge > ZETA_CHARGE:
+            raise ValidationError(
+                "zeta at i = %d over q = %d at genus %d is past the charge: "
+                "i bits(q) g = %d exceeds %d" % (args.i, curve.q, curve.genus, charge,
+                                                 ZETA_CHARGE))
         field = SpecializationField.numeric(curve)
         return {"i": args.i, "value": fraction_to_str(field.zeta(args.i))}, 0
     return {

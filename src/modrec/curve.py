@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, RatFun, poly_divexact, poly_gcd
+from .exactalg import Poly, poly_divexact, poly_gcd
 
 FIELD_SIZE_LIMIT = 2 ** 18
 
@@ -571,14 +571,6 @@ def zeta_from_counts(q, g, counts):
     a += [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
     P = Poly.univariate("t", a)
     return CurveData(g, q, P)
-
-
-def zeta_Z(curve):
-    """Z(t) = P(t) / ((1 - t)(1 - q t)) as an exact rational function."""
-    if not curve.is_arithmetic:
-        raise ValidationError("zeta function needs arithmetic mode")
-    t = Poly.var("t")
-    return RatFun(curve.numerator, (Poly.one() - t) * (Poly.one() - curve.q * t))
 
 
 # ---------------------------------------------------------------------------

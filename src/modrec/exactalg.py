@@ -40,10 +40,9 @@ is normalised once, and only when it holds a non-int (``_normed``).
 * an inverse den / num of a reduced pair is coprime, so it only needs its
   new denominator normalised.
 
->>> one_minus_t = Poly.one() - Poly.var("t")
->>> f = RatFun(1, one_minus_t)
->>> series_expand(f, "t", 3).coefficient_values()
-[1, 1, 1, 1]
+>>> t = Poly.var("t")
+>>> RatFun(1, Poly.one() - t) + RatFun(1, Poly.one() + t) == RatFun(2, Poly.one() - t ** 2)
+True
 """
 
 from __future__ import annotations
@@ -863,33 +862,6 @@ class Series:
         return "Series(%r, %r)" % (self.var, self.coeffs)
 
 
-def series_expand(f, var, order):
-    """Expand a rational function in ``var`` alone as a power series around 0."""
-    f = RatFun._coerce(f)
-    _check_var(var)
-    if order < 0:
-        raise ValidationError("series order must be non-negative")
-    if any(v != var for v in f.num.vars + f.den.vars):
-        raise ValidationError("series coefficients must be scalars: %s involves "
-                              "variables other than %s" % (f, var))
-    num = f.num.scalar_coeffs(var)[: order + 1]
-    den = f.den.scalar_coeffs(var)
-    d0 = den[0]
-    if not d0:
-        raise ValidationError("pole at 0 in the expansion variable %s" % var)
-    inv = None if d0 == 1 else Fraction(1) / d0
-    steps = [(k, c) for k, c in enumerate(den[: order + 1]) if k and c]
-    out = []
-    for n in range(order + 1):
-        acc = num[n] if n < len(num) else 0
-        for k, c in steps:
-            if k > n:
-                break
-            acc -= c * out[n - k]
-        out.append(_cnorm(acc if inv is None else acc * inv))
-    return Series(var, out, _trusted=True)
-
-
 def is_palindrome(p, top_degree):
     """True iff coefficient(k) == coefficient(top_degree - k) for all k."""
     if not isinstance(p, Poly):
@@ -903,16 +875,12 @@ def is_palindrome(p, top_degree):
 
 
 # ---------------------------------------------------------------------------
-# JSON forms ("p/q" strings, univariate coefficient lists)
+# JSON output forms ("p/q" strings, univariate coefficient lists)
 # ---------------------------------------------------------------------------
 
 
 def fraction_to_str(c):
     return str(Fraction(c))
-
-
-def fraction_from_str(s):
-    return _cnorm(Fraction(s))
 
 
 def poly_to_json(p):
@@ -929,24 +897,6 @@ def poly_to_json(p):
     return {"var": var, "coeffs": [fraction_to_str(c) for c in coeffs]}
 
 
-def poly_from_json(obj):
-    if "vars" in obj:
-        vars = tuple(obj["vars"])
-        terms = {tuple(e): fraction_from_str(c) for e, c in obj["terms"]}
-        return Poly(vars, terms)
-    var = obj["var"]
-    coeffs = [fraction_from_str(c) for c in obj["coeffs"]]
-    if var is None:
-        if len(coeffs) > 1:
-            raise ValidationError("constant polynomial with several coefficients")
-        return Poly.const(coeffs[0]) if coeffs else Poly.zero()
-    return Poly.univariate(var, coeffs)
-
-
 def ratfun_to_json(f):
     f = RatFun._coerce(f)
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
-
-
-def ratfun_from_json(obj):
-    return RatFun(poly_from_json(obj["num"]), poly_from_json(obj["den"]))

@@ -12,6 +12,8 @@ Two exact identities gate the bookkeeping: the fixed-point decomposition of
 the Poincare polynomial of P^N, and the perfection identity that solves for
 the equivariant series of the semistable locus.  When semistable equals
 stable the latter is the Poincare polynomial of the quotient variety.
+Both run on integer coefficient lists: the one denominator, 1 - t^2, is
+known in advance and is divided out by running sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, RatFun, is_palindrome
+from .exactalg import Poly, is_palindrome
 
 
 class WeightSystem:
@@ -52,9 +54,16 @@ class WeightSystem:
 Stratum = namedtuple("Stratum", "beta fixed_dim codim")
 
 
-def _proj_poincare(dim):
-    """Poincare polynomial of P^dim."""
-    return Poly.univariate("t", [1, 0] * dim + [1])
+def _proj_poincare(dim, shift=0):
+    """Coefficients of t^(2 shift) P_t(P^dim), P_t(P^dim) = 1 + t^2 + ... + t^(2 dim)."""
+    return [0] * (2 * shift) + [1, 0] * dim + [1]
+
+
+def _add(a, b, sign=1):
+    """a + sign * b on coefficient lists."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return [x + sign * y for x, y in zip(a, b)] + a[len(b):]
 
 
 def strata(ws):
@@ -89,7 +98,7 @@ def _check_partition(ws, stratum_list):
         raise InvariantViolation("strata do not match the occurring weight values")
 
 
-class BBReport(namedtuple("BBReport", "total pieces match")):
+class BBReport(namedtuple("BBReport", "total match")):
     __slots__ = ()
 
     def to_json(self):
@@ -108,28 +117,34 @@ def bb_decomposition(ws):
     """
     w = ws.weights
     total = _proj_poincare(ws.dim)
-    t = Poly.var("t")
-    pieces = []
-    acc = Poly.zero()
+    acc = []
     for value in sorted(set(w)):
         below = sum(1 for x in w if x < value)
-        piece = t ** (2 * below) * _proj_poincare(ws.multiplicity(value) - 1)
-        pieces.append((value, piece))
-        acc = acc + piece
+        acc = _add(acc, _proj_poincare(ws.multiplicity(value) - 1, below))
     if acc != total:
         raise InvariantViolation(
             "fixed-point decomposition does not add up: %s vs %s" % (acc, total))
-    return BBReport(total=total, pieces=tuple(pieces), match=True)
+    return BBReport(total=Poly.univariate("t", total), match=True)
 
 
 class PerfectionReport(namedtuple(
-        "PerfectionReport", "ss_series polynomial_part periodic_tail is_polynomial")):
+        "PerfectionReport", "numerator polynomial_part periodic_tail is_polynomial")):
+    """The semistable series numerator / (1 - t^2), with ``numerator`` its
+    coefficient tuple, split as polynomial_part + periodic_tail / (1 - t^2)."""
+
     __slots__ = ()
 
     def series_coefficients(self, order):
-        from .exactalg import series_expand
+        return _over_one_minus_t2(self.numerator, order)
 
-        return series_expand(self.ss_series, "t", order).coefficient_values()
+
+def _over_one_minus_t2(num, order):
+    """Coefficients of t^0..t^order of num / (1 - t^2): coefficient k is
+    num_k plus coefficient k - 2."""
+    out = list(num[: order + 1]) + [0] * (order + 1 - len(num))
+    for k in range(2, order + 1):
+        out[k] += out[k - 2]
+    return out
 
 
 def perfection_check(ws):
@@ -142,45 +157,22 @@ def perfection_check(ws):
     """
     if not ws.has_semistable():
         raise ValidationError("semistable locus is empty for these weights")
-    t = Poly.var("t")
-    one = Poly.one()
     num = _proj_poincare(ws.dim)
     for s in strata(ws):
-        if s.beta == 0:
-            continue
-        num = num - t ** (2 * s.codim) * _proj_poincare(s.fixed_dim)
-    ss = RatFun(num, one - t ** 2)
-    poly_part, tail = _split_by_one_minus_t2(ss)
-    coeffs = poly_part.scalar_coeffs("t", upto=max(poly_part.degree("t"), 1))
-    tail_coeffs = tail.scalar_coeffs("t", upto=1)
-    low = [c + tail_coeffs[k % 2] for k, c in enumerate(coeffs)]
-    if any(c < 0 for c in low) or any(c < 0 for c in tail_coeffs):
+        if s.beta != 0:
+            num = _add(num, _proj_poincare(s.fixed_dim, s.codim), -1)
+    # num = Q (1 - t^2) + R with deg R < 2, so the series is Q + R / (1 - t^2):
+    # R_0 and R_1 sum the even and the odd coefficients of num, and from
+    # deg num - 1 on the series repeats R_0, R_1, so its coefficients up to
+    # deg num cover every degree
+    series = _over_one_minus_t2(num, len(num) - 1)
+    if any(c < 0 for c in series):
         raise InvariantViolation("semistable series has a negative coefficient")
-    return PerfectionReport(ss_series=ss, polynomial_part=poly_part,
-                            periodic_tail=tail, is_polynomial=tail.is_zero)
-
-
-def _split_by_one_minus_t2(f):
-    """Write f = Q(t) + R(t)/(1 - t^2) with deg R < 2; requires the reduced
-    denominator to divide 1 - t^2."""
-    t = Poly.var("t")
-    one = Poly.one()
-    if f.is_poly:
-        return f.num, Poly.zero()
-    scaled = f * RatFun(one - t ** 2)
-    if not scaled.is_poly:
-        raise InvariantViolation("denominator does not divide 1 - t^2")
-    num = scaled.as_poly()
-    coeffs = num.scalar_coeffs("t")
-    q = [0] * max(1, len(coeffs) - 2)
-    rem = list(coeffs)
-    for k in range(len(rem) - 1, 1, -1):
-        c = rem[k]
-        if c:
-            q[k - 2] += -c
-            rem[k] = 0
-            rem[k - 2] += c
-    return Poly.univariate("t", q), Poly.univariate("t", rem[:2])
+    tail = [sum(num[0::2]), sum(num[1::2])]
+    poly = [c - tail[k % 2] for k, c in enumerate(series[:-2])]
+    return PerfectionReport(numerator=tuple(num), polynomial_part=Poly.univariate("t", poly),
+                            periodic_tail=Poly.univariate("t", tail),
+                            is_polynomial=not any(tail))
 
 
 def quotient_poincare(ws):

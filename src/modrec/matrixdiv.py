@@ -9,9 +9,10 @@ to the Betti polynomial (S_k the k-th symmetric power's polynomial):
 The cell weight ignores d_1, so raising e pushes new contributions to ever
 higher degrees and the low-order coefficients stabilize; the stabilized
 series is the classifying series of the rank-n gauge group, which is the
-bridge between the divisor picture and the gauge picture.  Requests charged
-more than MAX_PRODUCTS coefficient products are refused before the
-symmetric powers are built.
+bridge between the divisor picture and the gauge picture.  The convolution
+runs on integer coefficient lists (a shift by t^(2k) is a slice) and wraps
+the result in a ``Poly`` once.  Requests charged more than MAX_PRODUCTS
+coefficient products are refused before the symmetric powers are built.
 
 The bridge reads only t^0..t^cutoff, so it passes that cutoff as a t-degree
 cap: every S_k, shifted entry and product is cut to degree <= cap inside the
@@ -22,9 +23,8 @@ bound, so a capped request is refused exactly when the uncapped one is.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import add
 
 from .errors import ValidationError
 from .exactalg import Poly
@@ -51,11 +51,15 @@ def _betti_charge(n, e):
     return (n - 2) * middle + last + shifts
 
 
-def _head(p, cap):
-    """p cut to t-degree <= cap (all of p when cap is None)."""
-    if cap is None or p.degree() <= cap:
-        return p
-    return Poly.univariate("t", p.scalar_coeffs("t")[: cap + 1])
+def _add_product(out, a, b, top):
+    """out += a * b on coefficient lists, cut to the first top entries (all
+    of them when top is None)."""
+    size = len(a) + len(b) - 1 if top is None else min(len(a) + len(b) - 1, top)
+    out.extend([0] * (size - len(out)))
+    for i, x in enumerate(a[:size]):
+        if x:
+            row = b[: size - i]
+            out[i:i + len(row)] = map(add, out[i:i + len(row)], [x * y for y in row])
 
 
 def div_poincare(n, e, g, cap=None):
@@ -68,25 +72,29 @@ def div_poincare(n, e, g, cap=None):
         raise ValidationError("rank must be positive")
     if e < 0:
         raise ValidationError("torsion degree must be >= 0")
-    if n == 1 or e == 0:
-        return _head(sym_poincare(g, e), cap)  # at e = 0 the one cell is S_0^n = 1
-    S = [sym_poincare(g, 0)]  # checks the genus before the budget
+    top = None if cap is None else cap + 1
+    if n == 1 or e == 0:  # at e = 0 the one cell is S_0^n = 1
+        return Poly.univariate("t", sym_poincare(g, e).scalar_coeffs("t")[:top])
+    S = [sym_poincare(g, 0).scalar_coeffs("t")]  # checks the genus before the budget
     bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
     if _betti_charge(n, e) * (COEFF_BITS + bits) > MAX_PRODUCTS * COEFF_BITS:
         raise ValidationError("rank %d at torsion degree %d and genus %d needs more than "
                               "%d coefficient products" % (n, e, g, MAX_PRODUCTS))
-    S += [_head(sym_poincare(g, k), cap) for k in range(1, e + 1)]
-    units = list(accumulate([Poly.var("t") ** 2] * e, mul, initial=Poly.one()))
-    if cap is not None:
-        units = [unit for unit in units if unit.degree() <= cap]  # a longer shift leaves 0
+    S += [sym_poincare(g, k).scalar_coeffs("t")[:top] for k in range(1, e + 1)]
+    # the shifts t^(2k) that stay within the cap; a longer one leaves 0
+    reach = e + 1 if cap is None else min(e, cap // 2) + 1
     acc = S
     for m in range(1, n):
-        shifted = [_head(unit * p, cap) for unit, p in zip(units, acc)]
-        # the last step needs x^e only, the others the entries a unit still reaches
-        js = [e] if m == n - 1 else range(len(units))
-        acc = [sum((_head(p * S[j - k], cap) for k, p in enumerate(shifted[: j + 1])),
-                   Poly.zero()) for j in js]
-    return acc[-1]
+        shifted = [([0] * (2 * k) + p)[:top] for k, p in zip(range(reach), acc)]
+        # the last step needs x^e only, the others the entries a shift still reaches
+        js = [e] if m == n - 1 else range(reach)
+        acc = []
+        for j in js:
+            entry = []
+            for k, p in enumerate(shifted[: j + 1]):
+                _add_product(entry, p, S[j - k], top)
+            acc.append(entry)
+    return Poly.univariate("t", acc[-1])
 
 
 class BridgeReport(namedtuple("BridgeReport", "n g e cutoff match first_mismatch divisor_coeffs "

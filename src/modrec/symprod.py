@@ -4,38 +4,57 @@ The Betti polynomial of the n-th symmetric power is the x^n coefficient of
 
     (1 + x t)^{2g} / ((1 - x)(1 - x t^2)).
 
-On the arithmetic side, points of the n-th symmetric power are effective
-divisors of degree n, whose generating function is the zeta function; the
-brute-force oracle counts multisets of closed points directly instead.
-Polynomials charged more than MAX_LOOP_STEPS are refused before any loop.
+Its coefficients are running sums of the binomials C(2g, i), so it costs
+O(n + g) steps.  On the arithmetic side, points of the n-th symmetric power
+are effective divisors of degree n, whose generating function is the zeta
+function P(t) / ((1 - t)(1 - q t)); its known denominator is divided out in
+closed form.  The brute-force oracle counts multisets of closed points
+directly instead.  Polynomials charged more than MAX_LOOP_STEPS are refused
+before any loop.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .curve import _prime_divisors, check_field_size, count_points, zeta_Z
-from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, series_expand
+from .curve import _prime_divisors, check_field_size, count_points
+from .errors import ValidationError
+from .exactalg import Poly
 
 
-# A symmetric-power polynomial is charged the steps of its loop plus ROW_PAD
-# steps per power of x, for building and printing its coefficients.  Slowest
-# admitted requests on the 2-core host, best of 3: symprod --n 2812 --g 1500
-# 1.6 s, --n 34631 --g 100 1.5 s and --n 228570 --g 2 1.4 s.  Unbudgeted, the
-# first refused request of each family took 1.4-1.6 s; a refusal such as
+# A symmetric-power polynomial is charged its 2n + 1 coefficients and its
+# min(2g, n) + 1 running sums, each weighted (1 + bits / COEFF_BITS)^2 for
+# coefficients of at most bits bits, since printing one is quadratic in its
+# length.  Slowest admitted requests on the 2-core host, best of 3:
+# symprod --n 347214 --g 2 1.2 s, --n 242954 --g 100 1.1 s (1.6 s in one
+# busier run) and --n 20374 --g 1500 1.1 s; past g = 3000 the size bound is
+# loose, and --n 1062 --g 1000000 takes 0.3 s.  A refusal such as
 # symprod --n 100000000 --g 2 exits in 0.1 s.  Every symmetric power that
-# matrixdiv's own budget admits is charged under 900,000 steps.
-MAX_LOOP_STEPS = 8_000_000
-ROW_PAD = 30
+# matrixdiv's own budget admits at ranks 2-7 and genus up to 10^100 is
+# charged under 70,000 steps.
+MAX_LOOP_STEPS = 700_000
+COEFF_BITS = 1000
+
+
+def _coeff_bits(g, n):
+    """A bound on the bit length of every coefficient of the n-th power."""
+    top = max(min(2 * g, n), 1)
+    # a coefficient sums C(2g, i) over i <= min(2g, n) in one parity class,
+    # so it is below 2^(2g) and below (2g e / top)^top
+    return min(2 * g, top * (6 * g // top).bit_length())
 
 
 def _poincare_steps(g, n):
-    return (min(2 * g, n) + 1 + ROW_PAD) * (n + 1)
+    entries = 2 * n + 1 + min(2 * g, n) + 1
+    return entries * (COEFF_BITS + _coeff_bits(g, n)) ** 2 // COEFF_BITS ** 2
 
 
 def sym_poincare(g, n):
-    """Betti polynomial of the n-th symmetric power of a genus-g curve."""
+    """Betti polynomial of the n-th symmetric power of a genus-g curve.
+
+    The coefficient of t^k is the sum of C(2g, i) over i = k mod 2 with
+    i <= min(k, 2n - k, 2g), one entry of the running sums of the binomials
+    in each parity class."""
     if g < 2:
         raise ValidationError("genus must be at least 2")
     if n < 0:
@@ -43,27 +62,33 @@ def sym_poincare(g, n):
     if _poincare_steps(g, n) > MAX_LOOP_STEPS:
         raise ValidationError("symmetric power %d at genus %d needs more than %d loop steps"
                               % (n, g, MAX_LOOP_STEPS))
-    terms = {}
-    for i in range(0, min(2 * g, n) + 1):
-        c = comb(2 * g, i)
-        for b in range(0, n - i + 1):
-            k = i + 2 * b
-            terms[k] = terms.get(k, 0) + c
-    return Poly.univariate("t", [terms.get(k, 0) for k in range(2 * n + 1)])
+    top = min(2 * g, n)
+    sums = [1]
+    for i in range(1, top + 1):
+        sums.append(sums[-1] * (2 * g - i + 1) // i)  # C(2g, i), summed below
+    for i in range(2, top + 1):
+        sums[i] += sums[i - 2]
+    # min(k, 2n - k, top) has the parity of k unless it is top = 2g, where
+    # the even and the odd binomials both sum to 2^(2g - 1)
+    return Poly.univariate("t", [sums[min(k, 2 * n - k, top)] for k in range(2 * n + 1)])
 
 
 def sym_count(curve, n):
-    """Number of degree-n effective divisors, read off the zeta expansion."""
+    """Number of degree-n effective divisors, the t^n coefficient of the zeta
+    function P(t) / ((1 - t)(1 - q t)):
+
+        sum_{k <= min(n, 2g)} a_k (q^(n-k+1) - 1) / (q - 1).
+    """
     if not curve.is_arithmetic:
         raise ValidationError("divisor counts need arithmetic mode")
     if n < 0:
         raise ValidationError("degree must be >= 0")
-    coeff = series_expand(zeta_Z(curve), "t", n).coeffs[n]
-    if not isinstance(coeff, int):
-        raise InvariantViolation("divisor count came out non-integral: %s" % coeff)
-    if coeff < 0:
+    q = curve.q
+    count = sum(a * ((q ** (n - k + 1) - 1) // (q - 1))
+                for k, a in enumerate(curve.coefficients()[: n + 1]))
+    if count < 0:
         raise ValidationError("negative divisor count signals invalid zeta data")
-    return coeff
+    return count
 
 
 DIVISOR_DEGREE_LIMIT = 6

@@ -19,7 +19,7 @@ from math import gcd
 from operator import add
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, RatFun, Series, is_palindrome
+from .exactalg import Poly, RatFun, Series, is_palindrome, poly_divexact
 from .hn import codim, enumerate_types
 
 _CLASSIFYING = {}
@@ -142,10 +142,8 @@ def moduli_poincare(n, d, g):
 
 def fixed_determinant_poly(n, d, g):
     """Moduli polynomial with the torus factor (1+t)^{2g} divided out."""
-    full = moduli_poincare(n, d, g)
     jac = (Poly.one() + Poly.var("t")) ** (2 * g)
-    quotient = RatFun(full, jac)
-    return quotient.as_poly()
+    return poly_divexact(moduli_poincare(n, d, g), jac)
 
 
 def clear_caches():

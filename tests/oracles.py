@@ -48,6 +48,18 @@
   divisor space, and ``div_poincare_by_cells`` sums the cell polynomials one
   cell at a time.  ``matrixdiv.div_poincare`` convolves symmetric-power lists
   instead and must agree.
+* ``series_expand`` expands a univariate ``RatFun`` as a power series by
+  long division by its reduced denominator.  The production code divides by
+  the denominators it knows instead: ``zeta_Z`` and ``sym_count_by_zeta``
+  read a divisor count off the expanded zeta function, where
+  ``symprod.sym_count`` sums a_k (q^(n-k+1) - 1) / (q - 1).
+* ``perfection_by_ratfun`` and ``bb_total_by_polys`` are ``kirwan``'s
+  identities on ``Poly`` and a gcd-reduced ``RatFun`` over 1 - t^2, and
+  ``fixed_determinant_by_ratfun`` divides out (1 + t)^(2g) by reducing a
+  ``RatFun``; the production code divides on coefficient lists.
+* ``sym_poincare_by_loop`` fills a dict over (min(2g, n) + 1)(n + 1) steps;
+  ``symprod.sym_poincare`` reads each coefficient off running sums of the
+  binomials C(2g, i) instead.
 """
 
 from __future__ import annotations
@@ -61,13 +73,15 @@ from math import comb
 
 from modrec.curve import SpecializationField, _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
-from modrec.exactalg import Poly, RatFun, _gcd_univar, _strip_vars
+from modrec.exactalg import Poly, RatFun, Series, _check_var, _cnorm, _gcd_univar, _strip_vars
 from modrec.exactalg import poly_divexact as univariate_divexact
 from modrec.exactalg import poly_gcd as univariate_gcd
 from modrec.errors import ValidationError
 from modrec.hn import HNType, codim
+from modrec.kirwan import strata
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
+from modrec.yangmills import moduli_poincare
 
 
 def compositions(n):
@@ -554,3 +568,102 @@ def div_poincare_by_cells(n, e, g):
             term = term * sym_poincare(g, di)
         total = total + term
     return total
+
+
+def series_expand(f, var, order):
+    """Expand a rational function in ``var`` alone as a power series around 0."""
+    f = RatFun._coerce(f)
+    _check_var(var)
+    if order < 0:
+        raise ValidationError("series order must be non-negative")
+    if any(v != var for v in f.num.vars + f.den.vars):
+        raise ValidationError("series coefficients must be scalars: %s involves "
+                              "variables other than %s" % (f, var))
+    num = f.num.scalar_coeffs(var)[: order + 1]
+    den = f.den.scalar_coeffs(var)
+    d0 = den[0]
+    if not d0:
+        raise ValidationError("pole at 0 in the expansion variable %s" % var)
+    inv = None if d0 == 1 else Fraction(1) / d0
+    steps = [(k, c) for k, c in enumerate(den[: order + 1]) if k and c]
+    out = []
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else 0
+        for k, c in steps:
+            if k > n:
+                break
+            acc -= c * out[n - k]
+        out.append(_cnorm(acc if inv is None else acc * inv))
+    return Series(var, out, _trusted=True)
+
+
+def zeta_Z(curve):
+    """Z(t) = P(t) / ((1 - t)(1 - q t)) as an exact rational function."""
+    t = Poly.var("t")
+    return RatFun(curve.numerator, (Poly.one() - t) * (Poly.one() - curve.q * t))
+
+
+def sym_count_by_zeta(curve, n):
+    """Degree-n effective divisors, read off the expanded zeta function."""
+    return series_expand(zeta_Z(curve), "t", n).coeffs[n]
+
+
+def sym_poincare_by_loop(g, n):
+    """Betti polynomial of the n-th symmetric power: C(2g, i) t^(i + 2b) for
+    every i <= min(2g, n) and 0 <= b <= n - i, added into a dict."""
+    terms = {}
+    for i in range(0, min(2 * g, n) + 1):
+        c = comb(2 * g, i)
+        for b in range(0, n - i + 1):
+            k = i + 2 * b
+            terms[k] = terms.get(k, 0) + c
+    return Poly.univariate("t", [terms.get(k, 0) for k in range(2 * n + 1)])
+
+
+def _proj_poincare(dim):
+    return Poly.univariate("t", [1, 0] * dim + [1])
+
+
+def bb_total_by_polys(ws):
+    """P_t(P^N) as the sum of the shifted fixed-point pieces, in ``Poly``."""
+    t = Poly.var("t")
+    acc = Poly.zero()
+    for value in sorted(set(ws.weights)):
+        below = sum(1 for x in ws.weights if x < value)
+        acc = acc + t ** (2 * below) * _proj_poincare(ws.multiplicity(value) - 1)
+    if acc != _proj_poincare(ws.dim):
+        raise InvariantViolation("fixed-point decomposition does not add up")
+    return acc
+
+
+def perfection_by_ratfun(ws):
+    """(series, polynomial part, periodic tail) of the perfection identity:
+    the semistable series as a reduced ``RatFun`` over 1 - t^2, split as
+    Q + R / (1 - t^2) with deg R < 2 by multiplying the reduced form back."""
+    t = Poly.var("t")
+    one = Poly.one()
+    num = _proj_poincare(ws.dim)
+    for s in strata(ws):
+        if s.beta != 0:
+            num = num - t ** (2 * s.codim) * _proj_poincare(s.fixed_dim)
+    ss = RatFun(num, one - t ** 2)
+    if ss.is_poly:
+        return ss, ss.num, Poly.zero()
+    scaled = ss * RatFun(one - t ** 2)
+    if not scaled.is_poly:
+        raise InvariantViolation("denominator does not divide 1 - t^2")
+    rem = scaled.as_poly().scalar_coeffs("t")
+    q = [0] * max(1, len(rem) - 2)
+    for k in range(len(rem) - 1, 1, -1):
+        c = rem[k]
+        if c:
+            q[k - 2] += -c
+            rem[k] = 0
+            rem[k - 2] += c
+    return ss, Poly.univariate("t", q), Poly.univariate("t", rem[:2])
+
+
+def fixed_determinant_by_ratfun(n, d, g):
+    """The moduli polynomial over (1 + t)^(2g), reduced as a ``RatFun``."""
+    jac = (Poly.one() + Poly.var("t")) ** (2 * g)
+    return RatFun(moduli_poincare(n, d, g), jac).as_poly()

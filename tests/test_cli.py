@@ -81,17 +81,16 @@ def test_mass_betti_document(capsys):
     assert set(doc["value"]) == {"num", "den"}
 
 
-def test_mass_hodge_document(capsys, graded_gcd):
+def test_mass_hodge_document(capsys):
     status, out, _ = run_cli(capsys, "mass", "--n", "2", "--d", "1",
                              "--mode", "hodge", "--g", "2")
     assert status == 0
     doc = json.loads(out)
     assert doc["mode"] == "hodge"
-    from modrec.exactalg import ratfun_from_json
-    from modrec.curve import SpecializationField
+    from modrec.exactalg import ratfun_to_json
     from modrec.tamagawa import ss_mass
 
-    assert ratfun_from_json(doc["value"]) == ss_mass(2, 1, SpecializationField.hodge(2))
+    assert doc["value"] == ratfun_to_json(ss_mass(2, 1, SpecializationField.hodge(2)))
 
 
 def test_hn_types_document(capsys):
@@ -291,10 +290,12 @@ def test_symprod_genus_one_rejected(capsys):
     (["matrixdiv", "--n", "2", "--e", "222", "--g", "1000000000"], "coefficient products"),
     (["symprod", "--n", "100000000", "--g", "2"], "loop steps"),
     (["matrixdiv", "--n", "1", "--e", "100000000", "--g", "2"], "loop steps"),
+    (["symprod", "--n", "2800", "--g", "1000000"], "loop steps"),
+    (["zeta", "--curve", "{curve}", "--i", "1000000"], "i bits(q) g"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "siegel-rank", "count-rank",
         "mass-betti-rank", "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank",
         "bridge-degree", "matrixdiv-degree", "matrixdiv-genus", "symprod-degree",
-        "matrixdiv-rank-one"])
+        "matrixdiv-rank-one", "symprod-genus", "zeta-index"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])

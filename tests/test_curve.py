@@ -24,13 +24,13 @@ from modrec.curve import (
     HyperellipticModel,
     SpecializationField,
     count_points,
-    zeta_Z,
     zeta_from_counts,
 )
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, RatFun, series_expand
+from modrec.exactalg import Poly, RatFun
+from modrec.symprod import sym_count
 
-from oracles import exp_log_by_digit_walk
+from oracles import exp_log_by_digit_walk, sym_count_by_zeta
 
 T = Poly.var("t")
 
@@ -389,19 +389,12 @@ def test_hasse_weil_all_tested_extensions():
             assert (n - (c.q ** r + 1)) ** 2 <= 4 * c.genus ** 2 * c.q ** r
 
 
-def test_zeta_Z_examples():
+def test_divisor_counts_from_zeta_data():
     c = zeta_from_counts(2, 2, [3, 5])
-    z = zeta_Z(c)
-    expected = RatFun(Poly.one() + 4 * T ** 4,
-                      (Poly.one() - T) * (Poly.one() - 2 * T))
-    assert z == expected
-    # coefficient of t in the expansion equals N_1
-    assert series_expand(z, "t", 1).coefficient_values()[1] == 3
-
-
-def test_zeta_Z_requires_arithmetic_mode():
-    with pytest.raises(ValidationError):
-        zeta_Z(CurveData.symbolic(2))
+    assert c.numerator == Poly.one() + 4 * T ** 4
+    # the degree-1 effective divisors are the N_1 rational points
+    assert sym_count(c, 1) == 3
+    assert [sym_count(c, n) for n in range(6)] == [sym_count_by_zeta(c, n) for n in range(6)]
 
 
 def test_genus_bound_enforced():

@@ -9,22 +9,20 @@ from fractions import Fraction
 
 import pytest
 
+from modrec import exactalg
 from modrec.errors import ValidationError
 from modrec.exactalg import (
     Poly,
     RatFun,
-    fraction_from_str,
+    fraction_to_str,
     is_palindrome,
     poly_divexact,
-    poly_from_json,
     poly_gcd,
     poly_to_json,
-    ratfun_from_json,
     ratfun_to_json,
-    series_expand,
 )
 
-from oracles import divexact_sparse, graded_poly_divexact, graded_poly_gcd
+from oracles import divexact_sparse, graded_poly_divexact, graded_poly_gcd, series_expand
 
 T = Poly.var("t")
 U = Poly.var("u")
@@ -306,30 +304,42 @@ def test_normalization_idempotent():
 
 
 def test_poly_json_roundtrip():
+    # the emitted form is the literal document, and its strings give p back
     p = Poly.univariate("t", [1, Fraction(-3, 2), 0, 7])
     obj = poly_to_json(p)
-    assert obj["coeffs"] == ["1", "-3/2", "0", "7"]
-    assert poly_from_json(obj) == p
-    const = Poly.const(Fraction(5, 3))
-    assert poly_from_json(poly_to_json(const)) == const
+    assert obj == {"var": "t", "coeffs": ["1", "-3/2", "0", "7"]}
+    assert Poly.univariate(obj["var"], [Fraction(c) for c in obj["coeffs"]]) == p
+    assert poly_to_json(Poly.const(Fraction(5, 3))) == {"var": None, "coeffs": ["5/3"]}
+    assert poly_to_json(Poly.zero()) == {"var": None, "coeffs": ["0"]}
 
 
 def test_ratfun_json_roundtrip():
     f = RatFun((Poly.one() + T) ** 2, Poly.one() - T)
-    assert ratfun_from_json(ratfun_to_json(f)) == f
+    obj = ratfun_to_json(f)
+    # canonical form: the denominator's leading coefficient is positive
+    assert obj == {"num": {"var": "t", "coeffs": ["-1", "-2", "-1"]},
+                   "den": {"var": "t", "coeffs": ["-1", "1"]}}
+    num, den = (Poly.univariate("t", [Fraction(c) for c in obj[k]["coeffs"]])
+                for k in ("num", "den"))
+    assert RatFun(num, den) == f
 
 
 def test_multivariate_json_roundtrip(graded_gcd):
     u, v = Poly.var("u"), Poly.var("v")
     p = Poly.one() + 2 * u + 2 * v + u * v
-    assert poly_from_json(poly_to_json(p)) == p
-    f = RatFun(p, Poly.one() - u * v)
-    assert ratfun_from_json(ratfun_to_json(f)) == f
+    obj = poly_to_json(p)
+    assert obj == {"vars": ["u", "v"],
+                   "terms": [[[0, 0], "1"], [[0, 1], "2"], [[1, 0], "2"], [[1, 1], "1"]]}
+    assert Poly(tuple(obj["vars"]), {tuple(e): Fraction(c) for e, c in obj["terms"]}) == p
+    assert ratfun_to_json(RatFun(p, Poly.one() - u * v)) == {
+        "num": {"vars": ["u", "v"],
+                "terms": [[[0, 0], "-1"], [[0, 1], "-2"], [[1, 0], "-2"], [[1, 1], "-1"]]},
+        "den": {"vars": ["u", "v"], "terms": [[[0, 0], "-1"], [[1, 1], "1"]]}}
 
 
 def test_fraction_strings():
-    assert fraction_from_str("65/24") == Fraction(65, 24)
-    assert fraction_from_str("75") == 75
+    assert fraction_to_str(Fraction(65, 24)) == "65/24"
+    assert fraction_to_str(75) == "75"
 
 
 # -- dense univariate exact division -----------------------------------------
@@ -485,3 +495,39 @@ def test_gcd_skips_match_full_reduction(hodge, graded_gcd):
         for p in (a, RatFun(a.num)):
             zero = p + (-p)
             assert zero.num == Poly.zero() and zero.den == Poly.one()
+
+
+# -- the t-side divides by the denominators it knows --------------------------
+
+
+def test_known_denominators_make_no_gcd(monkeypatch):
+    from modrec.curve import CurveData
+    from modrec.kirwan import WeightSystem, perfection_check
+    from modrec.symprod import sym_count
+    from modrec.yangmills import fixed_determinant_poly
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    for weights in [(-1, 1), (0, 1, -1), (2, 2, 0, -1, -3), (1, 1, 1, -1, -1, -1)]:
+        perfection_check(WeightSystem(weights))
+    curve = CurveData(2, 2, Poly.one() + 4 * T ** 4)
+    assert [sym_count(curve, n) for n in range(4)] == [1, 3, 7, 15]
+    for n, d, g in [(2, 1, 2), (3, 1, 2), (3, 2, 3)]:
+        fixed_determinant_poly(n, d, g)
+    assert not calls
+    RatFun(1, Poly.one() - T) + RatFun(1, Poly.one() - T ** 2)
+    assert calls  # while RatFun arithmetic does reach the wrapper
+
+
+def test_t_side_modules_hold_no_ratfun_or_series_expand():
+    from modrec import kirwan, matrixdiv, symprod
+
+    for module in (kirwan, matrixdiv, symprod):
+        assert not hasattr(module, "RatFun"), module.__name__
+        assert not hasattr(module, "series_expand"), module.__name__
+    assert not hasattr(exactalg, "series_expand")

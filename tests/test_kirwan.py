@@ -22,6 +22,8 @@ from modrec.kirwan import (
     strata,
 )
 
+from oracles import bb_total_by_polys, perfection_by_ratfun, series_expand
+
 T = Poly.var("t")
 
 
@@ -130,3 +132,27 @@ def test_randomized_identities():
         if ws.has_semistable():
             perfection_check(ws)  # raises on negative coefficient
         checked += 1
+
+
+def test_list_paths_match_ratfun_oracle():
+    # bb, perfection and quotient on coefficient lists against the Poly sums
+    # and the gcd-reduced RatFun over 1 - t^2 they replaced
+    rng = random.Random(20261019)
+    seen = {"series": 0, "polynomial": 0, "quotient": 0}
+    for _ in range(240):
+        size = rng.randint(1, 10)
+        ws = WeightSystem(tuple(rng.randint(-6, 6) for _ in range(size + 1)))
+        assert bb_decomposition(ws).total == bb_total_by_polys(ws)
+        if not ws.has_semistable():
+            continue
+        report = perfection_check(ws)
+        ss, poly_part, tail = perfection_by_ratfun(ws)
+        assert (report.polynomial_part, report.periodic_tail) == (poly_part, tail), ws.weights
+        assert report.is_polynomial == tail.is_zero
+        order = 2 * ws.dim + 2
+        assert report.series_coefficients(order) == series_expand(ss, "t", order).coeffs
+        seen["polynomial" if report.is_polynomial else "series"] += 1
+        if 0 not in ws.weights and min(ws.weights) < 0 < max(ws.weights):
+            assert quotient_poincare(ws) == poly_part
+            seen["quotient"] += 1
+    assert min(seen.values()) >= 20, seen

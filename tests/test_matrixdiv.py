@@ -4,11 +4,11 @@ import pytest
 
 from modrec import matrixdiv
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, series_expand
+from modrec.exactalg import Poly
 from modrec.matrixdiv import div_bridge_check, div_poincare
 from modrec.symprod import sym_poincare
 from modrec.yangmills import classifying_series
-from oracles import div_poincare_by_cells, torsion_vectors
+from oracles import div_poincare_by_cells, series_expand, torsion_vectors
 
 T = Poly.var("t")
 

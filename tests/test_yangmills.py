@@ -1,12 +1,13 @@
 """Gauge-side recursion: closed forms, series oracle, moduli polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from modrec.errors import ValidationError
 from modrec import yangmills
-from modrec.exactalg import Poly, RatFun, is_palindrome, series_expand
+from modrec.exactalg import Poly, RatFun, is_palindrome
 from modrec.hn import codim, enumerate_types
 from modrec.yangmills import (
     classifying_coefficients,
@@ -16,6 +17,8 @@ from modrec.yangmills import (
     moduli_poincare,
     ss_equivariant_series,
 )
+
+from oracles import fixed_determinant_by_ratfun, series_expand
 
 T = Poly.var("t")
 ONE = Poly.one()
@@ -122,6 +125,15 @@ def test_fixed_determinant_poly():
     # degree 6g - 6
     for g in (2, 3):
         assert fixed_determinant_poly(2, 1, g).degree("t") == 6 * g - 6
+
+
+def test_fixed_determinant_matches_ratfun_oracle():
+    for g in (2, 3):
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                if gcd(n, d) == 1:
+                    want = fixed_determinant_by_ratfun(n, d, g)
+                    assert fixed_determinant_poly(n, d, g) == want, (n, d, g)
 
 
 def test_known_low_betti_numbers():
