@@ -397,6 +397,14 @@ def test_divisor_counts_from_zeta_data():
     assert [sym_count(c, n) for n in range(6)] == [sym_count_by_zeta(c, n) for n in range(6)]
 
 
+def test_zeta_Z_requires_arithmetic_mode():
+    # the zeta data (Z(q^-i) and the counts it encodes) exist only over a field
+    with pytest.raises(ValidationError):
+        SpecializationField.numeric(CurveData.symbolic(2))
+    with pytest.raises(ValidationError):
+        CurveData.symbolic(2).point_count(1)
+
+
 def test_genus_bound_enforced():
     with pytest.raises(ValidationError):
         CurveData.symbolic(0)
