@@ -190,6 +190,16 @@ def _cmd_hn_types(args):
     }, 0
 
 
+# A divisor count over F_q is an integer of about n bits(q) bits, and its
+# arithmetic and printing are quadratic in that length, so symprod --curve
+# --n n is charged n bits(q) and refused past this charge.  The slowest
+# admitted counts, over q from 2 to 2^61 - 1 at g = 2, 3 and 6, took up to
+# 1.15 s as CLI processes on a 2-core x86-64 host (best of 3), at
+# q = 2^61 - 1, g = 6, n = 10655; q = 2 is the cheapest per unit of charge,
+# 0.3 s at the limit.
+SYMPROD_CHARGE = 650_000
+
+
 def _cmd_symprod(args):
     from .symprod import divisor_enumerate, sym_count, sym_poincare
 
@@ -197,6 +207,11 @@ def _cmd_symprod(args):
         if args.g is not None:
             raise ValidationError("symprod takes --curve or --g, not both")
         curve = load_curve(args.curve)
+        charge = args.n * curve.q.bit_length() if curve.is_arithmetic else 0
+        if charge > SYMPROD_CHARGE:
+            raise ValidationError(
+                "symprod at n = %d over q = %d is past the charge: n bits(q) = %d exceeds %d"
+                % (args.n, curve.q, charge, SYMPROD_CHARGE))
         doc = {"n": args.n, "count": fraction_to_str(sym_count(curve, args.n))}
         if args.enumerate:
             model = load_model(args.curve)
@@ -253,12 +268,12 @@ def _cmd_kirwan(args):
 
 def _cmd_crosscheck(args):
     from .curve import SpecializationField
-    from .tamagawa import ss_mass
+    from .tamagawa import matches_moduli_polynomial, ss_mass
     from .yangmills import moduli_poincare
 
     F = SpecializationField.betti(args.g)
-    lhs = (F.q - 1) * ss_mass(args.n, args.d, F)
-    match = lhs == moduli_poincare(args.n, args.d, args.g)
+    mass = ss_mass(args.n, args.d, F)
+    match = matches_moduli_polynomial(mass, moduli_poincare(args.n, args.d, args.g), F)
     return {"match": match}, 0 if match else 2
 
 

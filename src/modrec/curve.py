@@ -589,13 +589,14 @@ class SpecializationField:
     1 / q and q^(-i) stay exact.  Betti and Hodge elements are ``Factored``
     (``factored.BettiFactored`` and ``HodgeFactored``): an integer Laurent
     numerator over a product of factors (1 - q^c), which every value of the
-    mass programme has, so its sums and products need no gcd; ``reduce``
-    turns one into the canonical ``RatFun``.  Every field answers the same
-    calls: ``q_power``, ``geom``, ``P_power``, ``P_one``, ``zeta`` and
-    ``reduce``, and its elements mix with the int literals 0 and 1, so the
-    arithmetic recursion is written once for every field.  Each instance
-    owns the memoization stores of the recursion built on top of it, so
-    independently created fields recompute from scratch.
+    mass programme has, so their sums, products and equality tests need no
+    gcd; they mix only with ints and elements of the same field, and
+    ``reduce`` turns one into the canonical ``RatFun``, an output form.
+    Every field answers the same calls: ``q_power``, ``geom``, ``P_power``,
+    ``P_one``, ``zeta`` and ``reduce``, and its elements mix with the int
+    literals 0 and 1, so the arithmetic recursion is written once for every
+    field.  Each instance owns the memoization stores of the recursion built
+    on top of it, so independently created fields recompute from scratch.
     """
 
     NUMERIC = "numeric"

@@ -12,13 +12,13 @@ Representation choices:
   Unused variables are stripped, so two equal polynomials are structurally
   identical.
 
-* ``RatFun`` is a quotient of two polynomials kept in a canonical form:
-  numerator and denominator are coprime, and the denominator has coprime
-  integer coefficients with a positive leading coefficient (lexicographic
-  term order).  Equality is therefore plain structural equality.  The gcd
-  is univariate, so arithmetic that needs one stays in one variable; Hodge
-  masses in (u, v) are reduced against their known cyclotomic denominators
-  by ``modrec.factored``, which builds their canonical form directly.
+* ``RatFun`` is the output form of a rational function: a numerator and a
+  denominator that are coprime, the denominator with coprime integer
+  coefficients and a positive leading coefficient (lexicographic term
+  order), so equality is plain structural equality.  It does no arithmetic:
+  Betti and Hodge values are computed as ``modrec.factored`` elements over
+  known cyclotomic denominators and reduced into this form once.  The
+  reducing ``RatFun`` arithmetic, with its gcds, is a test oracle.
 
 * ``Series`` is a dense truncated power series in one variable whose
   coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
@@ -29,19 +29,8 @@ denominator > 1, so int inputs give int outputs and an integral Fraction
 comes back as ``int``.  Sums and products of ints are ints, so a result list
 is normalised once, and only when it holds a non-int (``_normed``).
 
-``RatFun`` skips the gcds whose answer is already known:
-
-* a sum over coprime denominators, (n_a d_b + n_b d_a) / (d_a d_b), is
-  reduced as it stands: an irreducible factor of d_a divides neither d_b nor
-  n_a, so not the numerator (likewise for d_b); and d_a d_b is normalised,
-  being primitive by Gauss's lemma with leading term the product of the two
-  positive leading terms.  Such a sum vanishes only when both denominators
-  are 1, so a zero sum is 0/1, the canonical zero;
-* an inverse den / num of a reduced pair is coprime, so it only needs its
-  new denominator normalised.
-
 >>> t = Poly.var("t")
->>> RatFun(1, Poly.one() - t) + RatFun(1, Poly.one() + t) == RatFun(2, Poly.one() - t ** 2)
+>>> (Poly.one() + t) * (Poly.one() - t) == Poly.one() - t ** 2
 True
 """
 
@@ -191,22 +180,6 @@ class Poly:
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def coefficient(self, name, k):
-        """Coefficient of ``name**k`` as a Poly in the remaining variables."""
-        _check_var(name)
-        if name not in self.vars:
-            return self if k == 0 else Poly.zero()
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                terms[e[:i] + e[i + 1:]] = c
-        if not terms:
-            return Poly.zero()
-        rest, terms = _strip_vars(rest, terms)
-        return Poly(rest, terms, _trusted=True)
-
     def scalar_coeffs(self, name, upto=None):
         """Ascending list of scalar coefficients; requires univariate/const."""
         if any(v != name for v in self.vars):
@@ -312,44 +285,6 @@ class Poly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def substitute(self, bindings):
-        """Substitute polynomials (or scalars) for variables; returns a Poly."""
-        bound = {}
-        for name, value in bindings.items():
-            _check_var(name)
-            value = Poly._coerce(value)
-            if value is NotImplemented:
-                raise ValidationError("binding for %s is not a polynomial" % name)
-            bound[name] = value
-        if not any(v in bound for v in self.vars):
-            return self
-        result = Poly.zero()
-        powers = {name: {0: Poly.one()} for name in self.vars}
-
-        def _power(name, k):
-            cache = powers[name]
-            if k not in cache:
-                base = bound.get(name, Poly.var(name))
-                best = max(i for i in cache if i <= k)
-                acc = cache[best]
-                for i in range(best, k):
-                    acc = acc * base
-                    cache[i + 1] = acc
-            return cache[k]
-
-        for e, c in self.terms.items():
-            term = Poly.const(c)
-            for name, k in zip(self.vars, e):
-                if k:
-                    term = term * _power(name, k)
-            result = result + term
-        return result
-
-    def evaluate(self, bindings):
-        """Evaluate with every variable bound to a rational; returns Fraction."""
-        value = self.substitute({k: Poly.const(v) for k, v in bindings.items()})
-        return value.const_value()
 
     # -- normal-form helpers --------------------------------------------
 
@@ -530,9 +465,9 @@ def poly_gcd(a, b):
     """Greatest common divisor, primitive with positive leading coefficient.
 
     Univariate pairs take the primitive remainder sequence; a multivariate
-    pair raises ``ValidationError``.  No production path needs one: Hodge
-    masses are reduced against their known cyclotomic denominators instead
-    (``modrec.factored``).
+    pair raises ``ValidationError``.  The one caller is the square-free step
+    of the zeta root check in ``curve``: rational functions are reduced
+    against their known cyclotomic denominators instead (``modrec.factored``).
     """
     if a.is_zero and b.is_zero:
         return Poly.zero()
@@ -596,46 +531,23 @@ def _divexact_univar(a, b, name):
 
 
 class RatFun:
-    """Quotient of polynomials in canonical reduced form."""
+    """Quotient of polynomials, built from parts already in canonical form."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, *, _reduced=False):
+    def __init__(self, num, den=1):
         num = Poly._coerce(num)
         den = Poly._coerce(den)
         if num is NotImplemented or den is NotImplemented:
             raise ValidationError("RatFun expects polynomials or rationals")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not _reduced:
-            num, den = _reduce(num, den)
         self.num = num
         self.den = den
 
-    # -- constructors ----------------------------------------------------
-
     @staticmethod
     def zero():
-        return RatFun(Poly.zero(), Poly.one(), _reduced=True)
-
-    @staticmethod
-    def one():
-        return RatFun(Poly.one(), Poly.one(), _reduced=True)
-
-    @staticmethod
-    def var(name):
-        return RatFun(Poly.var(name), Poly.one(), _reduced=True)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, RatFun):
-            return value
-        p = Poly._coerce(value)
-        if p is NotImplemented:
-            return NotImplemented
-        return RatFun(p, Poly.one(), _reduced=True)
-
-    # -- queries -----------------------------------------------------------
+        return RatFun(Poly.zero(), Poly.one())
 
     @property
     def is_zero(self):
@@ -645,133 +557,13 @@ class RatFun:
     def is_poly(self):
         return self.den == Poly.one()
 
-    def as_poly(self):
-        if not self.is_poly:
-            raise ValidationError("rational function is not a polynomial: %s" % self)
-        return self.num
-
-    def const_value(self):
-        return self.num.const_value() / self.den.const_value()
-
-    def __bool__(self):
-        return not self.is_zero
-
     def __eq__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den, _reduced=True)
-
-    def __add__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        g = poly_gcd(self.den, other.den)
-        if g.is_const:
-            # already reduced and normalised (see the module docstring)
-            num = self.num * other.den + other.num * self.den
-            return RatFun(num, self.den * other.den, _reduced=True)
-        # Fraction-style addition: keep gcd inputs small
-        da = poly_divexact(self.den, g)
-        db = poly_divexact(other.den, g)
-        num = self.num * db + other.num * da
-        h = poly_gcd(num, g)
-        if not h.is_const:
-            num = poly_divexact(num, h)
-            g = poly_divexact(g, h)
-        den = da * db * g
-        num, den = _unit_normalize(num, den)
-        return RatFun(num, den, _reduced=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatFun.zero()
-        # cross-cancel first so the final product needs no gcd
-        na, db = _cancel(self.num, other.den)
-        nb, da = _cancel(other.num, self.den)
-        num = na * nb
-        den = da * db
-        num, den = _unit_normalize(num, den)
-        return RatFun(num, den, _reduced=True)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return self * other._inverse()
-
-    def __rtruediv__(self, other):
-        other = RatFun._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValidationError("RatFun exponent must be an integer")
-        if n == 0:
-            return RatFun.one()
-        base = self
-        if n < 0:
-            if base.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            base = base._inverse()
-            n = -n
-        num, den = _unit_normalize(base.num ** n, base.den ** n)
-        return RatFun(num, den, _reduced=True)
-
-    def _inverse(self):
-        # den / num is coprime already: only the new denominator needs normalising
-        num, den = _unit_normalize(self.den, self.num)
-        return RatFun(num, den, _reduced=True)
-
-    def substitute(self, bindings):
-        """Substitute polynomials (or scalars) for variables and reduce."""
-        poly_bindings = {}
-        for name, value in bindings.items():
-            _check_var(name)
-            value = RatFun._coerce(value)
-            if value is NotImplemented or not value.is_poly:
-                raise ValidationError("binding for %s is not a polynomial" % name)
-            poly_bindings[name] = value.num
-        num = self.num.substitute(poly_bindings)
-        den = self.den.substitute(poly_bindings)
-        if den.is_zero:
-            raise ZeroDivisionError("denominator vanishes identically after substitution")
-        return RatFun(num, den)
 
     def __str__(self):
         if self.is_poly:
@@ -780,32 +572,6 @@ class RatFun:
 
     def __repr__(self):
         return "RatFun(%s)" % self
-
-
-def _reduce(num, den):
-    if num.is_zero:
-        return Poly.zero(), Poly.one()
-    g = poly_gcd(num, den)
-    if not g.is_const:
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-    return _unit_normalize(num, den)
-
-
-def _unit_normalize(num, den):
-    r = den.signed_content()
-    if r != 1:
-        den = den.scaled(1 / r)
-        num = num.scaled(1 / r)
-    return num, den
-
-
-def _cancel(a, b):
-    """Divide out gcd(a, b); returns the reduced pair."""
-    g = poly_gcd(a, b)
-    if g.is_const:
-        return a, b
-    return poly_divexact(a, g), poly_divexact(b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -898,5 +664,4 @@ def poly_to_json(p):
 
 
 def ratfun_to_json(f):
-    f = RatFun._coerce(f)
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}

@@ -21,20 +21,21 @@ m = min(|s|, |r|) when s and r have opposite signs and 0 otherwise.  A
 product lays each numerator out as one list in which the exponents of its
 terms add, and long lists multiply as integers (Kronecker substitution).
 
+Two elements are equal when their difference, raised to the common
+multiplicities, has a zero numerator, so comparing needs no gcd either.
 ``ratfun`` reduces once: it divides N exactly by the cyclotomic factors that
 the vector names, Phi_m(t) with m | 2c for Betti and Phi_m(uv) on every
-graded piece for Hodge, and returns the canonical ``RatFun``.  Mixed with a
-``RatFun``, a ``Fraction`` or an element of the other field, a ``Factored``
-is reduced first and the operation is ``RatFun``'s.
+graded piece for Hodge, and returns the canonical ``RatFun``.  An element
+mixes only with ints and with elements of its own field; anything else is a
+``TypeError``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from math import comb
-from operator import mul, neg
+from operator import neg
 
 from .exactalg import Poly, RatFun
 
@@ -154,7 +155,7 @@ class Factored:
                 return self
             other = type(self).monomial(0, other)
         elif type(other) is not type(self):
-            return self._via_ratfun(other, RatFun.__add__)
+            return NotImplemented
         mult = tuple(map(max, zip_longest(self.mult, other.mult, fillvalue=0)))
         low = min(self.low, other.low)
         out = {}
@@ -172,18 +173,18 @@ class Factored:
     def __sub__(self, other):
         if type(other) is int or type(other) is type(self):
             return self + (-other)
-        return self._via_ratfun(other, RatFun.__sub__)
+        return NotImplemented
 
     def __rsub__(self, other):
         if type(other) is int:
             return (-self) + other
-        return self._via_ratfun(other, RatFun.__rsub__)
+        return NotImplemented
 
     def __mul__(self, other):
         if type(other) is int:
             other = type(self).monomial(0, other)
         elif type(other) is not type(self):
-            return self._via_ratfun(other, RatFun.__mul__)
+            return NotImplemented
         mult = tuple(map(sum, zip_longest(self.mult, other.mult, fillvalue=0)))
         low = self.low + other.low
         for x, y in ((self, other), (other, self)):
@@ -215,25 +216,10 @@ class Factored:
             out[spots[s]:spots[s] + stride * len(a):stride] = a
         return out
 
-    def __truediv__(self, other):
-        return self._via_ratfun(other, RatFun.__truediv__)
-
-    def __rtruediv__(self, other):
-        return self._via_ratfun(other, RatFun.__rtruediv__)
-
     def __eq__(self, other):
         if type(other) is int or type(other) is type(self):
             return not any(any(a) for a in (self - other).parts.values())
-        if isinstance(other, (RatFun, Poly, Fraction, Factored)):
-            return self.ratfun() == other
         return NotImplemented
-
-    def _via_ratfun(self, other, op):
-        if isinstance(other, Factored):
-            other = other.ratfun()
-        elif not isinstance(other, (RatFun, Poly, Fraction)):
-            return NotImplemented
-        return op(self.ratfun(), other)
 
     # -- the one reduction --------------------------------------------------
 
@@ -282,7 +268,7 @@ class BettiFactored(Factored):
         if low < 0:  # t^-low joins the denominator
             num = {(i - low,): x for (i,), x in num.items()}
             den = {(i - low,): x for (i,), x in den.items()}
-        return RatFun(Poly(("t",), num), Poly(("t",), den), _reduced=True)
+        return RatFun(Poly(("t",), num), Poly(("t",), den))
 
 
 class HodgeFactored(Factored):
@@ -325,7 +311,7 @@ class HodgeFactored(Factored):
         sv = max(0, -min(b for _, b in terms))
         num = {(a + su, b + sv): x for (a, b), x in terms.items()}
         den = {(su + k, sv + k): x for k, x in enumerate(_phi_product(phi)) if x}
-        return RatFun(Poly(("u", "v"), num), Poly(("u", "v"), den), _reduced=True)
+        return RatFun(Poly(("u", "v"), num), Poly(("u", "v"), den))
 
 
 # ---------------------------------------------------------------------------

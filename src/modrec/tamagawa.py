@@ -146,6 +146,14 @@ def ss_mass(n, d, field):
     return value
 
 
+def matches_moduli_polynomial(mass, poly, field):
+    """True when (q - 1) mass equals the polynomial ``poly``, for a reduced
+    Betti or Hodge mass N / D: the sides are cross-multiplied,
+    N (q - 1) == poly D, so the comparison needs no gcd."""
+    q = field.reduce(field.q).num
+    return mass.num * (q - 1) == poly * mass.den
+
+
 def stratum_mass(mu, field):
     """Mass of the stratum labelled by one filtration type."""
     value = field.q_power(mass_exponent(mu, field.genus))

@@ -19,7 +19,7 @@ from math import gcd
 from operator import add
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, RatFun, Series, is_palindrome, poly_divexact
+from .exactalg import Poly, Series, is_palindrome, poly_divexact
 from .hn import codim, enumerate_types
 
 _CLASSIFYING = {}
@@ -39,33 +39,36 @@ def _check_rank_genus(n, g):
 
 def classifying_series(n, g):
     """Poincare series of the classifying space of the rank-n gauge group,
-    as a reduced ``RatFun``."""
+    as a ``factored.BettiFactored``: the numerator
+    prod_j (1 + t^(2j-1))^(2g) over (1 - q^n) prod_{j<n} (1 - q^j)^2, q = t^2."""
+    from .factored import BettiFactored
+
     _check_rank_genus(n, g)
     key = (n, g)
     if key not in _CLASSIFYING:
-        t = Poly.var("t")
-        one = Poly.one()
-        num = Poly.one()
-        for j in range(1, n + 1):
-            num = num * (one + t ** (2 * j - 1)) ** (2 * g)
-        den = one - t ** (2 * n)
-        for j in range(1, n):
-            den = den * (one - t ** (2 * j)) ** 2
-        _CLASSIFYING[key] = RatFun(num, den)
+        num = _numerator_coefficients(n, g, 2 * g * n * n)
+        _CLASSIFYING[key] = BettiFactored(0, {0: num[0::2], 1: num[1::2]},
+                                          (2,) * (n - 1) + (1,))
     return _CLASSIFYING[key]
 
 
-def classifying_coefficients(n, g, order):
-    """Coefficients of t^0..t^order of the classifying series, expanded from
-    the product form without reducing it: 2g shifted additions per factor
-    (1 + t^(2j-1)), then a running sum per residue class for each division
-    by (1 - t^(2j))."""
-    _check_rank_genus(n, g)
+def _numerator_coefficients(n, g, order):
+    """Coefficients of t^0..t^order of prod_{j<=n} (1 + t^(2j-1))^(2g), by 2g
+    shifted additions per factor."""
     coeffs = [1] + [0] * order
     for j in range(1, n + 1):
         step = 2 * j - 1
         for _ in range(2 * g):
             coeffs[step:] = map(add, coeffs[step:], coeffs[:order + 1 - step])
+    return coeffs
+
+
+def classifying_coefficients(n, g, order):
+    """Coefficients of t^0..t^order of the classifying series, expanded from
+    the product form without reducing it: the numerator's coefficients, then
+    a running sum per residue class for each division by (1 - t^(2j))."""
+    _check_rank_genus(n, g)
+    coeffs = _numerator_coefficients(n, g, order)
     for step in [2 * n] + [2 * j for j in range(1, n) for _ in range(2)]:
         for r in range(min(step, order + 1)):
             coeffs[r::step] = accumulate(coeffs[r::step])
@@ -135,7 +138,7 @@ def moduli_poincare(n, d, g):
         raise InvariantViolation("moduli polynomial is not palindromic")
     if any(not isinstance(c, int) or c < 0 for c in values[: top + 1]):
         raise InvariantViolation("moduli polynomial has bad coefficients")
-    if poly.evaluate({"t": -1}) != 0:
+    if sum(values[0:top + 1:2]) != sum(values[1:top + 1:2]):
         raise InvariantViolation("moduli polynomial misses the vanishing at t = -1")
     return poly
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import modrec
-from modrec.cli import load_curve, main
+from modrec.cli import SYMPROD_CHARGE, load_curve, main
 from modrec.curve import SpecializationField
 from modrec.errors import InvariantViolation
 from modrec.symprod import sym_count
@@ -228,7 +228,7 @@ def test_crosscheck_mismatch_exits_two(capsys, monkeypatch):
     import modrec.tamagawa as tamagawa_mod
     from modrec.exactalg import RatFun
 
-    monkeypatch.setattr(tamagawa_mod, "ss_mass", lambda n, d, field: RatFun.one())
+    monkeypatch.setattr(tamagawa_mod, "ss_mass", lambda n, d, field: RatFun(1))
     status, out, _ = run_cli(capsys, "crosscheck", "--n", "2", "--d", "1", "--g", "2")
     assert status == 2
     assert json.loads(out) == {"match": False}
@@ -302,6 +302,22 @@ def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     assert time.perf_counter() - start < 2.0
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, err
+
+
+def test_symprod_count_past_its_charge_is_refused(capsys):
+    # n bits(q) = 6e6 is far past SYMPROD_CHARGE and one past the limit is
+    # refused as well, both before any arithmetic; the brute-force oracle's
+    # largest degree is still admitted
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "g2q2.json")
+    for n in (3_000_000, SYMPROD_CHARGE // 2 + 1):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "symprod", "--n", str(n), "--curve", config)
+        assert time.perf_counter() - start < 1.0
+        assert status == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "n bits(q)" in err, err
+    status, out, err = run_cli(capsys, "symprod", "--n", "6", "--curve", config, "--enumerate")
+    assert status == 0 and err == ""
+    assert json.loads(out) == {"count": "155", "enumerated": "155", "n": 6}
 
 
 def test_numeric_mass_over_a_large_q_is_refused(capsys, tmp_path):

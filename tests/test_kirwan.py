@@ -12,7 +12,7 @@ import random
 import pytest
 
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, RatFun, is_palindrome
+from modrec.exactalg import Poly, is_palindrome
 from modrec.kirwan import (
     Stratum,
     WeightSystem,
@@ -22,7 +22,7 @@ from modrec.kirwan import (
     strata,
 )
 
-from oracles import bb_total_by_polys, perfection_by_ratfun, series_expand
+from oracles import ReducingRatFun, bb_total_by_polys, perfection_by_ratfun, series_expand
 
 T = Poly.var("t")
 
@@ -35,7 +35,7 @@ def quotient_count_oracle(weights):
     b = sum(1 for w in weights if w < 0)
     N1 = len(weights)
     num = (q ** N1 - one) - (q ** a - one) - (q ** b - one)
-    return RatFun(num, (q - one) ** 2).as_poly()
+    return ReducingRatFun(num, (q - one) ** 2).as_poly()
 
 
 def test_strata_examples():

@@ -8,6 +8,7 @@ exactly with the term-by-term sums over compositions.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -15,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from modrec import acceptance, cli
 from modrec.cli import load_curve
 from modrec.curve import CurveData, HyperellipticModel, SpecializationField, zeta_from_counts
 from modrec.errors import ValidationError
 from modrec import exactalg
-from modrec.exactalg import Poly, RatFun, poly_gcd, ratfun_to_json
+from modrec.exactalg import Poly, RatFun, poly_gcd
 from modrec.hn import codim, enumerate_types
 from modrec.tamagawa import (
     MASS_RANK_LIMIT,
@@ -28,6 +30,7 @@ from modrec.tamagawa import (
     _tail_bound,
     _zagier_sum,
     fixed_determinant_count,
+    matches_moduli_polynomial,
     siegel_check,
     ss_mass,
     stable_count,
@@ -40,6 +43,7 @@ from oracles import (
     ConeSum,
     ConstantRatFunField,
     RatFunField,
+    ReducingRatFun,
     compositions,
     cone_for,
     cone_sum,
@@ -71,15 +75,15 @@ def test_total_mass_betti_matches_classifying_series():
     # the zeta-value product q^{(n^2-1)(g-1)} zeta(2)..zeta(n), specialized
     # to q = t^2 and multiplied by (1+t)^{2g}/(1-t^2), is exactly the
     # classifying series: the formal correspondence between the recursions.
-    # The full total mass then equals minus the classifying series, the
-    # (q-1) versus (1-t^2) sign.
+    # The full total mass, P(1)/(q-1) times that product, then equals minus
+    # the classifying series, the (q-1) versus (1-t^2) sign.
     for n in (2, 3):
         for g in (2, 3):
             F = SpecializationField.betti(g)
-            zeta_product = total_mass(n, 0, F) * (F.q - RatFun.one()) / F.P_one()
-            torus = RatFun((Poly.one() + T) ** (2 * g), Poly.one() - T ** 2)
-            assert zeta_product * torus == classifying_series(n, g)
+            torus = F.P_power(0) * F.geom(1)
+            assert total_mass(n, 0, F) * (F.q - 1) * torus == F.P_one() * classifying_series(n, g)
             assert total_mass(n, 0, F) == -classifying_series(n, g)
+            assert total_mass(n, 0, F) != classifying_series(n, g)
 
 
 def test_ss_mass_rank_one(F2):
@@ -96,7 +100,7 @@ def test_cone_sum_two_line_bundle_strata():
     # degree the sum of q^{(g-1)-k} over odd gaps k >= 1 is q^g/(q^2-1)
     curve = CurveData.from_model(MODEL_F2)
     F = SpecializationField.numeric(curve)
-    one = RatFun.one()
+    one = ReducingRatFun.one()
     cs = ConeSum((1, 1), F.genus, ((one,), (one,)))
     assert cone_sum(cs, 1, F).const_value() == Fraction(4, 3)
     # even total degree: gaps are even, sum q^{(g-1)-k} = q^{g-1}/(q^2-1)
@@ -104,9 +108,10 @@ def test_cone_sum_two_line_bundle_strata():
 
 
 def test_cone_sum_single_part(F2):
-    cs = ConeSum((2,), F2.genus, ((RatFun(Fraction(7)), RatFun(Fraction(9))),))
-    assert cone_sum(cs, 4, F2) == RatFun(Fraction(7))
-    assert cone_sum(cs, 5, F2) == RatFun(Fraction(9))
+    seven, nine = ReducingRatFun(Fraction(7)), ReducingRatFun(Fraction(9))
+    cs = ConeSum((2,), F2.genus, ((seven, nine),))
+    assert cone_sum(cs, 4, F2) == seven
+    assert cone_sum(cs, 5, F2) == nine
 
 
 def test_cone_sum_against_partial_sums(F2):
@@ -156,15 +161,13 @@ def test_betti_cross_check_rank_two():
     # the central identity: (q-1) * semistable mass specialized to q = t^2
     # equals the moduli Poincare polynomial, as exact rational functions
     F = SpecializationField.betti(2)
-    lhs = (F.q - RatFun.one()) * ss_mass(2, 1, F)
-    assert lhs == RatFun(moduli_poincare(2, 1, 2))
+    assert matches_moduli_polynomial(ss_mass(2, 1, F), moduli_poincare(2, 1, 2), F)
 
 
 def test_betti_cross_check_rank_four():
     # stresses the cone machinery through four-part compositions
     F = SpecializationField.betti(2)
-    lhs = (F.q - RatFun.one()) * ss_mass(4, 1, F)
-    assert lhs == RatFun(moduli_poincare(4, 1, 2))
+    assert matches_moduli_polynomial(ss_mass(4, 1, F), moduli_poincare(4, 1, 2), F)
 
 
 def test_duality_in_degree():
@@ -198,17 +201,17 @@ HODGE_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 3)]
 
 
 def test_hodge_specializes_to_betti():
-    t = RatFun(T)
+    t = ReducingRatFun(T)
     for n, d, g in HODGE_CASES:
-        hodge = ss_mass(n, d, SpecializationField.hodge(g))
+        hodge = ReducingRatFun.of(ss_mass(n, d, SpecializationField.hodge(g)))
         betti = ss_mass(n, d, SpecializationField.betti(g))
         assert hodge.substitute({"u": t, "v": t}) == betti, (n, d, g)
 
 
 def test_hodge_mass_is_uv_symmetric(graded_gcd):
-    u, v = RatFun.var("u"), RatFun.var("v")
+    u, v = ReducingRatFun.var("u"), ReducingRatFun.var("v")
     for n, d, g in HODGE_CASES:
-        h = ss_mass(n, d, SpecializationField.hodge(g))
+        h = ReducingRatFun.of(ss_mass(n, d, SpecializationField.hodge(g)))
         assert h.substitute({"u": v, "v": u}) == h, (n, d, g)
 
 
@@ -302,7 +305,9 @@ SWEEP = [
 @pytest.mark.parametrize("mode, g, top, make", SWEEP,
                          ids=["%s-g%d" % (mode, g) for mode, g, _, _ in SWEEP])
 def test_closed_form_matches_cone_recursion(mode, g, top, make, graded_gcd):
-    oracle_field, memo = make(), {}
+    # the recursion runs on Fractions, or on reducing RatFuns in Betti and Hodge
+    oracle_field = make() if mode == "numeric" else RatFunField(mode, g)
+    memo = {}
     assert (oracle_field.mode, oracle_field.genus) == (mode, g)
     for n in range(1, top + 1):
         for d in range(n):
@@ -320,8 +325,7 @@ def test_closed_form_betti_rank_five_and_six():
     fields = {g: SpecializationField.betti(g) for g in (2, 3)}
     for n, d, g in cases:
         F = fields[g]
-        lhs = (F.q - RatFun.one()) * ss_mass(n, d, F)
-        assert lhs == RatFun(moduli_poincare(n, d, g)), (n, d, g)
+        assert matches_moduli_polynomial(ss_mass(n, d, F), moduli_poincare(n, d, g), F), (n, d, g)
 
 
 def test_fixed_determinant_counts_integral_to_rank_nine():
@@ -373,12 +377,14 @@ PROGRAMME_SWEEP = [(mode, g, top, make)
                          ids=["%s-g%d" % (mode, g) for mode, g, _, _ in PROGRAMME_SWEEP])
 def test_mass_programme_matches_prefix_tree(mode, g, top, make, graded_gcd):
     # every d from -1 to 2n - 1, so the telescoped exponent meets negative
-    # degrees and degrees past n, not just residues
+    # degrees and degrees past n, not just residues; the prefix tree runs on
+    # Fractions, or on reducing RatFuns in Betti and Hodge
     F = make()
+    oracle = F if mode == "numeric" else RatFunField(mode, g)
     for n in range(1, top + 1):
         for d in range(-1, 2 * n):
-            expected = ratfun_to_json(zagier_sum_by_prefix_tree(n, d, F))
-            assert ratfun_to_json(F.reduce(_zagier_sum(n, d, F))) == expected, (n, d)
+            expected = zagier_sum_by_prefix_tree(n, d, oracle)
+            assert F.reduce(_zagier_sum(n, d, F)) == expected, (n, d)
 
 
 # Betti to rank 8 and Hodge to rank 5, at g = 2 and 3
@@ -417,8 +423,74 @@ def test_mass_programme_makes_no_gcd(monkeypatch, mode):
                 assert not calls, (n, d)
                 assert F.reduce(value) == ss_mass(n, d, F)
     assert not calls
-    RatFun(1, Poly.one() - T) + RatFun(1, Poly.one() - T ** 2)
-    assert calls  # while RatFun arithmetic does reach the wrapper
+    ReducingRatFun(1, Poly.one() - T) + ReducingRatFun(1, Poly.one() - T ** 2)
+    assert calls  # while the reducing RatFun's arithmetic does reach the wrapper
+
+
+def _count_gcd_calls(monkeypatch):
+    """Route every binding of ``poly_gcd`` in modrec's modules through a counter."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name == "modrec" or name.startswith("modrec."):
+            for attr, value in list(vars(module).items()):
+                if value is poly_gcd:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+CROSS_CHECKS = {
+    "criterion-1": acceptance.criterion_1_rank2_closed_form,
+    "criterion-2": acceptance.criterion_2_three_way_cross_check,
+    "criterion-3": acceptance.criterion_3_classifying_correspondence,
+    "crosscheck": lambda: cli.main(["crosscheck", "--n", "3", "--d", "1", "--g", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECKS))
+def test_cross_checks_make_no_gcd(monkeypatch, capsys, name):
+    # the gauge and arithmetic sides meet in factored form, or with the
+    # reduced mass cross-multiplied against the polynomial, never by a gcd
+    calls = _count_gcd_calls(monkeypatch)
+    result = CROSS_CHECKS[name]()
+    assert not calls, name
+    if name == "crosscheck":
+        assert result == 0 and capsys.readouterr().out == '{"match": true}\n'
+    zeta_from_counts(2, 2, [3, 5])
+    assert calls  # while the zeta root check's square-free step is counted
+
+
+# (n, d, g) at which the Hodge mass's polynomial is checked
+HODGE_POLYNOMIAL_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 2, 3), (4, 1, 2), (5, 1, 2),
+                          (4, 1, 3)]
+
+
+@pytest.mark.parametrize("n, d, g", HODGE_POLYNOMIAL_CASES)
+def test_hodge_mass_gives_the_hodge_polynomial(n, d, g):
+    # (uv - 1) times the Hodge mass is the Hodge polynomial E(u, v) of the
+    # moduli space: non-negative integer coefficients, Serre symmetry
+    # E_(a,b) = E_(D-a,D-b) in its dimension D, u <-> v symmetry, and the
+    # Poincare polynomial of the gauge recursion at u = v = t
+    F = SpecializationField.hodge(g)
+    mass = ss_mass(n, d, F)
+    u, v = Poly.var("u"), Poly.var("v")
+    assert mass.den == u * v - 1
+    E = mass.num
+    assert matches_moduli_polynomial(mass, E, F)
+    assert not matches_moduli_polynomial(mass, E + u, F)
+    terms = E.terms
+    assert E.vars == ("u", "v") and all(type(c) is int and c > 0 for c in terms.values())
+    D = n * n * (g - 1) + 1
+    assert all(terms.get((D - a, D - b)) == c for (a, b), c in terms.items())
+    assert all(terms.get((b, a)) == c for (a, b), c in terms.items())
+    betti = [0] * (2 * D + 1)
+    for (a, b), c in terms.items():
+        betti[a + b] += c
+    assert Poly.univariate("t", betti) == moduli_poincare(n, d, g)
 
 
 @pytest.mark.parametrize("make", [make for _, _, _, make in SWEEP[:2]],
