@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_budget
 from .exactalg import fraction_to_str, ratfun_to_json
 
 FORMATS = ("json", "csv", "plain")
@@ -192,11 +192,8 @@ def _cmd_hn_types(args):
 
 # A divisor count over F_q is an integer of about n bits(q) bits, and its
 # arithmetic and printing are quadratic in that length, so symprod --curve
-# --n n is charged n bits(q) and refused past this charge.  The slowest
-# admitted counts, over q from 2 to 2^61 - 1 at g = 2, 3 and 6, took up to
-# 1.15 s as CLI processes on a 2-core x86-64 host (best of 3), at
-# q = 2^61 - 1, g = 6, n = 10655; q = 2 is the cheapest per unit of charge,
-# 0.3 s at the limit.
+# --n n is charged n bits(q) and refused past this charge, measured over q
+# from 2 to 2^61 - 1 at g = 2, 3 and 6 (README.md).
 SYMPROD_CHARGE = 650_000
 
 
@@ -207,11 +204,9 @@ def _cmd_symprod(args):
         if args.g is not None:
             raise ValidationError("symprod takes --curve or --g, not both")
         curve = load_curve(args.curve)
-        charge = args.n * curve.q.bit_length() if curve.is_arithmetic else 0
-        if charge > SYMPROD_CHARGE:
-            raise ValidationError(
-                "symprod at n = %d over q = %d is past the charge: n bits(q) = %d exceeds %d"
-                % (args.n, curve.q, charge, SYMPROD_CHARGE))
+        if curve.is_arithmetic:
+            check_budget("symprod at n = %d over q = %d" % (args.n, curve.q), "n bits(q)",
+                         args.n * curve.q.bit_length(), SYMPROD_CHARGE)
         doc = {"n": args.n, "count": fraction_to_str(sym_count(curve, args.n))}
         if args.enumerate:
             model = load_model(args.curve)
@@ -279,10 +274,8 @@ def _cmd_crosscheck(args):
 
 # Z(q^-i) is a Fraction of about 2 i g bits(q) bits, and its arithmetic and
 # printing are quadratic in that length, so zeta --i is charged
-# i bits(q) g and refused past this charge.  The slowest admitted values,
-# over q from 2 to 2^61 - 1 at g = 2, 3 and 6, took up to 1.25 s as CLI
-# processes on a 2-core x86-64 host (best of 3); q = 2 is the cheapest per
-# unit of charge, 0.4 s at the limit.
+# i bits(q) g and refused past this charge, measured over q from 2 to
+# 2^61 - 1 at g = 2, 3 and 6 (README.md).
 ZETA_CHARGE = 240_000
 
 
@@ -293,12 +286,8 @@ def _cmd_zeta(args):
     if not curve.is_arithmetic:
         raise ValidationError("zeta needs an arithmetic curve config")
     if args.i is not None:
-        charge = args.i * curve.q.bit_length() * curve.genus
-        if charge > ZETA_CHARGE:
-            raise ValidationError(
-                "zeta at i = %d over q = %d at genus %d is past the charge: "
-                "i bits(q) g = %d exceeds %d" % (args.i, curve.q, curve.genus, charge,
-                                                 ZETA_CHARGE))
+        check_budget("zeta at i = %d over q = %d at genus %d" % (args.i, curve.q, curve.genus),
+                     "i bits(q) g", args.i * curve.q.bit_length() * curve.genus, ZETA_CHARGE)
         field = SpecializationField.numeric(curve)
         return {"i": args.i, "value": fraction_to_str(field.zeta(args.i))}, 0
     return {

@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from math import comb
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_budget
 from .exactalg import Poly, poly_divexact, poly_gcd
 
 FIELD_SIZE_LIMIT = 2 ** 18
@@ -150,10 +150,12 @@ class GF:
 
 
 def check_field_size(p, m):
-    """Refuse F_{p^m} past FIELD_SIZE_LIMIT, without computing a huge power."""
-    bits = FIELD_SIZE_LIMIT.bit_length() - 1
-    if m * (p.bit_length() - 1) > bits or p ** m > FIELD_SIZE_LIMIT:
-        raise ValidationError("field F_{%d^%d} exceeds the size limit 2^%d" % (p, m, bits))
+    """Refuse F_{p^m} past FIELD_SIZE_LIMIT, without computing a huge power:
+    p^m >= 2^(m floor(log2 p)), so that exponent is checked first."""
+    what = "field F_{%d^%d}" % (p, m)
+    check_budget(what, "m floor(log2 p)", m * (p.bit_length() - 1),
+                 FIELD_SIZE_LIMIT.bit_length() - 1)
+    check_budget(what, "p^m", p ** m, FIELD_SIZE_LIMIT)
 
 
 def _exp_log(p, m, modulus):

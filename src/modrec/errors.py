@@ -21,3 +21,17 @@ class InvariantViolation(ModrecError):
     Raising this signals a bug (or a falsified configuration), never a
     user mistake.
     """
+
+
+def check_budget(what, unit, charge, limit):
+    """Refuse work charged past its limit, before any of it is done.
+
+    Raises ValidationError, reported on one ``error:`` line, in the one form
+    ``<what>: <unit> = <charge> exceeds the limit <limit>`` when
+    charge > limit.  README.md lists every limit with its charge.  A charge
+    past int -> str's digit guard is shown as the power of two below it.
+    """
+    if charge > limit:
+        shown = charge if charge.bit_length() <= 10_000 else "at least 2^%d" % (
+            charge.bit_length() - 1)
+        raise ValidationError("%s: %s = %s exceeds the limit %s" % (what, unit, shown, limit))

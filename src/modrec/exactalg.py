@@ -597,10 +597,6 @@ class Series:
     def order(self):
         return len(self.coeffs) - 1
 
-    def coefficient_values(self):
-        """Coefficients as a fresh list of ints/Fractions."""
-        return list(self.coeffs)
-
     def truncate(self, order):
         if order >= self.order:
             return self

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_budget
 
 # Most prefix-degree vectors enumerate_types may test, and most compositions
-# of the rank.  The slowest refusal, hn-types --n 3 --d 1 --g 2 --max-codim
-# 100000, exits in about 1.0 s on a 2-core x86-64 host.  The top calls of
-# moduli_poincare(n, d, g) admitted are exactly those the earlier slope-gap
-# estimate admitted, for every coprime d: (9, d, 2) tests at most 117,062
-# vectors and (6, d, 6) 123,936; (7, d, 4) needs at least 147,606.
+# of the rank.  The top calls of moduli_poincare(n, d, g) admitted are
+# exactly those the earlier slope-gap estimate admitted, for every coprime d:
+# (9, d, 2) tests at most 117,062 vectors and (6, d, 6) 123,936; (7, d, 4)
+# needs at least 147,606.  README.md gives the time of a walk to the limit.
 MAX_LATTICE_POINTS = 140_000
 
 
@@ -146,10 +145,10 @@ def enumerate_types(n, d, g, max_codim):
     _check_genus(g)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
-    if 2 ** (n - 1) > MAX_LATTICE_POINTS:
-        raise ValidationError(
-            "rank %d has 2^%d compositions, past the budget of %d lattice points"
-            % (n, n - 1, MAX_LATTICE_POINTS))
+    # 2^(n-1) compositions pass the limit exactly when n - 1 passes its log2,
+    # so no power of n bits is built
+    check_budget("rank %d" % n, "log2 compositions (n - 1)", n - 1,
+                 MAX_LATTICE_POINTS.bit_length() - 1)
     found = [HNType.trivial(n, d)]
     visited = 0
     for comp, pairs in _compositions_within(n, max_codim // (g - 1)):
@@ -179,9 +178,8 @@ def enumerate_types(n, d, g, max_codim):
             while True:
                 visited += 1
                 if visited > MAX_LATTICE_POINTS:
-                    raise ValidationError(
-                        "codimension bound %d needs more than %d lattice points "
-                        "(about 1 s)" % (max_codim, MAX_LATTICE_POINTS))
+                    check_budget("codimension bound %d" % max_codim, "lattice points",
+                                 visited, MAX_LATTICE_POINTS)
                 if cost + rest[k + 1] > budget or k and last * comp[k] <= dk * comp[k - 1]:
                     return
                 walk(k + 1, D + dk, dk, cost, degrees + [dk])

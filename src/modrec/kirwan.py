@@ -18,7 +18,8 @@ known in advance and is divided out by running sums.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import accumulate
 
 from .errors import InvariantViolation, ValidationError
 from .exactalg import Poly, is_palindrome
@@ -54,16 +55,29 @@ class WeightSystem:
 Stratum = namedtuple("Stratum", "beta fixed_dim codim")
 
 
-def _proj_poincare(dim, shift=0):
-    """Coefficients of t^(2 shift) P_t(P^dim), P_t(P^dim) = 1 + t^2 + ... + t^(2 dim)."""
-    return [0] * (2 * shift) + [1, 0] * dim + [1]
+def _blocks(dim, blocks):
+    """Coefficients of t^0..t^(2 dim) of the sum of sign t^(2 start) P_t(P^d)
+    over the (start, d, sign) blocks, start + d <= dim, where P_t(P^d) =
+    1 + t^2 + ... + t^(2 d): each block adds sign to the q-indices
+    start..start + d (q = t^2) of one difference array."""
+    diff = [0] * (dim + 2)
+    for start, d, sign in blocks:
+        diff[start] += sign
+        diff[start + d + 1] -= sign
+    out = [0] * (2 * dim + 1)
+    out[0::2] = accumulate(diff[:dim + 1])
+    return out
 
 
-def _add(a, b, sign=1):
-    """a + sign * b on coefficient lists."""
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    return [x + sign * y for x, y in zip(a, b)] + a[len(b):]
+def _value_counts(w):
+    """(value, multiplicity, number of smaller weights) for each distinct
+    weight value, ascending, from one sorted count."""
+    out = []
+    below = 0
+    for value, m in sorted(Counter(w).items()):
+        out.append((value, m, below))
+        below += m
+    return out
 
 
 def strata(ws):
@@ -73,14 +87,12 @@ def strata(ws):
     out = []
     if ws.has_semistable():
         out.append(Stratum(beta=0, fixed_dim=None, codim=0))
-    for value in sorted(set(w), key=lambda v: (abs(v), -v)):
+    for value, m, below in sorted(_value_counts(w), key=lambda c: (abs(c[0]), -c[0])):
         if value == 0:
             continue
-        if value > 0:
-            codim = sum(1 for x in w if x < value)
-        else:
-            codim = sum(1 for x in w if x > value)
-        out.append(Stratum(beta=value, fixed_dim=ws.multiplicity(value) - 1, codim=codim))
+        # the far side of value: the weights below it, or those above it
+        codim = below if value > 0 else len(w) - below - m
+        out.append(Stratum(beta=value, fixed_dim=m - 1, codim=codim))
     _check_partition(ws, out)
     return out
 
@@ -115,12 +127,8 @@ def bb_decomposition(ws):
     t^{2 #{i : w_i < v}} P_t(P^{m_v - 1}); a mismatch means the attracting
     cell dimensions are wrong, and raises.
     """
-    w = ws.weights
-    total = _proj_poincare(ws.dim)
-    acc = []
-    for value in sorted(set(w)):
-        below = sum(1 for x in w if x < value)
-        acc = _add(acc, _proj_poincare(ws.multiplicity(value) - 1, below))
+    total = _blocks(ws.dim, [(0, ws.dim, 1)])
+    acc = _blocks(ws.dim, [(below, m - 1, 1) for _, m, below in _value_counts(ws.weights)])
     if acc != total:
         raise InvariantViolation(
             "fixed-point decomposition does not add up: %s vs %s" % (acc, total))
@@ -157,10 +165,8 @@ def perfection_check(ws):
     """
     if not ws.has_semistable():
         raise ValidationError("semistable locus is empty for these weights")
-    num = _proj_poincare(ws.dim)
-    for s in strata(ws):
-        if s.beta != 0:
-            num = _add(num, _proj_poincare(s.fixed_dim, s.codim), -1)
+    num = _blocks(ws.dim, [(0, ws.dim, 1)] + [(s.codim, s.fixed_dim, -1)
+                                               for s in strata(ws) if s.beta != 0])
     # num = Q (1 - t^2) + R with deg R < 2, so the series is Q + R / (1 - t^2):
     # R_0 and R_1 sum the even and the odd coefficients of num, and from
     # deg num - 1 on the series repeats R_0, R_1, so its coefficients up to

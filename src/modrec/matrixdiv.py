@@ -26,7 +26,7 @@ from collections import namedtuple
 from math import comb
 from operator import add
 
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 from .exactalg import Poly
 from .symprod import sym_poincare
 from .yangmills import classifying_coefficients
@@ -34,8 +34,7 @@ from .yangmills import classifying_coefficients
 # A product of polynomials with a and b terms is charged (a + TERM_PAD) *
 # (b + TERM_PAD) coefficient products, padded for building and summing the
 # result, each weighted 1 + bits / COEFF_BITS for coefficients of about bits
-# bits.  Slowest admitted requests, best of 3 on the 2-core host: rank 2 at
-# e = 220, g = 2 1.2 s; e = 201, g = 40 1.6 s.
+# bits.  README.md gives the slowest admitted requests.
 MAX_PRODUCTS = 9_000_000
 TERM_PAD = 10
 COEFF_BITS = 512
@@ -77,9 +76,9 @@ def div_poincare(n, e, g, cap=None):
         return Poly.univariate("t", sym_poincare(g, e).scalar_coeffs("t")[:top])
     S = [sym_poincare(g, 0).scalar_coeffs("t")]  # checks the genus before the budget
     bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
-    if _betti_charge(n, e) * (COEFF_BITS + bits) > MAX_PRODUCTS * COEFF_BITS:
-        raise ValidationError("rank %d at torsion degree %d and genus %d needs more than "
-                              "%d coefficient products" % (n, e, g, MAX_PRODUCTS))
+    # rounded up, the weighted charge passes the limit exactly when it does unrounded
+    check_budget("rank %d at torsion degree %d and genus %d" % (n, e, g), "coefficient products",
+                 -(-_betti_charge(n, e) * (COEFF_BITS + bits) // COEFF_BITS), MAX_PRODUCTS)
     S += [sym_poincare(g, k).scalar_coeffs("t")[:top] for k in range(1, e + 1)]
     # the shifts t^(2k) that stay within the cap; a longer one leaves 0
     reach = e + 1 if cap is None else min(e, cap // 2) + 1

@@ -18,20 +18,17 @@ from __future__ import annotations
 from math import comb
 
 from .curve import _prime_divisors, check_field_size, count_points
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 from .exactalg import Poly
 
 
 # A symmetric-power polynomial is charged its 2n + 1 coefficients and its
 # min(2g, n) + 1 running sums, each weighted (1 + bits / COEFF_BITS)^2 for
 # coefficients of at most bits bits, since printing one is quadratic in its
-# length.  Slowest admitted requests on the 2-core host, best of 3:
-# symprod --n 347214 --g 2 1.2 s, --n 242954 --g 100 1.1 s (1.6 s in one
-# busier run) and --n 20374 --g 1500 1.1 s; past g = 3000 the size bound is
-# loose, and --n 1062 --g 1000000 takes 0.3 s.  A refusal such as
-# symprod --n 100000000 --g 2 exits in 0.1 s.  Every symmetric power that
-# matrixdiv's own budget admits at ranks 2-7 and genus up to 10^100 is
-# charged under 70,000 steps.
+# length.  README.md gives the slowest admitted requests; past g = 3000 the
+# size bound is loose, and --n 1062 --g 1000000 takes 0.3 s.  Every
+# symmetric power that matrixdiv's own budget admits at ranks 2-7 and genus
+# up to 10^100 is charged under 70,000 steps.
 MAX_LOOP_STEPS = 700_000
 COEFF_BITS = 1000
 
@@ -59,9 +56,8 @@ def sym_poincare(g, n):
         raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
-    if _poincare_steps(g, n) > MAX_LOOP_STEPS:
-        raise ValidationError("symmetric power %d at genus %d needs more than %d loop steps"
-                              % (n, g, MAX_LOOP_STEPS))
+    check_budget("symmetric power %d at genus %d" % (n, g), "loop steps",
+                 _poincare_steps(g, n), MAX_LOOP_STEPS)
     top = min(2 * g, n)
     sums = [1]
     for i in range(1, top + 1):
@@ -77,15 +73,22 @@ def sym_count(curve, n):
     """Number of degree-n effective divisors, the t^n coefficient of the zeta
     function P(t) / ((1 - t)(1 - q t)):
 
-        sum_{k <= min(n, 2g)} a_k (q^(n-k+1) - 1) / (q - 1).
+        sum_{k <= min(n, 2g)} a_k S_(n-k+1),  S_j = (q^j - 1) / (q - 1).
+
+    One power and one division give S_j at the largest k; each smaller k
+    then steps S_(j+1) = q S_j + 1.
     """
     if not curve.is_arithmetic:
         raise ValidationError("divisor counts need arithmetic mode")
     if n < 0:
         raise ValidationError("degree must be >= 0")
     q = curve.q
-    count = sum(a * ((q ** (n - k + 1) - 1) // (q - 1))
-                for k, a in enumerate(curve.coefficients()[: n + 1]))
+    coeffs = curve.coefficients()[: n + 1]
+    s = (q ** (n - len(coeffs) + 2) - 1) // (q - 1)
+    count = 0
+    for a in reversed(coeffs):
+        count += a * s
+        s = q * s + 1
     if count < 0:
         raise ValidationError("negative divisor count signals invalid zeta data")
     return count
@@ -104,8 +107,7 @@ def divisor_enumerate(model, n):
     """
     if n < 0:
         raise ValidationError("degree must be >= 0")
-    if n > DIVISOR_DEGREE_LIMIT:
-        raise ValidationError("divisor enumeration is desk-scale: n <= %d" % DIVISOR_DEGREE_LIMIT)
+    check_budget("divisor enumeration", "degree", n, DIVISOR_DEGREE_LIMIT)
     if n == 0:
         return 1
     check_field_size(model.p, model.k * n)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .curve import SpecializationField
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_budget
 from .hn import codim, enumerate_types, mass_exponent
 
 
@@ -60,20 +60,16 @@ def total_mass(n, d, field):
     return value
 
 
-# Largest rank ss_mass accepts per field, with the longest one mass at that
-# rank took over every d at g = 2 and 3 on a 2-core x86-64 host (numeric:
-# curves over F_2; Betti and Hodge: a fresh field per d, in process).
-# Betti and Hodge are the largest ranks within 8 s and 4 s; at the next rank
-# one mass took 9.2 s and 4.7 s.
-MASS_RANK_LIMIT = {SpecializationField.NUMERIC: (60, "1.3 s"),
-                   SpecializationField.BETTI: (26, "7.5 s"),
-                   SpecializationField.HODGE: (11, "2.7 s")}
+# Largest rank ss_mass accepts per field; README.md gives the slowest
+# admitted mass at each.
+MASS_RANK_LIMIT = {SpecializationField.NUMERIC: 60,
+                   SpecializationField.BETTI: 26,
+                   SpecializationField.HODGE: 11}
 
 # A numeric mass works on Fractions of about n^2 g log q bits, so below the
 # rank limit it is also charged n^6 bits(q)^2 g and refused past this
-# charge.  Rank 60 over F_2 at g = 3 is admitted; the slowest admitted
-# masses, over q from 81 to 2^81 at g = 2, 3 and 6, took up to 1.4 s on
-# the same host, while rank 40 over q = 10^9 + 7 took 16 s.
+# charge.  Rank 60 over F_2 at g = 3 is admitted; README.md gives the
+# slowest admitted masses.
 NUMERIC_MASS_CHARGE = 6 * 10 ** 11
 
 
@@ -122,19 +118,12 @@ def ss_mass(n, d, field):
     """
     if n < 1:
         raise ValidationError("rank must be positive")
-    limit, seconds = MASS_RANK_LIMIT[field.mode]
-    if n > limit:
-        raise ValidationError(
-            "rank %d is past the %s mass limit %d: rank %d takes up to %s"
-            % (n, field.mode, limit, limit, seconds))
+    check_budget("%s mass" % field.mode, "rank", n, MASS_RANK_LIMIT[field.mode])
     if field.mode == SpecializationField.NUMERIC:
         bits = field.curve.q.bit_length()
-        charge = n ** 6 * bits * bits * field.genus
-        if charge > NUMERIC_MASS_CHARGE:
-            raise ValidationError(
-                "rank %d over q = %d at genus %d is past the numeric mass charge: "
-                "n^6 bits(q)^2 g = %d exceeds %d" % (n, field.curve.q, field.genus, charge,
-                                                     NUMERIC_MASS_CHARGE))
+        check_budget("numeric mass of rank %d over q = %d at genus %d"
+                     % (n, field.curve.q, field.genus),
+                     "n^6 bits(q)^2 g", n ** 6 * bits * bits * field.genus, NUMERIC_MASS_CHARGE)
     key = (n, d % n)
     cached = field.mass_cache.get(key)
     if cached is not None:

@@ -22,7 +22,6 @@ from .errors import InvariantViolation, ValidationError
 from .exactalg import Poly, Series, is_palindrome, poly_divexact
 from .hn import codim, enumerate_types
 
-_CLASSIFYING = {}
 _SS_SERIES = {}
 
 # orders above the expected top degree in which moduli_poincare requires the
@@ -44,12 +43,8 @@ def classifying_series(n, g):
     from .factored import BettiFactored
 
     _check_rank_genus(n, g)
-    key = (n, g)
-    if key not in _CLASSIFYING:
-        num = _numerator_coefficients(n, g, 2 * g * n * n)
-        _CLASSIFYING[key] = BettiFactored(0, {0: num[0::2], 1: num[1::2]},
-                                          (2,) * (n - 1) + (1,))
-    return _CLASSIFYING[key]
+    num = _numerator_coefficients(n, g, 2 * g * n * n)
+    return BettiFactored(0, {0: num[0::2], 1: num[1::2]}, (2,) * (n - 1) + (1,))
 
 
 def _numerator_coefficients(n, g, order):
@@ -150,5 +145,4 @@ def fixed_determinant_poly(n, d, g):
 
 
 def clear_caches():
-    _CLASSIFYING.clear()
     _SS_SERIES.clear()

@@ -66,6 +66,9 @@
   identities on ``Poly`` and a gcd-reduced ``RatFun`` over 1 - t^2, and
   ``fixed_determinant_by_ratfun`` divides out (1 + t)^(2g) by reducing a
   ``RatFun``; the production code divides on coefficient lists.
+  ``strata_by_rescan`` counts each stratum's codimension and multiplicity by
+  a scan of all weights per distinct value; ``kirwan.strata`` reads them
+  off one sorted count.
 * ``sym_poincare_by_loop`` fills a dict over (min(2g, n) + 1)(n + 1) steps;
   ``symprod.sym_poincare`` reads each coefficient off running sums of the
   binomials C(2g, i) instead.
@@ -88,7 +91,7 @@ from modrec.exactalg import poly_divexact as univariate_divexact
 from modrec.exactalg import poly_gcd as univariate_gcd
 from modrec.errors import ValidationError
 from modrec.hn import HNType, codim
-from modrec.kirwan import strata
+from modrec.kirwan import Stratum, strata
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
 from modrec.yangmills import moduli_poincare
@@ -893,6 +896,21 @@ def sym_poincare_by_loop(g, n):
 
 def _proj_poincare(dim):
     return Poly.univariate("t", [1, 0] * dim + [1])
+
+
+def strata_by_rescan(ws):
+    """``kirwan.strata`` with one scan of the weights per distinct value."""
+    w = ws.weights
+    out = [Stratum(beta=0, fixed_dim=None, codim=0)] if ws.has_semistable() else []
+    for value in sorted(set(w), key=lambda v: (abs(v), -v)):
+        if value == 0:
+            continue
+        if value > 0:
+            codim = sum(1 for x in w if x < value)
+        else:
+            codim = sum(1 for x in w if x > value)
+        out.append(Stratum(beta=value, fixed_dim=ws.multiplicity(value) - 1, codim=codim))
+    return out
 
 
 def bb_total_by_polys(ws):

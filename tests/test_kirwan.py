@@ -8,6 +8,7 @@ Poincare polynomial under q = t^2.
 """
 
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,13 @@ from modrec.kirwan import (
     strata,
 )
 
-from oracles import ReducingRatFun, bb_total_by_polys, perfection_by_ratfun, series_expand
+from oracles import (
+    ReducingRatFun,
+    bb_total_by_polys,
+    perfection_by_ratfun,
+    series_expand,
+    strata_by_rescan,
+)
 
 T = Poly.var("t")
 
@@ -142,6 +149,7 @@ def test_list_paths_match_ratfun_oracle():
     for _ in range(240):
         size = rng.randint(1, 10)
         ws = WeightSystem(tuple(rng.randint(-6, 6) for _ in range(size + 1)))
+        assert strata(ws) == strata_by_rescan(ws), ws.weights
         assert bb_decomposition(ws).total == bb_total_by_polys(ws)
         if not ws.has_semistable():
             continue
@@ -156,3 +164,17 @@ def test_list_paths_match_ratfun_oracle():
             assert quotient_poincare(ws) == poly_part
             seen["quotient"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_ten_thousand_distinct_weights_run_in_one_pass():
+    # one sorted count and one difference array: a rescan per distinct value
+    # took seconds here
+    ws = WeightSystem(tuple(range(-5000, 5001)))
+    start = time.perf_counter()
+    found = strata(ws)
+    assert bb_decomposition(ws).match
+    report = perfection_check(ws)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == 10001 and found[1] == Stratum(1, 0, 5001)
+    assert found[2] == Stratum(-1, 0, 5001)
+    assert not report.is_polynomial  # the zero weight leaves a periodic tail

@@ -36,7 +36,7 @@ def test_coefficients_nonnegative():
 def test_bridge_rank_one():
     report = div_bridge_check(1, 2, e=16, cutoff=8)
     assert report.match
-    want = series_expand(classifying_series(1, 2).ratfun(), "t", 8).coefficient_values()
+    want = series_expand(classifying_series(1, 2).ratfun(), "t", 8).coeffs
     assert list(report.classifying_coeffs) == want
 
 
@@ -127,7 +127,8 @@ def test_budget_boundary():
     # larger coefficients lower it
     for n, e, g in [(2, 221, 2), (3, 73, 2), (2, 202, 40), (3, 48, 10 ** 9),
                     (2, 222, 10 ** 9)]:
-        with pytest.raises(ValidationError, match="more than 9000000 coefficient products"):
+        with pytest.raises(ValidationError,
+                           match=r"coefficient products = \d+ exceeds the limit 9000000$"):
             div_poincare(n, e, g)
     assert div_poincare(3, 72, 2).scalar_coeffs("t")[:6] == [1, 4, 8, 16, 34, 64]
     assert div_poincare(3, 47, 10 ** 9).scalar_coeffs("t")[:2] == [1, 2 * 10 ** 9]

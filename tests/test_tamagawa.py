@@ -335,7 +335,7 @@ def test_fixed_determinant_counts_integral_to_rank_nine():
     curve = load_curve(str(config))
     F = SpecializationField.numeric(curve)
     cases = [(n, d) for n in range(1, 10) for d in range(n) if gcd(n, d) == 1]
-    cases += [(17, 1), (32, 1), (MASS_RANK_LIMIT["numeric"][0], 1)]
+    cases += [(17, 1), (32, 1), (MASS_RANK_LIMIT["numeric"], 1)]
     for n, d in cases:
         count = stable_count(n, d, F)
         assert count > 0 and count % curve.class_number() == 0, (n, d)
@@ -345,9 +345,9 @@ def test_fixed_determinant_counts_integral_to_rank_nine():
 def test_mass_rank_limit():
     for mode, _, _, make in SWEEP[::2]:
         F = make()
-        limit, _ = MASS_RANK_LIMIT[mode]
-        with pytest.raises(ValidationError, match="mass limit %d: rank %d takes up to"
-                                                  % (limit, limit)):
+        limit = MASS_RANK_LIMIT[mode]
+        with pytest.raises(ValidationError, match="%s mass: rank = %d exceeds the limit %d"
+                                                  % (mode, limit + 1, limit)):
             ss_mass(limit + 1, 1, F)
 
 
@@ -357,8 +357,8 @@ def test_numeric_mass_is_charged_by_the_size_of_q():
     F = SpecializationField.numeric(zeta_from_counts(q, 2, [q + 1, q * q + 1]))
     start = time.perf_counter()
     for n in (27, 60):
-        with pytest.raises(ValidationError, match="rank %d over q = %d at genus 2 is past "
-                                                  "the numeric mass charge" % (n, q)):
+        with pytest.raises(ValidationError, match=r"numeric mass of rank %d over q = %d at "
+                                                  r"genus 2: n\^6 bits\(q\)\^2 g = " % (n, q)):
             ss_mass(n, 1, F)
     assert time.perf_counter() - start < 0.1
     assert stable_count(5, 1, F) > 0
