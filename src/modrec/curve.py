@@ -20,8 +20,8 @@ import operator
 from fractions import Fraction
 from math import comb
 
-from .errors import InvariantViolation, ValidationError, check_budget
-from .exactalg import Poly, poly_divexact, poly_gcd
+from .errors import InvariantViolation, ValidationError, check_budget, shown
+from .exactalg import Poly, conv, poly_divexact, poly_gcd
 
 FIELD_SIZE_LIMIT = 2 ** 18
 
@@ -152,7 +152,7 @@ class GF:
 def check_field_size(p, m):
     """Refuse F_{p^m} past FIELD_SIZE_LIMIT, without computing a huge power:
     p^m >= 2^(m floor(log2 p)), so that exponent is checked first."""
-    what = "field F_{%d^%d}" % (p, m)
+    what = "field F_{%s^%s}" % (shown(p), shown(m))
     check_budget(what, "m floor(log2 p)", m * (p.bit_length() - 1),
                  FIELD_SIZE_LIMIT.bit_length() - 1)
     check_budget(what, "p^m", p ** m, FIELD_SIZE_LIMIT)
@@ -514,9 +514,7 @@ def _weil_norm_check(coeffs, q):
     for k in range(1, g + 1):
         R = [r + coeffs[g - k] * c for r, c in itertools.zip_longest(R, D[k], fillvalue=0)]
         D.append([c - q * b for c, b in itertools.zip_longest([0] + D[k], D[k - 1], fillvalue=0)])
-    V = [(-1) ** g * sum((-1) ** i * R[i] * R[2 * m - i]
-                         for i in range(max(0, 2 * m - g), min(2 * m, g) + 1))
-         for m in range(g + 1)]
+    V = [(-1) ** g * c for c in conv(R, [(-1) ** i * r for i, r in enumerate(R)])[::2]]
     Vp = Poly.univariate("t", V)
     S = poly_divexact(Vp, poly_gcd(Vp, Poly.univariate("t", _derivative(V)))).scalar_coeffs("t")
     chain = [S, _derivative(S)]

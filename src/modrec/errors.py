@@ -28,10 +28,17 @@ def check_budget(what, unit, charge, limit):
 
     Raises ValidationError, reported on one ``error:`` line, in the one form
     ``<what>: <unit> = <charge> exceeds the limit <limit>`` when
-    charge > limit.  README.md lists every limit with its charge.  A charge
-    past int -> str's digit guard is shown as the power of two below it.
+    charge > limit.  README.md lists every limit with its charge.  The charge
+    is shown by ``shown``, and so is every request integer in ``what``.
     """
     if charge > limit:
-        shown = charge if charge.bit_length() <= 10_000 else "at least 2^%d" % (
-            charge.bit_length() - 1)
-        raise ValidationError("%s: %s = %s exceeds the limit %s" % (what, unit, shown, limit))
+        raise ValidationError("%s: %s = %s exceeds the limit %s"
+                              % (what, unit, shown(charge), limit))
+
+
+def shown(value):
+    """A non-negative int as a message shows it: itself, or past int -> str's
+    digit guard the power of two below it, so formatting it never raises."""
+    if value.bit_length() > 10_000:
+        return "at least 2^%d" % (value.bit_length() - 1)
+    return value

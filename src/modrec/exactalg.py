@@ -24,6 +24,14 @@ Representation choices:
   coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
   Arithmetic never reads past the truncation order.
 
+* Dense coefficient lists (ascending, index k for y^k) carry every
+  integer-series computation in the package through one kernel: ``conv``
+  (the product, optionally cut to its first coefficients), ``divexact``
+  (exact division, ``None`` on a remainder), ``times_one_minus`` and
+  ``over_one_minus`` (multiplying by (1 - y^c)^k and expanding a quotient
+  by 1 - y^c) and ``add_into`` (a shifted add).  ``Poly`` and ``Series``
+  products, ``modrec.factored`` and the t-side modules all call it.
+
 Integer path: every stored coefficient is an ``int`` or a ``Fraction`` with
 denominator > 1, so int inputs give int outputs and an integral Fraction
 comes back as ``int``.  Sums and products of ints are ints, so a result list
@@ -37,6 +45,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as _int_gcd
 from operator import mul as _mul
 
@@ -257,7 +266,8 @@ class Poly:
             c = other.terms[()]
             return Poly(self.vars, {e: _cnorm(c * v) for e, v in self.terms.items()}, _trusted=True)
         if self.vars == other.vars and len(self.vars) == 1:
-            return _mul_dense_univar(self, other)
+            name = self.vars[0]
+            return _univar(name, _normed(conv(self.scalar_coeffs(name), other.scalar_coeffs(name))))
         vars, ta, tb = _align(self, other)
         out = {}
         for ea, ca in ta.items():
@@ -392,17 +402,107 @@ def _univar(name, coeffs):
     return Poly((name,), terms, _trusted=True)
 
 
-def _mul_dense_univar(a, b):
-    name = a.vars[0]
-    ca = a.scalar_coeffs(name)
-    cb = b.scalar_coeffs(name)
-    out = [0] * (len(ca) + len(cb) - 1)
-    nonzero = [(j, y) for j, y in enumerate(cb) if y]  # zeros skipped on both sides
-    for i, x in enumerate(ca):
-        if x:
-            for j, y in nonzero:
-                out[i + j] += x * y
-    return _univar(name, _normed(out))
+# ---------------------------------------------------------------------------
+# dense coefficient lists
+# ---------------------------------------------------------------------------
+
+
+def conv(a, b, top=None):
+    """The product of two non-empty dense coefficient lists: its first ``top``
+    coefficients when a cut is given, all of them otherwise.
+
+    The path follows the sizes (after the cut) alone:
+
+    * both factors reach the cut and are shorter than 48: one truncated dot
+      product per coefficient;
+    * a factor of at most 8 entries, or a non-int coefficient: shifted
+      copies of the longer factor, one per nonzero entry of the shorter;
+    * otherwise one integer product (Kronecker substitution): each list is
+      evaluated at 2^K, with K past the bit size of every coefficient the
+      product can have, and the product's low base-2^K digits, read back
+      with an offset of 2^(K-1) each, are its signed coefficients.
+    """
+    size = len(a) + len(b) - 1
+    if top is not None and top < size:
+        size = top
+        a, b = a[:size], b[:size]
+    if len(a) < len(b):
+        a, b = b, a
+    lb = len(b)
+    if lb == size < 48:
+        # coefficient k is the dot product of a[:k+1] with b[k], ..., b[0]
+        return [sum(map(_mul, a[:k + 1], b[k::-1])) for k in range(size)]
+    if lb <= 8 or not (_all_int(a) and _all_int(b)):
+        out = [0] * size
+        for j, y in enumerate(b):
+            if y:
+                out[j:j + len(a)] = [o + y * x for o, x in zip(out[j:], a)]
+        return out
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + lb.bit_length()
+    width = bits // 8 + 1  # bytes per digit, so |coefficient| < 2^(8 width - 1)
+    value = _evaluate(a, width) * _evaluate(b, width)
+    # the offset makes every digit non-negative; the digits past the cut go
+    value += int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    data = (value & ((1 << 8 * width * size) - 1)).to_bytes(width * size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * size, width)]
+
+
+def _evaluate(a, width):
+    """sum a_i 2^(8 width i) for coefficients of at most 8 width - 1 bits."""
+    pos = b"".join([(x if x > 0 else 0).to_bytes(width, "little") for x in a])
+    neg = b"".join([(-x if x < 0 else 0).to_bytes(width, "little") for x in a])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def divexact(a, b):
+    """a / b on dense coefficient lists, b with a nonzero last entry; None
+    when b leaves a remainder.  Int quotients stay ints, others are
+    Fractions."""
+    db = len(b) - 1
+    rem = list(a)
+    lead = b[-1]
+    lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        if type(c) is int and type(lead) is int and c % lead == 0:
+            qc = c // lead
+        else:
+            qc = _cnorm(Fraction(c) / lead)
+        quot[k] = qc
+        for j, bj in lower:
+            rem[k + j] -= qc * bj
+    return None if any(rem[:db]) else quot
+
+
+def add_into(acc, b, shift):
+    """acc + y^shift b, both dense lists from index 0 (acc is reused)."""
+    end = shift + len(b)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = map(sum, zip(acc[shift:end], b))
+    return acc
+
+
+def times_one_minus(a, c, k=1):
+    """a (1 - y^c)^k, c >= 1: one shift and subtraction per factor."""
+    pad = [0] * c
+    for _ in range(k):
+        a = [x - y for x, y in zip(a + pad, pad + a)]
+    return a
+
+
+def over_one_minus(a, c, size):
+    """The first ``size`` >= 0 coefficients of the series a / (1 - y^c),
+    c >= 1: a running sum per residue class mod c."""
+    out = list(a[:size]) + [0] * (size - len(a))
+    for r in range(min(c, size)):
+        out[r::c] = accumulate(out[r::c])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,31 +596,9 @@ def poly_divexact(a, b):
     union = set(a.vars) | set(b.vars)
     if len(union) > 1:
         raise ValidationError("multivariate exact division is not supported: %s by %s" % (a, b))
-    return _divexact_univar(a, b, b.vars[0])
-
-
-def _divexact_univar(a, b, name):
-    """Long division on dense coefficient lists of one variable."""
-    rem = a.scalar_coeffs(name)
-    B = b.scalar_coeffs(name)
-    db = len(B) - 1
-    if len(rem) <= db:
-        raise ValidationError("non-exact polynomial division")
-    lead = B[-1]
-    lower = [(j, c) for j, c in enumerate(B[:-1]) if c]
-    quot = [0] * (len(rem) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + db]
-        if not c:
-            continue
-        if isinstance(c, int) and isinstance(lead, int) and c % lead == 0:
-            qc = c // lead
-        else:
-            qc = _cnorm(Fraction(c) / lead)
-        quot[k] = qc
-        for j, bj in lower:
-            rem[k + j] -= qc * bj
-    if any(rem[:db]):
+    name = b.vars[0]
+    quot = divexact(a.scalar_coeffs(name), b.scalar_coeffs(name))
+    if quot is None:
         raise ValidationError("non-exact polynomial division")
     return Poly.univariate(name, quot)
 
@@ -612,11 +690,8 @@ class Series:
             return NotImplemented
         if other.var != self.var:
             raise ValidationError("series variables differ")
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # coefficient k is the dot product of a[:k+1] with b[k], ..., b[0]
-        out = [sum(map(_mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
-        return Series(self.var, _normed(out), _trusted=True)
+        top = min(self.order, other.order) + 1
+        return Series(self.var, _normed(conv(self.coeffs, other.coeffs, top)), _trusted=True)
 
     __rmul__ = __mul__
 

@@ -13,13 +13,17 @@ programme needs no gcd:
   multiplying a numerator by (1 - q^c), one shift and subtraction;
 * a product convolves the numerators and adds the vectors.
 
+All of this list arithmetic (products, exact divisions, the (1 - q^c)
+steps and shifted adds) is the coefficient-list kernel of
+``modrec.exactalg``.
+
 N is graded over Z[q, 1/q]: N = sum_s x_s c_s(q), the c_s dense coefficient
 lists sharing one lowest exponent.  Betti (q = t^2) has the grades x_0 = 1
 and x_1 = t, with x_1 x_1 = q.  Hodge (q = u v) has x_s = u^s for s >= 0 and
 v^-s for s < 0, a basis of Z[u, v] over Z[uv]; x_s x_r = q^m x_(s+r), with
 m = min(|s|, |r|) when s and r have opposite signs and 0 otherwise.  A
 product lays each numerator out as one list in which the exponents of its
-terms add, and long lists multiply as integers (Kronecker substitution).
+terms add, so one kernel product multiplies them.
 
 Two elements are equal when their difference, raised to the common
 multiplicities, has a zero numerator, so comparing needs no gcd either.
@@ -33,67 +37,10 @@ mixes only with ints and with elements of its own field; anything else is a
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from math import comb
-from operator import neg
 
-from .exactalg import Poly, RatFun
-
-
-def _conv(a, b):
-    """Product of two dense coefficient lists.
-
-    A short factor adds a few shifted copies of the long one.  Long pairs go
-    through one integer product (Kronecker substitution): each list is
-    evaluated at 2^K, with K past the bit size of every coefficient the
-    product can have, and the product's base-2^K digits, read back with an
-    offset of 2^(K-1) each, are its signed coefficients.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    la, lb = len(a), len(b)
-    if lb <= 8:
-        out = [0] * (la + lb - 1)
-        for j, y in enumerate(b):
-            if y:
-                out[j:j + la] = [o + y * x for o, x in zip(out[j:j + la], a)]
-        return out
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + lb.bit_length()
-    width = bits // 8 + 1  # bytes per digit, so |coefficient| < 2^(8 width - 1)
-    return _coefficients(_evaluate(a, width) * _evaluate(b, width), width, la + lb - 1)
-
-
-def _coefficients(value, width, size):
-    """The signed base-2^(8 width) digits of value, each below 2^(8 width - 1)."""
-    value += int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    data = value.to_bytes(width * size, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(data[i:i + width], "little") - half
-            for i in range(0, width * size, width)]
-
-
-def _evaluate(a, width):
-    """sum a_i 2^(8 width i) for coefficients of at most 8 width - 1 bits."""
-    pos = b"".join([(x if x > 0 else 0).to_bytes(width, "little") for x in a])
-    neg = b"".join([(-x if x < 0 else 0).to_bytes(width, "little") for x in a])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _add_into(acc, b, shift):
-    """acc + y^shift b, both dense lists from index 0 (acc is reused)."""
-    end = shift + len(b)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = map(sum, zip(acc[shift:end], b))
-    return acc
-
-
-def _times_one_minus(a, c, k):
-    """a (1 - y^c)^k on a dense list."""
-    pad = [0] * c
-    for _ in range(k):
-        a = [x - y for x, y in zip(a + pad, pad + a)]
-    return a
+from .exactalg import Poly, RatFun, add_into, conv, divexact, over_one_minus, times_one_minus
 
 
 class Factored:
@@ -146,7 +93,7 @@ class Factored:
         parts = self.parts
         for c, (have, want) in enumerate(zip_longest(self.mult, mult, fillvalue=0), 1):
             if want > have:
-                parts = {s: _times_one_minus(a, c, want - have) for s, a in parts.items()}
+                parts = {s: times_one_minus(a, c, want - have) for s, a in parts.items()}
         return parts
 
     def __add__(self, other):
@@ -163,7 +110,7 @@ class Factored:
             shift = x.low - low
             for s, a in x._raised(mult).items():
                 if s in out:
-                    _add_into(out[s], a, shift)
+                    add_into(out[s], a, shift)
                 else:
                     out[s] = [0] * shift + a
         return type(self)(low, out, mult)
@@ -197,7 +144,7 @@ class Factored:
         # one convolution: x_s q^k sits at (s - base) + stride (offset(s) + k - low),
         # which is additive in the exponents of the product's terms
         base_a, base_b, stride = self._layout(other)
-        digits = _conv(self._digits(base_a, stride), other._digits(base_b, stride))
+        digits = conv(self._digits(base_a, stride), other._digits(base_b, stride))
         base, parts = base_a + base_b, {}
         for s in range(base, base + stride):
             piece = _trimmed(digits[s - base + stride * self._offset(s)::stride])
@@ -325,25 +272,8 @@ def cyclotomic(m):
     a = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            a = _divide(a, cyclotomic(d))
+            a = divexact(a, cyclotomic(d))
     return a
-
-
-def _divide(a, b):
-    """a / b for a monic divisor b; None when b does not divide a."""
-    db = len(b) - 1
-    rem = list(a)
-    if len(rem) <= db:
-        return None if any(rem) else []
-    lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
-    quot = [0] * (len(rem) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        qk = rem[k + db]
-        if qk:
-            quot[k] = qk
-            for j, c in lower:
-                rem[k + j] -= qk * c
-    return None if any(rem[:db]) else quot
 
 
 def _fold(a, m):
@@ -354,14 +284,13 @@ def _fold(a, m):
 def _cancel(pieces, low, powers):
     """Divide the pieces of N exactly by the factors of prod (1 - y^c)^(k_c).
 
-    ``powers`` maps c to k_c.  First whole factors y^c - 1 go while every
+    ``powers`` maps c to k_c.  First whole factors 1 - y^c go while every
     piece is divisible (a fold test and a running sum), then single
     Phi_m(y), m | c.  Returns (pieces, low, sign, phi): the trimmed pieces
     (one empty list each when N = 0), their lowest y-exponent, the sign
-    (-1)^(sum k_c) from 1 - y^c = -(y^c - 1), and the exponents {m: e_m}
-    of the Phi_m(y) left in the denominator.
+    (-1)^(sum k_c) over the factors left, from 1 - y^c = -(y^c - 1), and
+    the exponents {m: e_m} of the Phi_m(y) left in the denominator.
     """
-    sign = -1 if sum(powers.values()) % 2 else 1
     pieces = [_trimmed(a) for a in pieces]
     if not any(pieces):
         return [[] for _ in pieces], 0, 1, {}
@@ -371,9 +300,10 @@ def _cancel(pieces, low, powers):
     powers = dict(powers)
     for c in sorted(powers, reverse=True):
         while powers[c] and all(not any(_fold(a, c)) for a in pieces):
-            # a = (y^c - 1) b: b_i = b_(i-c) - a_i, a running sum per residue
-            pieces = [_running(a, c) for a in pieces]
+            # a piece is empty or longer than c, so its quotient is exact
+            pieces = [over_one_minus(a, c, max(len(a) - c, 0)) for a in pieces]
             powers[c] -= 1
+    sign = -1 if sum(powers.values()) % 2 else 1
     phi = {}
     for c, k in powers.items():
         for m in range(1, c + 1):
@@ -381,8 +311,8 @@ def _cancel(pieces, low, powers):
                 phi[m] = phi.get(m, 0) + k
     for m in sorted(phi, reverse=True):
         cyc = cyclotomic(m)
-        while phi[m] and all(_divide(_fold(a, m), cyc) is not None for a in pieces):
-            pieces = [_divide(a, cyc) for a in pieces]
+        while phi[m] and all(divexact(_fold(a, m), cyc) is not None for a in pieces):
+            pieces = [divexact(a, cyc) for a in pieces]
             phi[m] -= 1
     return pieces, low, sign, {m: e for m, e in phi.items() if e}
 
@@ -394,18 +324,10 @@ def _trimmed(a):
     return a[:end]
 
 
-def _running(a, c):
-    """b with a = (y^c - 1) b, for a divisible by y^c - 1."""
-    out = [0] * max(len(a) - c, 0)
-    for r in range(min(c, len(out))):
-        out[r::c] = map(neg, accumulate(a[r:len(out):c]))
-    return out
-
-
 def _phi_product(phi):
     """prod_m Phi_m^(e_m) as an ascending int list."""
     out = [1]
     for m, e in phi.items():
         for _ in range(e):
-            out = _conv(out, cyclotomic(m))
+            out = conv(out, cyclotomic(m))
     return out

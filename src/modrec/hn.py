@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import InvariantViolation, ValidationError, check_budget
+from .errors import InvariantViolation, ValidationError, check_budget, shown
 
 # Most prefix-degree vectors enumerate_types may test, and most compositions
 # of the rank.  The top calls of moduli_poincare(n, d, g) admitted are
@@ -147,7 +147,7 @@ def enumerate_types(n, d, g, max_codim):
         raise ValidationError("codimension bound must be >= 0")
     # 2^(n-1) compositions pass the limit exactly when n - 1 passes its log2,
     # so no power of n bits is built
-    check_budget("rank %d" % n, "log2 compositions (n - 1)", n - 1,
+    check_budget("rank %s" % shown(n), "log2 compositions (n - 1)", n - 1,
                  MAX_LATTICE_POINTS.bit_length() - 1)
     found = [HNType.trivial(n, d)]
     visited = 0
@@ -178,7 +178,7 @@ def enumerate_types(n, d, g, max_codim):
             while True:
                 visited += 1
                 if visited > MAX_LATTICE_POINTS:
-                    check_budget("codimension bound %d" % max_codim, "lattice points",
+                    check_budget("codimension bound %s" % shown(max_codim), "lattice points",
                                  visited, MAX_LATTICE_POINTS)
                 if cost + rest[k + 1] > budget or k and last * comp[k] <= dk * comp[k - 1]:
                     return
@@ -187,9 +187,7 @@ def enumerate_types(n, d, g, max_codim):
                 dk += 1
 
         walk(0, 0, None, 0, [])
-    for mu in found:
-        c = codim(mu, g)
-        if c > max_codim:
-            raise InvariantViolation("enumeration produced an out-of-bound type")
-    found.sort(key=lambda mu: (codim(mu, g), mu.parts))
-    return found
+    keyed = sorted((codim(mu, g), mu.parts, mu) for mu in found)  # parts differ, so no tie
+    if keyed[-1][0] > max_codim:
+        raise InvariantViolation("enumeration produced an out-of-bound type")
+    return [mu for _, _, mu in keyed]

@@ -19,10 +19,9 @@ known in advance and is divided out by running sums.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import accumulate
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, is_palindrome
+from .exactalg import Poly, is_palindrome, over_one_minus
 
 
 class WeightSystem:
@@ -65,7 +64,7 @@ def _blocks(dim, blocks):
         diff[start] += sign
         diff[start + d + 1] -= sign
     out = [0] * (2 * dim + 1)
-    out[0::2] = accumulate(diff[:dim + 1])
+    out[0::2] = over_one_minus(diff, 1, dim + 1)
     return out
 
 
@@ -143,16 +142,7 @@ class PerfectionReport(namedtuple(
     __slots__ = ()
 
     def series_coefficients(self, order):
-        return _over_one_minus_t2(self.numerator, order)
-
-
-def _over_one_minus_t2(num, order):
-    """Coefficients of t^0..t^order of num / (1 - t^2): coefficient k is
-    num_k plus coefficient k - 2."""
-    out = list(num[: order + 1]) + [0] * (order + 1 - len(num))
-    for k in range(2, order + 1):
-        out[k] += out[k - 2]
-    return out
+        return over_one_minus(self.numerator, 2, order + 1)
 
 
 def perfection_check(ws):
@@ -171,7 +161,7 @@ def perfection_check(ws):
     # R_0 and R_1 sum the even and the odd coefficients of num, and from
     # deg num - 1 on the series repeats R_0, R_1, so its coefficients up to
     # deg num cover every degree
-    series = _over_one_minus_t2(num, len(num) - 1)
+    series = over_one_minus(num, 2, len(num))
     if any(c < 0 for c in series):
         raise InvariantViolation("semistable series has a negative coefficient")
     tail = [sum(num[0::2]), sum(num[1::2])]

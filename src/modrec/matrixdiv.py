@@ -10,9 +10,10 @@ The cell weight ignores d_1, so raising e pushes new contributions to ever
 higher degrees and the low-order coefficients stabilize; the stabilized
 series is the classifying series of the rank-n gauge group, which is the
 bridge between the divisor picture and the gauge picture.  The convolution
-runs on integer coefficient lists (a shift by t^(2k) is a slice) and wraps
-the result in a ``Poly`` once.  Requests charged more than MAX_PRODUCTS
-coefficient products are refused before the symmetric powers are built.
+runs on integer coefficient lists (a shift by t^(2k) is a slice, a product
+one ``exactalg.conv``) and wraps the result in a ``Poly`` once.  Requests
+charged more than MAX_PRODUCTS coefficient products are refused before the
+symmetric powers are built.
 
 The bridge reads only t^0..t^cutoff, so it passes that cutoff as a t-degree
 cap: every S_k, shifted entry and product is cut to degree <= cap inside the
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
-from operator import add
 
-from .errors import ValidationError, check_budget
-from .exactalg import Poly
+from .errors import ValidationError, check_budget, shown
+from .exactalg import Poly, add_into, conv
 from .symprod import sym_poincare
 from .yangmills import classifying_coefficients
 
@@ -50,17 +50,6 @@ def _betti_charge(n, e):
     return (n - 2) * middle + last + shifts
 
 
-def _add_product(out, a, b, top):
-    """out += a * b on coefficient lists, cut to the first top entries (all
-    of them when top is None)."""
-    size = len(a) + len(b) - 1 if top is None else min(len(a) + len(b) - 1, top)
-    out.extend([0] * (size - len(out)))
-    for i, x in enumerate(a[:size]):
-        if x:
-            row = b[: size - i]
-            out[i:i + len(row)] = map(add, out[i:i + len(row)], [x * y for y in row])
-
-
 def div_poincare(n, e, g, cap=None):
     """Betti polynomial of the rank-n matrix divisor space of torsion degree e;
     only its coefficients of t^0..t^cap when a cap is given.
@@ -77,7 +66,8 @@ def div_poincare(n, e, g, cap=None):
     S = [sym_poincare(g, 0).scalar_coeffs("t")]  # checks the genus before the budget
     bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
     # rounded up, the weighted charge passes the limit exactly when it does unrounded
-    check_budget("rank %d at torsion degree %d and genus %d" % (n, e, g), "coefficient products",
+    check_budget("rank %s at torsion degree %s and genus %s" % (shown(n), shown(e), shown(g)),
+                 "coefficient products",
                  -(-_betti_charge(n, e) * (COEFF_BITS + bits) // COEFF_BITS), MAX_PRODUCTS)
     S += [sym_poincare(g, k).scalar_coeffs("t")[:top] for k in range(1, e + 1)]
     # the shifts t^(2k) that stay within the cap; a longer one leaves 0
@@ -91,7 +81,7 @@ def div_poincare(n, e, g, cap=None):
         for j in js:
             entry = []
             for k, p in enumerate(shifted[: j + 1]):
-                _add_product(entry, p, S[j - k], top)
+                add_into(entry, conv(p, S[j - k], top), 0)
             acc.append(entry)
     return Poly.univariate("t", acc[-1])
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from math import comb
 
 from .curve import _prime_divisors, check_field_size, count_points
-from .errors import ValidationError, check_budget
-from .exactalg import Poly
+from .errors import ValidationError, check_budget, shown
+from .exactalg import Poly, conv, over_one_minus
 
 
 # A symmetric-power polynomial is charged its 2n + 1 coefficients and its
@@ -56,14 +56,13 @@ def sym_poincare(g, n):
         raise ValidationError("genus must be at least 2")
     if n < 0:
         raise ValidationError("symmetric power index must be >= 0")
-    check_budget("symmetric power %d at genus %d" % (n, g), "loop steps",
+    check_budget("symmetric power %s at genus %s" % (shown(n), shown(g)), "loop steps",
                  _poincare_steps(g, n), MAX_LOOP_STEPS)
     top = min(2 * g, n)
     sums = [1]
     for i in range(1, top + 1):
         sums.append(sums[-1] * (2 * g - i + 1) // i)  # C(2g, i), summed below
-    for i in range(2, top + 1):
-        sums[i] += sums[i - 2]
+    sums = over_one_minus(sums, 2, top + 1)
     # min(k, 2n - k, top) has the parity of k unless it is top = 2g, where
     # the even and the odd binomials both sum to 2^(2g - 1)
     return Poly.univariate("t", [sums[min(k, 2 * n - k, top)] for k in range(2 * n + 1)])
@@ -118,22 +117,15 @@ def divisor_enumerate(model, n):
         if total % d:
             raise ValidationError("inconsistent point counts in orbit inversion")
         closed[d] = total // d
-    # coefficient of x^n in prod_d (1 - x^d)^(-B_d)
-    ways = [0] * (n + 1)
-    ways[0] = 1
+    # coefficient of x^n in prod_d (1 - x^d)^(-B_d), with
+    # (1 - x^d)^(-b) = sum_k C(b + k - 1, k) x^(dk)
+    ways = [1] + [0] * n
     for d in range(1, n + 1):
         b = closed[d]
-        if b == 0:
-            continue
-        new = [0] * (n + 1)
-        for base in range(n + 1):
-            if ways[base] == 0:
-                continue
-            k = 0
-            while base + d * k <= n:
-                new[base + d * k] += ways[base] * comb(b + k - 1, k)
-                k += 1
-        ways = new
+        if b:
+            factor = [0] * (n + 1)
+            factor[::d] = [comb(b + k - 1, k) for k in range(n // d + 1)]
+            ways = conv(ways, factor, n + 1)
     return ways[n]
 
 

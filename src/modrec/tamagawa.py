@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .curve import SpecializationField
-from .errors import InvariantViolation, ValidationError, check_budget
+from .errors import InvariantViolation, ValidationError, check_budget, shown
 from .hn import codim, enumerate_types, mass_exponent
 
 
@@ -121,8 +121,8 @@ def ss_mass(n, d, field):
     check_budget("%s mass" % field.mode, "rank", n, MASS_RANK_LIMIT[field.mode])
     if field.mode == SpecializationField.NUMERIC:
         bits = field.curve.q.bit_length()
-        check_budget("numeric mass of rank %d over q = %d at genus %d"
-                     % (n, field.curve.q, field.genus),
+        check_budget("numeric mass of rank %s over q = %s at genus %s"
+                     % (shown(n), shown(field.curve.q), shown(field.genus)),
                      "n^6 bits(q)^2 g", n ** 6 * bits * bits * field.genus, NUMERIC_MASS_CHARGE)
     key = (n, d % n)
     cached = field.mass_cache.get(key)

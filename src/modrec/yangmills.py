@@ -14,12 +14,11 @@ series to the Poincare polynomial of the moduli space.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import gcd
-from operator import add
+from math import comb, gcd
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, Series, is_palindrome, poly_divexact
+from .exactalg import (Poly, Series, conv, divexact, is_palindrome, over_one_minus,
+                       times_one_minus)
 from .hn import codim, enumerate_types
 
 _SS_SERIES = {}
@@ -48,13 +47,14 @@ def classifying_series(n, g):
 
 
 def _numerator_coefficients(n, g, order):
-    """Coefficients of t^0..t^order of prod_{j<=n} (1 + t^(2j-1))^(2g), by 2g
-    shifted additions per factor."""
-    coeffs = [1] + [0] * order
-    for j in range(1, n + 1):
-        step = 2 * j - 1
-        for _ in range(2 * g):
-            coeffs[step:] = map(add, coeffs[step:], coeffs[:order + 1 - step])
+    """Coefficients of t^0 up to t^order of prod_{j<=n} (1 + t^(2j-1))^(2g),
+    one product per factor with its binomial expansion."""
+    binomials = [comb(2 * g, i) for i in range(2 * g + 1)]
+    coeffs = [1]
+    for step in range(1, 2 * n, 2):
+        factor = [0] * (2 * g * step + 1)
+        factor[::step] = binomials
+        coeffs = conv(coeffs, factor, order + 1)
     return coeffs
 
 
@@ -65,8 +65,7 @@ def classifying_coefficients(n, g, order):
     _check_rank_genus(n, g)
     coeffs = _numerator_coefficients(n, g, order)
     for step in [2 * n] + [2 * j for j in range(1, n) for _ in range(2)]:
-        for r in range(min(step, order + 1)):
-            coeffs[r::step] = accumulate(coeffs[r::step])
+        coeffs = over_one_minus(coeffs, step, order + 1)
     return coeffs
 
 
@@ -120,9 +119,7 @@ def moduli_poincare(n, d, g):
             "the non-coprime semistable series")
     top = 2 * (n * n * (g - 1) + 1)
     order = top + TRUNCATION_SLACK
-    series = ss_equivariant_series(n, d, g, order).coeffs
-    # multiply by (1 - t^2)
-    values = series[:2] + [series[k] - series[k - 2] for k in range(2, order + 1)]
+    values = times_one_minus(ss_equivariant_series(n, d, g, order).coeffs, 2)[: order + 1]
     for k in range(top + 1, order + 1):
         if values[k] != 0:
             raise InvariantViolation(
@@ -140,8 +137,11 @@ def moduli_poincare(n, d, g):
 
 def fixed_determinant_poly(n, d, g):
     """Moduli polynomial with the torus factor (1+t)^{2g} divided out."""
-    jac = (Poly.one() + Poly.var("t")) ** (2 * g)
-    return poly_divexact(moduli_poincare(n, d, g), jac)
+    quot = divexact(moduli_poincare(n, d, g).scalar_coeffs("t"),
+                    [comb(2 * g, i) for i in range(2 * g + 1)])
+    if quot is None:
+        raise InvariantViolation("moduli polynomial is not divisible by (1 + t)^(2g)")
+    return Poly.univariate("t", quot)
 
 
 def clear_caches():

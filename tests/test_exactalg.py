@@ -543,6 +543,22 @@ def test_t_side_modules_hold_no_ratfun_or_series_expand():
     assert not hasattr(exactalg, "series_expand")
 
 
+def test_list_arithmetic_lives_in_the_exactalg_kernel():
+    # products, exact divisions and (1 - y^c) running sums of coefficient
+    # lists are exactalg's conv, divexact, times_one_minus and over_one_minus
+    from modrec import factored, kirwan, matrixdiv, yangmills
+
+    helpers = {"_conv", "_coefficients", "_evaluate", "_divide", "_add_into",
+               "_times_one_minus", "_running", "_add_product", "_over_one_minus_t2"}
+    for module in (factored, kirwan, matrixdiv, yangmills):
+        assert not helpers & set(vars(module)), module.__name__
+        assert not hasattr(module, "accumulate"), module.__name__
+    for name in ("_mul_dense_univar", "_divexact_univar"):
+        assert not hasattr(exactalg, name), name
+    assert factored.conv is matrixdiv.conv is exactalg.conv
+    assert factored.divexact is yangmills.divexact is exactalg.divexact
+
+
 def test_ratfun_is_an_output_form():
     # no production path does RatFun arithmetic: the type holds canonical
     # parts, compares, hashes and prints, and a Factored mixes only with ints

@@ -1,9 +1,13 @@
-"""The integer-list product under the factored masses, against a schoolbook
-product."""
+"""The coefficient-list kernel of exactalg (the product, exact division and
+the (1 - y^c) steps) against schoolbook arithmetic, and the cyclotomic
+products of the factored masses built on it."""
 
 import random
+from fractions import Fraction
+from math import comb
 
-from modrec.factored import _conv, _phi_product, cyclotomic
+from modrec.exactalg import conv, divexact, over_one_minus, times_one_minus
+from modrec.factored import _phi_product, cyclotomic
 
 
 def schoolbook(a, b):
@@ -17,26 +21,41 @@ def schoolbook(a, b):
 # coefficients whose bit sizes straddle the byte widths of the integer product
 EDGES = [0, 1, -1] + [s * (2 ** (8 * k - 1) + e) for k in (1, 2, 3, 5)
                       for e in (-1, 0, 1) for s in (1, -1)]
+# each side of the 8/9 boundary (shifted copies / integer product) and of the
+# 47/48 boundary (truncated dot products / integer product)
+LENGTHS = list(range(1, 41)) + [47, 48, 49, 60]
 
 
 def test_conv_matches_schoolbook():
-    # every length pair up to 40 meets both branches and the 8/9 boundary
+    # every length pair, uncut and cut at 1, at the shorter length (where
+    # both factors reach the cut) and past the full length
     rng = random.Random(20261019)
-    for la in range(1, 41):
-        for lb in range(1, 41):
+    for la in LENGTHS:
+        for lb in LENGTHS:
             a = [rng.choice(EDGES) for _ in range(la)]
             b = [rng.choice(EDGES) for _ in range(lb)]
-            assert _conv(a, b) == schoolbook(a, b), (a, b)
+            full = schoolbook(a, b)
+            assert conv(a, b) == full, (a, b)
+            for top in (1, min(la, lb), la + lb + 5):
+                assert conv(a, b, top) == full[:top], (a, b, top)
+    # a Fraction takes shifted copies unless both factors reach the cut, at
+    # lengths that would otherwise be an integer product too
+    for la, lb in [(1, 1), (3, 8), (9, 9), (12, 30), (47, 47), (48, 48), (49, 60)]:
+        a = [Fraction(rng.choice(EDGES), rng.randint(1, 9)) for _ in range(la)]
+        b = [rng.choice(EDGES) for _ in range(lb)]
+        full = schoolbook(a, b)
+        for top in (None, 1, min(la, lb), la + lb + 5):
+            assert conv(a, b, top) == full[:top] == conv(b, a, top), (la, lb, top)
 
 
 def test_conv_signs_and_zeros():
     for n in (1, 8, 9, 40):
         zeros, ones = [0] * n, [-1] * n
-        assert _conv(zeros, ones) == [0] * (2 * n - 1)
-        assert _conv(ones, ones) == schoolbook(ones, ones)
+        assert conv(zeros, ones) == [0] * (2 * n - 1)
+        assert conv(ones, ones) == schoolbook(ones, ones)
         big = [-(2 ** 63 + 1)] * n
-        assert _conv(big, [0] * 3 + [1]) == [0] * 3 + big
-        assert _conv(big, big) == schoolbook(big, big)
+        assert conv(big, [0] * 3 + [1]) == [0] * 3 + big
+        assert conv(big, big) == schoolbook(big, big)
 
 
 def test_phi_product_matches_schoolbook():
@@ -48,3 +67,45 @@ def test_phi_product_matches_schoolbook():
         assert _phi_product(phi) == want, phi
     # the cyclotomic factors of y^12 - 1
     assert _phi_product({d: 1 for d in (1, 2, 3, 4, 6, 12)}) == [-1] + [0] * 11 + [1]
+
+
+def test_divexact_matches_schoolbook():
+    rng = random.Random(17)
+    for lq in (1, 2, 5, 12):
+        for lb in (1, 2, 3, 9):
+            for lead in (1, -1, 3):  # monic, and not
+                q = [rng.randint(-9, 9) for _ in range(lq - 1)] + [rng.choice((-2, 1, 7))]
+                b = [rng.randint(-9, 9) for _ in range(lb - 1)] + [lead]
+                a = schoolbook(q, b)
+                assert divexact(a, b) == q, (q, b)
+                if lb > 1:  # a remainder of degree below b's
+                    a[0] += 1
+                    assert divexact(a, b) is None, (a, b)
+    # Fraction quotients, of int and of Fraction dividends; ints stay ints
+    q = [Fraction(1, 3), 2, Fraction(-5, 2)]
+    assert divexact(schoolbook(q, [1, 3]), [1, 3]) == q
+    assert divexact([1, 1], [2]) == [Fraction(1, 2), Fraction(1, 2)]
+    assert divexact([3, 6], [3]) == [1, 2] and type(divexact([3, 6], [3])[0]) is int
+    # a dividend shorter than the divisor
+    assert divexact([0, 0], [1, 0, 1]) == [] and divexact([1], [1, 1]) is None
+
+
+def test_one_minus_steps_match_schoolbook():
+    rng = random.Random(23)
+    for c in range(1, 7):
+        factor = [1] + [0] * (c - 1) + [-1]
+        for k in range(4):
+            a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
+            want = a
+            for _ in range(k):
+                want = schoolbook(want, factor)
+            assert times_one_minus(a, c, k) == want, (a, c, k)
+            if not k:
+                continue
+            # 1 / (1 - y^c)^k = sum_j C(j + k - 1, k - 1) y^(cj)
+            for size in (0, 1, len(a), len(a) + 2 * c + 1):
+                geom = [comb(j // c + k - 1, k - 1) if j % c == 0 else 0 for j in range(size)]
+                out = a
+                for _ in range(k):
+                    out = over_one_minus(out, c, size)
+                assert out == schoolbook(a, geom)[:size], (a, c, k, size)

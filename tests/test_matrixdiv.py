@@ -130,6 +130,10 @@ def test_budget_boundary():
         with pytest.raises(ValidationError,
                            match=r"coefficient products = \d+ exceeds the limit 9000000$"):
             div_poincare(n, e, g)
+    # a torsion degree past int -> str's digit guard is shown shortened
+    with pytest.raises(ValidationError, match=r"^rank 2 at torsion degree at least 2\^16609 and "
+                       r"genus 2: coefficient products = at least 2\^\d+ exceeds the limit"):
+        div_poincare(2, 10 ** 5000, 2)
     assert div_poincare(3, 72, 2).scalar_coeffs("t")[:6] == [1, 4, 8, 16, 34, 64]
     assert div_poincare(3, 47, 10 ** 9).scalar_coeffs("t")[:2] == [1, 2 * 10 ** 9]
 

@@ -116,6 +116,12 @@ def test_divisor_enumerate_examples():
     assert divisor_enumerate(MODEL_F2, 0) == 1
     assert divisor_enumerate(MODEL_F2, 1) == 3
     assert divisor_enumerate(MODEL_F2, 2) == 7
+    # y^2 = 2x^6 + x^4 + 2 has no point over F_3, so the Euler product skips
+    # degree 1; the zeta count agrees
+    pointless = HyperellipticModel(p=3, k=1, f=(2, 0, 0, 0, 1, 0, 2), h=())
+    counts = [divisor_enumerate(pointless, n) for n in range(5)]
+    assert counts == [1, 0, 6, 12, 39]
+    assert counts == [sym_count(CurveData.from_model(pointless), n) for n in range(5)]
 
 
 def test_generating_identity_on_two_curves():
@@ -184,6 +190,8 @@ def test_budget_admits_every_power_matrixdiv_admits(monkeypatch):
 
 
 def test_past_budget_is_refused_before_any_loop():
-    for g, n in ((2, 10 ** 8), (10 ** 8, 10 ** 8), (3, 10 ** 30), (10 ** 6, 2800)):
+    # 10^5000 is past int -> str's digit guard, and is shown shortened
+    for g, n in ((2, 10 ** 8), (10 ** 8, 10 ** 8), (3, 10 ** 30), (10 ** 6, 2800),
+                 (2, 10 ** 5000)):
         with pytest.raises(ValidationError, match="loop steps"):
             sym_poincare(g, n)
