@@ -258,9 +258,10 @@ class HyperellipticModel:
     """y^2 + h(x) y = f(x) over F_{p^k}, with f, h defined over F_p.
 
     deg f is 2g+1 or 2g+2 and deg h <= g; the affine curve must be smooth.
+    ``_counts`` keeps N_r from ``count_points``: FIELD_SIZE_LIMIT admits k r <= 18.
     """
 
-    __slots__ = ("p", "k", "f", "h")
+    __slots__ = ("p", "k", "f", "h", "_counts")
 
     def __init__(self, p, k, f, h):
         if k < 1:
@@ -270,7 +271,7 @@ class HyperellipticModel:
             raise ValidationError("p must be prime, got %d" % p)
         f = _trim([c % p for c in f])
         h = _trim([c % p for c in h])
-        self.p, self.k, self.f, self.h = p, k, tuple(f), tuple(h)
+        self.p, self.k, self.f, self.h, self._counts = p, k, tuple(f), tuple(h), {}
         d = len(f) - 1
         if d < 5:
             raise ValidationError("deg f must be at least 5 (genus >= 2)")
@@ -323,6 +324,8 @@ def count_points(model, r):
     """
     if r < 1:
         raise ValidationError("extension degree r must be >= 1")
+    if r in model._counts:
+        return model._counts[r]
     p, f, h = model.p, model.f, model.h
     if p > 2:
         inv4 = pow(4, p - 2, p)
@@ -334,7 +337,8 @@ def count_points(model, r):
         count, sols = _count_by_tables(GF(p, model.k * r), f, h)
     # points at infinity: one for odd degree; for even degree (odd
     # characteristic only) solve z^2 = lead, i.e. 2 points or none
-    return count + (1 if (len(f) - 1) % 2 else sols[f[-1]])
+    model._counts[r] = count + (1 if (len(f) - 1) % 2 else sols[f[-1]])
+    return model._counts[r]
 
 
 def _count_prime_field(f, p):

@@ -8,20 +8,27 @@ and the semistable part is obtained by subtracting, per nontrivial
 filtration type mu, the product of lower-rank semistable series shifted by
 t^{2 codim(mu)}.  Since every stratum shifts by at least t^2, only the types
 with codim <= T/2 can touch a series truncated at order T, which keeps each
-step finite.  In the coprime case multiplying by (1 - t^2) collapses the
-series to the Poincare polynomial of the moduli space.
+step finite.  Types with equal residues (n_i, d_i mod n_i) share one product,
+and d and -d share one memo entry.  In the coprime case multiplying by
+(1 - t^2) collapses the series to the Poincare polynomial of the moduli space.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb, gcd, prod
+from operator import sub
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_budget, shown
 from .exactalg import (Poly, Series, conv, divexact, is_palindrome, over_one_minus,
                        times_one_minus)
 from .hn import codim, enumerate_types
 
 _SS_SERIES = {}
+
+# The most weighted coefficient products (_series_charge) of one call; the
+# slowest admitted, moduli_poincare(3, d, 130), is timed in README.md.
+MAX_SERIES_PRODUCTS = 100_000_000
+COEFF_BITS = 512
 
 # orders above the expected top degree in which moduli_poincare requires the
 # collapsed series to vanish; a wrong type cutoff shows up there
@@ -69,36 +76,50 @@ def classifying_coefficients(n, g, order):
     return coeffs
 
 
+def _series_charge(n, g, order, groups):
+    """(order + 1)^2 coefficient products for each numerator factor of the
+    classifying series and for each product of a group, at the group's order,
+    weighted 1 + 2gn / COEFF_BITS for coefficients of about 2gn bits, plus one
+    subtraction per coefficient of each shifted copy."""
+    products = n * (order + 1) ** 2 + sum((len(residues) - 1) * (order - min(shifts) + 1) ** 2
+                                          for residues, shifts in groups.items())
+    passes = sum(order - shift + 1 for shifts in groups.values() for shift in shifts)
+    # rounded up, the weighted charge passes the limit exactly when it does unrounded
+    return -(-products * (COEFF_BITS + 2 * g * n) // COEFF_BITS) + passes
+
+
 def ss_equivariant_series(n, d, g, order):
     """Equivariant Poincare series of the semistable stratum, to the given order.
 
-    Memoized on (n, d mod n, g): twisting by a line bundle makes the series
-    periodic in d, and a truncated series is a prefix of every longer one,
-    so one entry keeps the longest series computed so far and serves shorter
-    orders by truncation.  The types are still enumerated for d as given, so
-    computing d and d + n with the memo cleared in between tests the
-    periodicity rather than assuming it.
+    Memoized on (n, min(d mod n, -d mod n), g): twisting by a line bundle
+    makes the series periodic in d, and dualising sends a type ((n_1, d_1),
+    ..., (n_k, d_k)) to ((n_k, -d_k), ..., (n_1, -d_1)) with equal codimension,
+    so d and -d give equal series.  One entry keeps the longest series so far
+    and serves shorter orders by truncation.  Types are enumerated for d as
+    given, so d and d + n, or d and -d, with the memo cleared in between test
+    both symmetries.  The parts are multiplied once per residue vector
+    ((n_i, d_i mod n_i), ...), to the order its least shift needs.
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
-    key = (n, d % n, g)
+    key = (n, min(d % n, -d % n), g)
     cached = _SS_SERIES.get(key)
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
-    types = enumerate_types(n, d, g, order // 2)
+    groups = {}
+    for mu in enumerate_types(n, d, g, order // 2):
+        if not mu.is_trivial:
+            residues = tuple((nj, dj % nj) for nj, dj in mu.parts)
+            groups.setdefault(residues, []).append(2 * codim(mu, g))
+    check_budget("rank %s at genus %s to order %s" % (shown(n), shown(g), shown(order)),
+                 "weighted coefficient products", _series_charge(n, g, order, groups),
+                 MAX_SERIES_PRODUCTS)
     coeffs = classifying_coefficients(n, g, order)
-    for mu in types:
-        if mu.is_trivial:
-            continue
-        shift = 2 * codim(mu, g)
-        sub_order = order - shift
-        parts = [ss_equivariant_series(nj, dj, g, sub_order) for nj, dj in mu.parts]
-        prod = parts[0]
-        for series in parts[1:]:
-            prod = prod * series
-        for k, c in enumerate(prod.coeffs):
-            if c:
-                coeffs[shift + k] -= c
+    for residues, shifts in groups.items():
+        parts = [ss_equivariant_series(nj, rj, g, order - min(shifts)) for nj, rj in residues]
+        product = prod(parts[1:], start=parts[0])
+        for shift in shifts:
+            coeffs[shift:] = map(sub, coeffs[shift:], product.coeffs)
     total = Series("t", coeffs, _trusted=True)
     _SS_SERIES[key] = total
     return total

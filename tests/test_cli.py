@@ -288,6 +288,7 @@ def test_symprod_genus_one_rejected(capsys):
      "hodge mass: rank = 12 exceeds the limit 11"),
     (["betti", "--n", "16", "--d", "1", "--g", "2"], "lattice points"),
     (["betti", "--n", "20", "--d", "1", "--g", "2"], "compositions"),
+    (["betti", "--n", "2", "--d", "1", "--g", "1000"], "weighted coefficient products"),
     (["matrixdiv", "--n", "10", "--e", "40", "--g", "2"], "coefficient products"),
     (["bridge", "--n", "3", "--g", "2", "--e", "300", "--cutoff", "12"], "coefficient products"),
     (["matrixdiv", "--n", "2", "--e", "100000000", "--g", "2"], "coefficient products"),
@@ -301,10 +302,10 @@ def test_symprod_genus_one_rejected(capsys):
     (["hn-types", "--n", "3000000", "--d", "1", "--g", "2", "--max-codim", "3"],
      "rank 3000000: log2 compositions (n - 1) = 2999999 exceeds the limit 17"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "siegel-rank", "count-rank",
-        "mass-betti-rank", "mass-hodge-rank", "betti-types", "betti-rank", "matrixdiv-rank",
-        "bridge-degree", "matrixdiv-degree", "matrixdiv-genus", "symprod-degree",
-        "matrixdiv-rank-one", "symprod-genus", "zeta-index", "enumerate-degree",
-        "hn-types-huge-rank"])
+        "mass-betti-rank", "mass-hodge-rank", "betti-types", "betti-rank", "betti-genus",
+        "matrixdiv-rank", "bridge-degree", "matrixdiv-degree", "matrixdiv-genus",
+        "symprod-degree", "matrixdiv-rank-one", "symprod-genus", "zeta-index",
+        "enumerate-degree", "hn-types-huge-rank"])
 def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
@@ -483,6 +484,20 @@ def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
     loaded = {name[len("modrec."):] for name in json.loads(loaded)}
     assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
     assert json.loads(dataclasses_loaded) is False
+
+
+def test_gauge_route_does_not_import_the_arithmetic_one():
+    # criterion 2 and crosscheck compare two computations only while the
+    # gauge route stays clear of tamagawa
+    code = ("import sys\n"
+            "import modrec.yangmills, modrec.hn\n"
+            "modrec.yangmills.moduli_poincare(3, 1, 2)\n"
+            "modrec.yangmills.classifying_series(3, 2)\n"
+            "assert 'modrec.tamagawa' not in sys.modules, 'modrec.tamagawa was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modrec.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_src_does_not_import_dataclasses():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modrec import matrixdiv, symprod
+from modrec import curve, matrixdiv, symprod
 from modrec.cli import load_curve
 from modrec.curve import CurveData, HyperellipticModel
 from modrec.errors import ValidationError
@@ -129,6 +129,31 @@ def test_generating_identity_on_two_curves():
         c = CurveData.from_model(model)
         for n in range(0, 7):
             assert sym_count(c, n) == divisor_enumerate(model, n), (model.p, n)
+
+
+def test_counts_are_kept_per_model(monkeypatch):
+    # criterion 7's calls on fresh models build each field F_{p^m} once, and
+    # the kept counts equal the counts of models that have counted nothing
+    monkeypatch.setattr(curve.GF, "_cache", {})
+    builds = []
+    build = curve._exp_log
+
+    def counted(p, m, modulus):
+        builds.append((p, m))
+        return build(p, m, modulus)
+
+    monkeypatch.setattr(curve, "_exp_log", counted)
+    models = [HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,)),
+              HyperellipticModel(p=3, k=1, f=(1, 0, 0, 0, 0, 1), h=())]
+    for model in models:
+        CurveData.from_model(model)
+        for n in range(0, 7):
+            divisor_enumerate(model, n)
+    assert builds == [(2, m) for m in range(1, 7)] + [(3, m) for m in range(2, 7)]
+    for model in models:
+        for r in range(1, 7):
+            fresh = HyperellipticModel(model.p, model.k, model.f, model.h)
+            assert model._counts[r] == curve.count_points(fresh, r), (model.p, r)
 
 
 def test_stabilization():

@@ -82,6 +82,17 @@ def test_ss_series_degree_periodicity():
             assert base == ss_equivariant_series(n, d + n, 2, order)
 
 
+def test_ss_series_duality():
+    # the memo is keyed on min(d mod n, -d mod n): clear it so n - d is
+    # really recomputed, from the dual types
+    for order in (8, 14, 26):
+        for n, d in [(3, 1), (4, 1), (5, 2), (5, 3)]:
+            clear_caches()
+            base = ss_equivariant_series(n, d, 2, order)
+            clear_caches()
+            assert base == ss_equivariant_series(n, n - d, 2, order), (n, d, order)
+
+
 def test_truncation_stability():
     low = ss_equivariant_series(2, 1, 2, 8)
     high = ss_equivariant_series(2, 1, 2, 16)
@@ -199,18 +210,26 @@ def _ss_oracle(n, d, g, order, memo):
 
 
 def test_ss_series_sweep_against_oracle():
-    # every d in 0..2n-1 at the order moduli_poincare uses for (n, g); d < n
+    # every d in -n..2n-1 at the order moduli_poincare uses for (n, g); d < n
     # is computed from a cold memo, d >= n is served from the residue key
     for g in (2, 3):
         memo = {}
         for n in range(1, 6):
             order = 2 * (n * n * (g - 1) + 1) + yangmills.TRUNCATION_SLACK
-            for d in range(2 * n):
+            for d in range(-n, 2 * n):
                 if d < n:
                     clear_caches()
                 got = ss_equivariant_series(n, d, g, order)
                 assert got.order == order
                 assert got.coeffs == _ss_oracle(n, d, g, order, memo), (n, d, g)
+
+
+def test_ss_series_high_genus_against_oracle():
+    # many types per residue vector: at (3, 1, 12) the top call has 241
+    # nontrivial types in 5 groups
+    clear_caches()
+    order = 2 * (3 * 3 * 11 + 1) + yangmills.TRUNCATION_SLACK
+    assert ss_equivariant_series(3, 1, 12, order).coeffs == _ss_oracle(3, 1, 12, order, {})
 
 
 def test_ss_series_memo_serves_prefixes():
@@ -226,6 +245,7 @@ def test_ss_series_memo_serves_prefixes():
 def test_ss_series_memo_is_bounded_by_residues():
     clear_caches()
     moduli_poincare(6, 1, 2)
-    # one entry per (n', d' mod n') with n' <= 6: 1 + 2 + ... + 6
-    assert len(yangmills._SS_SERIES) == 16
-    assert all(0 <= d < n and g == 2 for n, d, g in yangmills._SS_SERIES)
+    # one entry per (n', min(d' mod n', -d' mod n')) with n' < 6, and the
+    # top call: 1 + 2 + 2 + 3 + 3 + 1
+    assert len(yangmills._SS_SERIES) == 12
+    assert all(0 <= 2 * d <= n and g == 2 for n, d, g in yangmills._SS_SERIES)
