@@ -14,8 +14,9 @@ import sys
 import time
 from collections import namedtuple
 
-from .curve import CurveData, HyperellipticModel, SpecializationField, count_points
+from .curve import CurveData, HyperellipticModel, count_points
 from .exactalg import Poly, is_palindrome
+from .fields import SpecializationField
 from .hn import codim, enumerate_types, mass_exponent
 from .kirwan import WeightSystem, bb_decomposition, perfection_check, quotient_poincare
 from .matrixdiv import div_bridge_check

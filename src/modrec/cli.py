@@ -8,8 +8,10 @@ disagrees, so CI can treat it as a defect signal.
 All rational numbers are emitted as "p/q" strings; no floating point
 appears in any output.  Output goes to stdout, diagnostics to stderr.
 
-Each handler imports the modules it calls, so a process pays at start-up
-only for its own subcommand's code.
+Each handler imports the modules it calls, and ``main`` builds only the
+subparser that argv names, so a process pays at start-up only for its own
+subcommand's code and parser.  Help and usage errors build every subparser,
+so their messages list all the subcommands.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _int_list(raw, name, path):
 
 
 def _numeric_field(args):
-    from .curve import SpecializationField
+    from .fields import SpecializationField
 
     curve = load_curve(args.curve)
     if not curve.is_arithmetic:
@@ -150,7 +152,7 @@ def _cmd_count(args):
 
 
 def _cmd_mass(args):
-    from .curve import SpecializationField
+    from .fields import SpecializationField
     from .tamagawa import ss_mass
 
     if args.curve:
@@ -262,7 +264,7 @@ def _cmd_kirwan(args):
 
 
 def _cmd_crosscheck(args):
-    from .curve import SpecializationField
+    from .fields import SpecializationField
     from .tamagawa import matches_moduli_polynomial, ss_mass
     from .yangmills import moduli_poincare
 
@@ -280,7 +282,7 @@ ZETA_CHARGE = 240_000
 
 
 def _cmd_zeta(args):
-    from .curve import SpecializationField
+    from .fields import SpecializationField
 
     curve = load_curve(args.curve)
     if not curve.is_arithmetic:
@@ -336,94 +338,82 @@ def _scalar(value):
 # -- parser --------------------------------------------------------------------
 
 
-def build_parser():
+_INT = {"type": int, "required": True}
+_FIXED_DET = {"action": "store_true"}
+
+# One row per subcommand: (name, help, arguments as (flag, add_argument
+# options)).  The handler of a row is _cmd_<name>, looked up when the parser
+# is built.
+COMMANDS = (
+    ("betti", "moduli Poincare polynomial (coprime case)",
+     (("--n", _INT), ("--d", _INT), ("--g", _INT), ("--fixed-det", _FIXED_DET))),
+    ("count", "exact stable-bundle count over F_q",
+     (("--n", _INT), ("--d", _INT), ("--curve", {"required": True}),
+      ("--fixed-det", _FIXED_DET))),
+    ("mass", "semistable stacky mass",
+     (("--n", _INT), ("--d", _INT), ("--curve", {}), ("--g", {"type": int}),
+      ("--mode", {"choices": ("betti", "hodge")}))),
+    ("siegel", "mass-formula partial sums and gaps",
+     (("--n", _INT), ("--d", _INT), ("--curve", {"required": True}),
+      ("--max-codim", {"type": int, "default": 20}))),
+    ("hn-types", "filtration types under a codimension bound",
+     (("--n", _INT), ("--d", _INT), ("--g", _INT),
+      ("--max-codim", {"type": int, "default": 10}))),
+    ("symprod", "symmetric powers: polynomial or divisor count",
+     (("--n", _INT), ("--g", {"type": int}), ("--curve", {}),
+      ("--enumerate", {"action": "store_true",
+                       "help": "also run the brute-force divisor oracle"}))),
+    ("matrixdiv", "matrix-divisor Betti polynomial",
+     (("--n", _INT), ("--e", _INT), ("--g", _INT))),
+    ("bridge", "stabilization and classifying-series bridge",
+     (("--n", _INT), ("--g", _INT), ("--e", _INT), ("--cutoff", _INT))),
+    ("kirwan", "rank-1 torus stratification toolkit",
+     (("--weights", {"required": True, "help": "JSON integer array"}),
+      ("--op", {"choices": ("strata", "bb", "perfection", "quotient"), "default": "strata"}))),
+    ("crosscheck", "arithmetic vs gauge pipeline equality",
+     (("--n", _INT), ("--d", _INT), ("--g", _INT))),
+    ("zeta", "zeta data of a curve config",
+     (("--curve", {"required": True}), ("--i", {"type": int}))),
+)
+
+
+def build_parser(command=None):
+    """The modrec parser, with every subparser, or with only the one named
+    ``command``: parsing argv that names ``command`` gives the same result
+    either way, and building one subparser is the cheaper."""
     parser = _Parser(prog="modrec",
                      description="Exact invariants of moduli of bundles on a curve.")
     parser.add_argument("--format", choices=FORMATS, default="json")
     parser.add_argument("--selftest", action="store_true",
                         help="run the acceptance suite and exit")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("betti", help="moduli Poincare polynomial (coprime case)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--fixed-det", action="store_true", dest="fixed_det")
-    p.set_defaults(handler=_cmd_betti)
-
-    p = sub.add_parser("count", help="exact stable-bundle count over F_q")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--fixed-det", action="store_true", dest="fixed_det")
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("mass", help="semistable stacky mass")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--curve")
-    p.add_argument("--g", type=int)
-    p.add_argument("--mode", choices=("betti", "hodge"))
-    p.set_defaults(handler=_cmd_mass)
-
-    p = sub.add_parser("siegel", help="mass-formula partial sums and gaps")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--max-codim", type=int, default=20, dest="max_codim")
-    p.set_defaults(handler=_cmd_siegel)
-
-    p = sub.add_parser("hn-types", help="filtration types under a codimension bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--max-codim", type=int, default=10, dest="max_codim")
-    p.set_defaults(handler=_cmd_hn_types)
-
-    p = sub.add_parser("symprod", help="symmetric powers: polynomial or divisor count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int)
-    p.add_argument("--curve")
-    p.add_argument("--enumerate", action="store_true",
-                   help="also run the brute-force divisor oracle")
-    p.set_defaults(handler=_cmd_symprod)
-
-    p = sub.add_parser("matrixdiv", help="matrix-divisor Betti polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(handler=_cmd_matrixdiv)
-
-    p = sub.add_parser("bridge", help="stabilization and classifying-series bridge")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.set_defaults(handler=_cmd_bridge)
-
-    p = sub.add_parser("kirwan", help="rank-1 torus stratification toolkit")
-    p.add_argument("--weights", required=True, help="JSON integer array")
-    p.add_argument("--op", choices=("strata", "bb", "perfection", "quotient"),
-                   default="strata")
-    p.set_defaults(handler=_cmd_kirwan)
-
-    p = sub.add_parser("crosscheck", help="arithmetic vs gauge pipeline equality")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(handler=_cmd_crosscheck)
-
-    p = sub.add_parser("zeta", help="zeta data of a curve config")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--i", type=int)
-    p.set_defaults(handler=_cmd_zeta)
-
+    for name, help_text, arguments in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
+
+
+def _command(argv):
+    """The subcommand that argv plainly names, else None.  Only --format with
+    one of its values and --selftest may come before the command word; with
+    anything else there (help, an abbreviated option, a usage error) every
+    subparser is built, so messages list all the subcommands."""
+    words = iter(argv)
+    for word in words:
+        if word == "--format":
+            if next(words, None) not in FORMATS:
+                return None
+        elif word != "--selftest":
+            return word if word in {name for name, _, _ in COMMANDS} else None
+    return None
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(_command(argv))
     try:
         args = parser.parse_args(argv)
         if args.selftest:

@@ -25,11 +25,12 @@ from itertools import accumulate
 from .errors import InvariantViolation, ValidationError, check_budget, shown
 
 # Most prefix-degree vectors enumerate_types may test, and most compositions
-# of the rank.  The top calls of moduli_poincare(n, d, g) admitted are
-# exactly those the earlier slope-gap estimate admitted, for every coprime d:
-# (9, d, 2) tests at most 117,062 vectors and (6, d, 6) 123,936; (7, d, 4)
-# needs at least 147,606.  README.md gives the time of a walk to the limit.
-MAX_LATTICE_POINTS = 140_000
+# of the rank.  moduli_poincare(n, d, g) walks its top call at
+# min(d mod n, -d mod n), so d and -d are admitted together: (9, d, 2) tests
+# at most 117,062 vectors, (6, d, 6) 123,936, (4, d, 32) 141,514 and
+# (5, d, 12) 146,093, while (7, d, 4) needs at least 152,499 and (4, d, 33)
+# 154,280.  README.md gives the time of a walk to the limit.
+MAX_LATTICE_POINTS = 150_000
 
 
 class HNType:

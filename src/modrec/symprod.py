@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from math import comb
 
-from .curve import _prime_divisors, check_field_size, count_points
 from .errors import ValidationError, check_budget, shown
 from .exactalg import Poly, conv, over_one_minus
 
@@ -104,6 +103,8 @@ def divisor_enumerate(model, n):
     Euler-product coefficient.  Independent of the zeta reconstruction for
     n beyond the genus, which is what makes it an oracle.
     """
+    from .curve import check_field_size, count_points
+
     if n < 0:
         raise ValidationError("degree must be >= 0")
     check_budget("divisor enumeration", "degree", n, DIVISOR_DEGREE_LIMIT)
@@ -130,5 +131,7 @@ def divisor_enumerate(model, n):
 
 
 def _moebius(n):
+    from .curve import _prime_divisors
+
     primes = _prime_divisors(n)
     return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)

@@ -37,8 +37,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 
-from .curve import SpecializationField
 from .errors import InvariantViolation, ValidationError, check_budget, shown
+from .fields import SpecializationField
 from .hn import codim, enumerate_types, mass_exponent
 
 

@@ -95,19 +95,20 @@ def ss_equivariant_series(n, d, g, order):
     makes the series periodic in d, and dualising sends a type ((n_1, d_1),
     ..., (n_k, d_k)) to ((n_k, -d_k), ..., (n_1, -d_1)) with equal codimension,
     so d and -d give equal series.  One entry keeps the longest series so far
-    and serves shorter orders by truncation.  Types are enumerated for d as
-    given, so d and d + n, or d and -d, with the memo cleared in between test
-    both symmetries.  The parts are multiplied once per residue vector
-    ((n_i, d_i mod n_i), ...), to the order its least shift needs.
+    and serves shorter orders by truncation.  Types are enumerated at the
+    key's residue, so d, d + n and -d get one answer and one budget decision.
+    The parts are multiplied once per residue vector ((n_i, d_i mod n_i),
+    ...), to the order its least shift needs.
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
-    key = (n, min(d % n, -d % n), g)
+    residue = min(d % n, -d % n)
+    key = (n, residue, g)
     cached = _SS_SERIES.get(key)
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
     groups = {}
-    for mu in enumerate_types(n, d, g, order // 2):
+    for mu in enumerate_types(n, residue, g, order // 2):
         if not mu.is_trivial:
             residues = tuple((nj, dj % nj) for nj, dj in mu.parts)
             groups.setdefault(residues, []).append(2 * codim(mu, g))

@@ -50,6 +50,10 @@
   generic polynomial product and reduction.  ``curve._exp_log`` steps by
   tables of half-digit products (or by ``a * g % p`` on prime fields) and
   must build the same tables.
+* ``count_by_tables_per_element`` counts points over a field by evaluating
+  f and h at every element.  ``curve._count_by_tables`` evaluates one
+  element per Frobenius orbit, weighted by the orbit's size, and must give
+  the same count.
 * ``power_tail_by_head`` sums i^p x^i over i >= start as the full sum minus
   its head, term by term.  ``tamagawa._power_tail`` expands (start + j)^p
   binomially instead and must give the same ``Fraction``.
@@ -84,12 +88,13 @@ from functools import total_ordering
 from math import comb
 
 from modrec import exactalg
-from modrec.curve import SpecializationField, _pmod, _pmul, _ppowmod, _prime_divisors
+from modrec.curve import _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
 from modrec.exactalg import Poly, RatFun, Series, _check_var, _cnorm, _gcd_univar, _strip_vars
 from modrec.exactalg import poly_divexact as univariate_divexact
 from modrec.exactalg import poly_gcd as univariate_gcd
 from modrec.errors import ValidationError
+from modrec.fields import SpecializationField
 from modrec.hn import HNType, codim
 from modrec.kirwan import Stratum, strata
 from modrec.symprod import sym_poincare
@@ -821,6 +826,35 @@ def exp_log_by_digit_walk(p, m, modulus):
     if a != 1:
         raise InvariantViolation("%d is not primitive in F_{%d^%d}" % (g, p, m))
     return exp, log
+
+
+def count_by_tables_per_element(K, f, h):
+    """``curve._count_by_tables`` with one term per element: the affine count
+    over K through its exp/log tables, x = 0 and then x = g^k for every k,
+    and the table sols.  The production count evaluates one k per Frobenius
+    orbit of k -> pk mod q - 1 and weights it by the orbit's size."""
+    p, n, exp, log = K.p, K.q - 1, K.exp, K.log
+    sols = bytearray(K.q)
+    sols[0] = 1
+    squares = (exp * 2)[::2]  # (g^k)^2
+    for w in (map(operator.xor, squares, exp) if p == 2 else squares):
+        sols[w] += 1
+
+    def value(coeffs, k):  # Horner at x = g^k; an F_p scalar changes digit 0 only
+        acc = 0
+        for c in reversed(coeffs):
+            if acc:
+                acc = exp[(log[acc] + k) % n]
+            acc += (acc + c) % p - acc % p
+        return acc
+
+    def over(a, b):  # #{z : z^2 + a z = b}, the square completed when p is odd
+        if a:
+            return sols[b and exp[(log[b] - 2 * log[a]) % n]]
+        return sols[b] if p > 2 else 1
+
+    count = over(h[0] if h else 0, f[0])  # x = 0
+    return count + sum(over(value(h, k), value(f, k)) for k in range(n)), sols
 
 
 def torsion_vectors(n, e):

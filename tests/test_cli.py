@@ -10,9 +10,10 @@ import time
 import pytest
 
 import modrec
+from modrec import cli
 from modrec.cli import SYMPROD_CHARGE, load_curve, main
-from modrec.curve import SpecializationField
 from modrec.errors import InvariantViolation
+from modrec.fields import SpecializationField
 from modrec.symprod import sym_count
 
 F2_CONFIG = {"mode": "hyperelliptic", "p": 2, "k": 1, "f": [0, 0, 0, 0, 0, 1], "h": [1]}
@@ -457,16 +458,27 @@ def test_arithmetic_curves_need_no_numpy(tmp_path):
         json.dumps({"stable_count": "75"})]
 
 
+GAUGE_ONLY = {"curve", "fields", "factored", "tamagawa", "kirwan", "acceptance"}
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["betti", "--n", "2", "--d", "1", "--g", "2"],
-     {"curve", "tamagawa", "kirwan", "matrixdiv", "symprod", "acceptance"}),
+    (["betti", "--n", "2", "--d", "1", "--g", "2"], GAUGE_ONLY | {"matrixdiv", "symprod"}),
     (["zeta", "--curve", "{model}"], {"hn", "yangmills", "tamagawa", "kirwan"}),
     (["kirwan", "--weights", "[1,1,-1,-1]", "--op", "quotient"], {"curve", "hn", "yangmills"}),
     (["count", "--n", "2", "--d", "1", "--curve", "{model}"], set()),
-], ids=["betti", "zeta", "kirwan", "count"])
+    (["bridge", "--n", "3", "--g", "2", "--e", "30", "--cutoff", "12"], GAUGE_ONLY),
+    (["matrixdiv", "--n", "4", "--e", "12", "--g", "2"], GAUGE_ONLY),
+    (["mass", "--n", "3", "--d", "1", "--mode", "betti", "--g", "2"],
+     {"curve", "yangmills", "kirwan", "symprod", "matrixdiv"}),
+    (["mass", "--n", "3", "--d", "1", "--mode", "hodge", "--g", "2"],
+     {"curve", "yangmills", "kirwan", "symprod", "matrixdiv"}),
+    (["crosscheck", "--n", "3", "--d", "1", "--g", "2"], {"curve", "kirwan", "symprod"}),
+], ids=["betti", "zeta", "kirwan", "count", "bridge", "matrixdiv", "mass-betti", "mass-hodge",
+        "crosscheck"])
 def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
     # in a fresh process a subcommand imports none of the other subcommands'
-    # modules, and no module pulls in dataclasses (and inspect behind it)
+    # modules (the symbolic fields and the symmetric powers need no curve),
+    # and no module pulls in dataclasses (and inspect behind it)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(F2_CONFIG))
     code = ("import json, sys\n"
@@ -484,6 +496,90 @@ def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
     loaded = {name[len("modrec."):] for name in json.loads(loaded)}
     assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
     assert json.loads(dataclasses_loaded) is False
+
+
+# one argv per subcommand, with every option it takes
+SAMPLE_ARGS = {
+    "betti": ["--n", "3", "--d", "1", "--g", "2", "--fixed-det"],
+    "count": ["--n", "2", "--d", "1", "--curve", "c.json", "--fixed-det"],
+    "mass": ["--n", "3", "--d", "1", "--curve", "c.json", "--g", "2", "--mode", "hodge"],
+    "siegel": ["--n", "3", "--d", "1", "--curve", "c.json", "--max-codim", "7"],
+    "hn-types": ["--n", "3", "--d", "1", "--g", "2", "--max-codim", "4"],
+    "symprod": ["--n", "4", "--g", "2", "--curve", "c.json", "--enumerate"],
+    "matrixdiv": ["--n", "2", "--e", "5", "--g", "2"],
+    "bridge": ["--n", "2", "--g", "2", "--e", "5", "--cutoff", "4"],
+    "kirwan": ["--weights", "[1,-1]", "--op", "bb"],
+    "crosscheck": ["--n", "2", "--d", "1", "--g", "2"],
+    "zeta": ["--curve", "c.json", "--i", "3"],
+}
+REQUIRED_ARGS = {
+    "betti": ["--n", "3", "--d", "1", "--g", "2"],
+    "count": ["--n", "2", "--d", "1", "--curve", "c.json"],
+    "mass": ["--n", "3", "--d", "1"],
+    "siegel": ["--n", "3", "--d", "1", "--curve", "c.json"],
+    "hn-types": ["--n", "3", "--d", "1", "--g", "2"],
+    "symprod": ["--n", "4"],
+    "matrixdiv": ["--n", "2", "--e", "5", "--g", "2"],
+    "bridge": ["--n", "2", "--g", "2", "--e", "5", "--cutoff", "4"],
+    "kirwan": ["--weights", "[1,-1]"],
+    "crosscheck": ["--n", "2", "--d", "1", "--g", "2"],
+    "zeta": ["--curve", "c.json"],
+}
+
+
+def test_sample_argvs_cover_every_subcommand():
+    assert list(SAMPLE_ARGS) == list(REQUIRED_ARGS) == [name for name, _, _ in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_ARGS))
+def test_one_subparser_parses_as_the_full_parser(name):
+    # main builds only the subparser its argv names; the namespace, defaults
+    # and handler included, is the one the parser with every subparser gives
+    for args in (SAMPLE_ARGS[name], REQUIRED_ARGS[name]):
+        for before in ([], ["--format", "csv"], ["--selftest"], ["--format", "plain", "--selftest"]):
+            argv = before + [name] + args
+            assert cli._command(argv) == name
+            assert cli.build_parser(name).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def _outcome(capsys, argv):
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:  # --help prints and exits
+        status = "SystemExit(%r)" % exc.code
+    out = capsys.readouterr()
+    return status, out.out, out.err
+
+
+USAGE_CASES = {
+    "help": ["--help"],
+    "betti-help": ["betti", "--help"],
+    "zeta-h": ["zeta", "-h"],
+    "no-command": [],
+    "format-only": ["--format", "csv"],
+    "unknown": ["nope"],
+    "unknown-then-betti": ["nope", "betti"],
+    "selftest-help": ["--selftest", "--help"],
+    "missing-option": ["betti", "--n", "2"],
+    "bad-int": ["betti", "--n", "two", "--d", "1", "--g", "2"],
+    "extra-option": ["betti", "--n", "2", "--d", "1", "--g", "2", "--x"],
+    "bad-op": ["kirwan", "--weights", "[1,-1]", "--op", "nope"],
+    "bad-mode": ["mass", "--n", "2", "--d", "1", "--mode", "nope", "--g", "2"],
+    "bad-format": ["--format", "xml", "betti", "--n", "2", "--d", "1", "--g", "2"],
+    "format-no-value": ["--format"],
+    "abbreviated-format": ["--form", "csv", "betti", "--n", "2", "--d", "1", "--g", "2"],
+    "csv": ["--format", "csv", "betti", "--n", "2", "--d", "1", "--g", "2"],
+    "plain": ["--format", "plain", "kirwan", "--weights", "[1,1,-1,-1]", "--op", "quotient"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_CASES.values()), ids=list(USAGE_CASES))
+def test_output_matches_the_full_parser(capsys, monkeypatch, argv):
+    # stdout, stderr and the exit status, usage errors and help included, are
+    # those of a run that builds every subparser
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_command", lambda argv: None)
+    assert got == _outcome(capsys, argv)
 
 
 def test_gauge_route_does_not_import_the_arithmetic_one():

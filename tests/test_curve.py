@@ -1,5 +1,6 @@
 """Curve oracle: brute-force point counts, zeta reconstruction, specializations."""
 
+import functools
 import itertools
 import random
 import time
@@ -30,7 +31,8 @@ from modrec.errors import ValidationError
 from modrec.exactalg import Poly
 from modrec.symprod import sym_count
 
-from oracles import ReducingRatFun, exp_log_by_digit_walk, sym_count_by_zeta
+from oracles import (ReducingRatFun, count_by_tables_per_element, exp_log_by_digit_walk,
+                     sym_count_by_zeta)
 
 T = Poly.var("t")
 
@@ -58,6 +60,7 @@ class _TupleGF:
         self.modulus = _find_irreducible(p, m)
         self.zero = (0,) * m
         self.one = tuple([1] + [0] * (m - 1))
+        self._inverses = {}
 
     def elements(self):
         return (tuple(reversed(digits))
@@ -77,13 +80,15 @@ class _TupleGF:
         return tuple(prod + [0] * (self.m - len(prod)))
 
     def inv(self, a):
-        result, base, e = self.one, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a not in self._inverses:
+            result, base, e = self.one, a, self.q - 2
+            while e:
+                if e & 1:
+                    result = self.mul(result, base)
+                base = self.mul(base, base)
+                e >>= 1
+            self._inverses[a] = result
+        return self._inverses[a]
 
     def eval_poly(self, coeffs, x):
         acc = self.zero
@@ -92,16 +97,24 @@ class _TupleGF:
         return acc
 
 
-def _tuple_count_points(model, r):
-    """Test oracle: the point count with per-field solution dictionaries."""
-    K = _TupleGF(model.p, model.k * r)
-    f, h = list(model.f), list(model.h)
+@functools.lru_cache(maxsize=None)
+def _tuple_field(p, m):
+    """The oracle field and its solution dictionary, sols[w] = #{z : z^2 = w},
+    or #{z : z^2 + z = w} for p = 2; built once and shared by every model."""
+    K = _TupleGF(p, m)
     sols = {}
     for z in K.elements():
         w = K.mul(z, z)
-        if model.p == 2:
+        if p == 2:
             w = K.add(w, z)
         sols[w] = sols.get(w, 0) + 1
+    return K, sols
+
+
+def _tuple_count_points(model, r):
+    """Test oracle: the point count with per-field solution dictionaries."""
+    K, sols = _tuple_field(model.p, model.k * r)
+    f, h = list(model.f), list(model.h)
     inv4 = K.inv(K.lift(4)) if model.p > 2 else None
     count = 0
     for x in K.elements():
@@ -148,14 +161,36 @@ def _seeded_models(p, rng):
 
 
 def test_counts_match_tuple_oracle():
+    # every model kind on every field, so each kind meets the composite
+    # degrees (2^6, 2^8, 3^4, ...) whose Frobenius orbits have several sizes;
+    # characteristic 2 has one kind, and its three models take turns
     rng = random.Random(2008)
     models = {p: _seeded_models(p, rng) for p in (2, 3, 5, 7, 11)}
     checked = 0
     for p, m in _oracle_fields():
-        model = models[p][m % 3]
-        assert count_points(model, m) == _tuple_count_points(model, m), (model, m)
-        checked += 1
-    assert checked == 32
+        for model in [models[p][m % 3]] if p == 2 else models[p]:
+            assert count_points(model, m) == _tuple_count_points(model, m), (model, m)
+            checked += 1
+    assert checked == 72
+
+
+@pytest.mark.parametrize("p, m, f, h", [
+    (3, 11, (1, 2, 0, 1, 1, 1), ()),       # y^2 = x^5 + x^4 + x^3 + 2x + 1
+    (3, 11, (2, 0, 1, 0, 0, 0, 1), ()),    # y^2 = x^6 + x^2 + 2, even degree
+    (2, 17, (1, 0, 0, 1, 0, 1), (1, 1)),   # y^2 + (x + 1) y = x^5 + x^3 + 1
+], ids=["F_3^11-odd", "F_3^11-even", "F_2^17"])
+def test_orbit_count_matches_per_element_sum(p, m, f, h):
+    # one x per Frobenius orbit, weighted by the orbit's size, against the
+    # sum over every element, at the largest fields of each characteristic
+    model = HyperellipticModel(p=p, k=1, f=f, h=h)
+    K = GF(p, m)
+    assert _count_by_tables(K, model.f, model.h) == count_by_tables_per_element(K, model.f, model.h)
+
+
+def test_curve_still_exposes_the_specialization_field():
+    import modrec.fields
+
+    assert SpecializationField is modrec.fields.SpecializationField
 
 
 def test_prime_field_horner_matches_the_tables(monkeypatch):

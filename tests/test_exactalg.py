@@ -563,7 +563,7 @@ def test_ratfun_is_an_output_form():
     # no production path does RatFun arithmetic: the type holds canonical
     # parts, compares, hashes and prints, and a Factored mixes only with ints
     # and its own field
-    from modrec.curve import SpecializationField
+    from modrec.fields import SpecializationField
 
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__",
                  "substitute", "as_poly", "const_value", "one", "var"):

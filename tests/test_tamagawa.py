@@ -18,10 +18,11 @@ import pytest
 
 from modrec import acceptance, cli
 from modrec.cli import load_curve
-from modrec.curve import CurveData, HyperellipticModel, SpecializationField, zeta_from_counts
+from modrec.curve import CurveData, HyperellipticModel, zeta_from_counts
 from modrec.errors import ValidationError
 from modrec import exactalg
 from modrec.exactalg import Poly, RatFun, poly_gcd
+from modrec.fields import SpecializationField
 from modrec.hn import codim, enumerate_types
 from modrec.tamagawa import (
     MASS_RANK_LIMIT,

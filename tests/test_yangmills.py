@@ -73,7 +73,8 @@ def test_ss_series_rank_two_closed_form():
 
 
 def test_ss_series_degree_periodicity():
-    # the memo is keyed on d mod n: clear it so d + n is really recomputed
+    # the memo is keyed on the residue: clear it so d + n is really recomputed
+    # (both walk the same types; the oracle sweep below walks d as given)
     for order in (8, 14):
         for n, d in [(2, 1), (3, 1)]:
             clear_caches()
@@ -84,7 +85,8 @@ def test_ss_series_degree_periodicity():
 
 def test_ss_series_duality():
     # the memo is keyed on min(d mod n, -d mod n): clear it so n - d is
-    # really recomputed, from the dual types
+    # really recomputed (both walk the same types; the oracle sweep below
+    # walks d as given, so it checks the dual types too)
     for order in (8, 14, 26):
         for n, d in [(3, 1), (4, 1), (5, 2), (5, 3)]:
             clear_caches()
@@ -240,6 +242,24 @@ def test_ss_series_memo_serves_prefixes():
     longer = ss_equivariant_series(3, 1, 2, 26)
     assert longer.truncate(20) == long
     assert yangmills._SS_SERIES[(3, 1, 2)].order == 26
+
+
+@pytest.mark.parametrize("n, d, g, admitted", [
+    (4, 1, 32, True), (4, 1, 33, False), (7, 1, 4, False),
+])
+def test_dual_degrees_get_one_budget_decision(n, d, g, admitted):
+    # the types are walked at min(d mod n, -d mod n), so d and n - d test the
+    # same lattice points: at the limit both are admitted or both refused
+    outcomes = []
+    for degree in (d, n - d):
+        clear_caches()
+        try:
+            outcomes.append(moduli_poincare(n, degree, g))
+        except ValidationError as exc:
+            assert "lattice points" in str(exc), exc
+            outcomes.append(None)
+    assert (outcomes[0] is not None) is admitted
+    assert outcomes[0] == outcomes[1]
 
 
 def test_ss_series_memo_is_bounded_by_residues():
