@@ -182,13 +182,13 @@ def _cmd_siegel(args):
 
 
 def _cmd_hn_types(args):
-    from .hn import codim, enumerate_types
+    from .hn import sorted_types
 
-    types = enumerate_types(args.n, args.d, args.g, args.max_codim)
+    keyed = sorted_types(args.n, args.d, args.g, args.max_codim)
     return {
         "n": args.n, "d": args.d, "g": args.g, "max_codim": args.max_codim,
-        "types": [mu.to_json() for mu in types],
-        "codims": [codim(mu, args.g) for mu in types],
+        "types": [mu.to_json() for _, mu in keyed],
+        "codims": [c for c, _ in keyed],
     }, 0
 
 

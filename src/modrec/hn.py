@@ -24,12 +24,13 @@ from itertools import accumulate
 
 from .errors import InvariantViolation, ValidationError, check_budget, shown
 
-# Most prefix-degree vectors enumerate_types may test, and most compositions
-# of the rank.  moduli_poincare(n, d, g) walks its top call at
-# min(d mod n, -d mod n), so d and -d are admitted together: (9, d, 2) tests
-# at most 117,062 vectors, (6, d, 6) 123,936, (4, d, 32) 141,514 and
-# (5, d, 12) 146,093, while (7, d, 4) needs at least 152,499 and (4, d, 33)
-# 154,280.  README.md gives the time of a walk to the limit.
+# Most prefix-degree vectors walk_types may test, and most compositions of
+# the rank.  moduli_poincare(n, d, g) walks its top call at
+# min(d mod n, -d mod n), so d and -d are admitted together: (10, d, 2) tests
+# at most 122,787 vectors, (7, d, 5) 108,322, (5, d, 17) 140,170 and
+# (4, d, 47) 149,584, while (11, d, 2) needs at least 359,325, (6, d, 9)
+# 156,075 and (4, d, 48) 158,665.  README.md gives the time of a walk to the
+# limit.
 MAX_LATTICE_POINTS = 150_000
 
 
@@ -128,18 +129,24 @@ def _compositions_within(n, bound):
     return out
 
 
-def enumerate_types(n, d, g, max_codim):
-    """All types of total rank n and degree d with codim <= max_codim.
+def walk_types(n, d, g, max_codim):
+    """Yield (codim, parts) for each type of total rank n and degree d with
+    codim <= max_codim, the trivial type first and the rest in walk order.
 
     Compositions whose rank pairs alone cost more than max_codim are never
-    built.  For each other composition the prefix degrees D_1, ..., D_{r-1} are walked in
-    turn, each upwards from the value that puts c_k at its least.  A step
-    raises c_k by n, so n codim by (n_k + n_{k+1}) n, and raises the slope
-    of part k, so the walk of D_k stops at the first value past the
-    codimension budget or with a slope not below that of part k - 1.
-    Output sorted by (codim, parts).  A request that tests more than
-    MAX_LATTICE_POINTS prefix-degree vectors, or has more compositions
-    than that, raises ValidationError.
+    built.  For each other composition the prefix degrees D_1, ..., D_{r-1}
+    are walked in turn.  D_k is at least floor_k = (least c_k + S_k d) / n,
+    and D_{r-1} = d, so part k + 1 has degree at least
+    floor_{k+1} - D_{k-1} - d_k; below d_k = (floor_{k+1} - D_{k-1}) n_k //
+    (n_k + n_{k+1}) + 1 its slope cannot fall below that of part k.  The
+    walk of d_k starts at the larger of that value and the one that puts c_k
+    at its least.  A step raises c_k by n, so n codim by (n_k + n_{k+1}) n,
+    and raises the slope of part k, so the walk stops at the first value
+    past the codimension budget or with a slope not below that of part
+    k - 1.  The codimension is read from the running cost, (g - 1) pairs +
+    cost / n.  A request that tests more than MAX_LATTICE_POINTS
+    prefix-degree vectors, or has more compositions than that, raises
+    ValidationError.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
@@ -150,7 +157,7 @@ def enumerate_types(n, d, g, max_codim):
     # so no power of n bits is built
     check_budget("rank %s" % shown(n), "log2 compositions (n - 1)", n - 1,
                  MAX_LATTICE_POINTS.bit_length() - 1)
-    found = [HNType.trivial(n, d)]
+    yield 0, ((n, d),)
     visited = 0
     for comp, pairs in _compositions_within(n, max_codim // (g - 1)):
         r = len(comp)
@@ -160,22 +167,26 @@ def enumerate_types(n, d, g, max_codim):
         prefix = list(accumulate(comp[:-1]))
         weights = [comp[k] + comp[k + 1] for k in range(r - 1)]
         least = [(-s * d - 1) % n + 1 for s in prefix]
+        floor = [(c + s * d) // n for c, s in zip(least, prefix)] + [d]
         rest = [0] * r  # least cost of the steps from k on
         for k in range(r - 2, -1, -1):
             rest[k] = rest[k + 1] + weights[k] * least[k]
         if rest[0] > budget:
             continue
+        found = []
 
         def walk(k, D, last, used, degrees):
             nonlocal visited
             if k == r - 1:
                 dk = d - D
                 if last * comp[k] > dk * comp[k - 1]:
-                    found.append(HNType(tuple(zip(comp, degrees + [dk]))))
+                    found.append(((g - 1) * pairs + used // n, tuple(zip(comp, degrees + [dk]))))
                 return
             step = weights[k] * n
-            cost = used + weights[k] * least[k]
-            dk = (least[k] + prefix[k] * d) // n - D
+            dk = floor[k] - D
+            skipped = max(0, (floor[k + 1] - D) * comp[k] // weights[k] + 1 - dk)
+            cost = used + weights[k] * least[k] + skipped * step
+            dk += skipped
             while True:
                 visited += 1
                 if visited > MAX_LATTICE_POINTS:
@@ -188,7 +199,21 @@ def enumerate_types(n, d, g, max_codim):
                 dk += 1
 
         walk(0, 0, None, 0, [])
-    keyed = sorted((codim(mu, g), mu.parts, mu) for mu in found)  # parts differ, so no tie
-    if keyed[-1][0] > max_codim:
-        raise InvariantViolation("enumeration produced an out-of-bound type")
-    return [mu for _, _, mu in keyed]
+        yield from found
+
+
+def sorted_types(n, d, g, max_codim):
+    """walk_types as a list of (codim, HNType), sorted by (codim, parts).
+    The codimension of the last type is recomputed by codim() and must equal
+    the walk's, and be within the bound."""
+    keyed = sorted(walk_types(n, d, g, max_codim))  # parts differ, so no tie
+    top, parts = keyed[-1]
+    if top > max_codim or codim(HNType(parts), g) != top:
+        raise InvariantViolation("enumeration produced a wrong or out-of-bound codimension")
+    return [(c, HNType(parts)) for c, parts in keyed]
+
+
+def enumerate_types(n, d, g, max_codim):
+    """All types of total rank n and degree d with codim <= max_codim,
+    sorted by (codim, parts); see walk_types."""
+    return [mu for _, mu in sorted_types(n, d, g, max_codim)]

@@ -8,9 +8,10 @@ and the semistable part is obtained by subtracting, per nontrivial
 filtration type mu, the product of lower-rank semistable series shifted by
 t^{2 codim(mu)}.  Since every stratum shifts by at least t^2, only the types
 with codim <= T/2 can touch a series truncated at order T, which keeps each
-step finite.  Types with equal residues (n_i, d_i mod n_i) share one product,
-and d and -d share one memo entry.  In the coprime case multiplying by
-(1 - t^2) collapses the series to the Poincare polynomial of the moduli space.
+step finite.  Types whose parts have equal keys (n_i, min(d_i mod n_i,
+-d_i mod n_i)), in any order, share one product, and d and -d share one memo
+entry.  In the coprime case multiplying by (1 - t^2) collapses the series to
+the Poincare polynomial of the moduli space.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import sub
 from .errors import InvariantViolation, ValidationError, check_budget, shown
 from .exactalg import (Poly, Series, conv, divexact, is_palindrome, over_one_minus,
                        times_one_minus)
-from .hn import codim, enumerate_types
+from .hn import walk_types
 
 _SS_SERIES = {}
 
@@ -81,8 +82,8 @@ def _series_charge(n, g, order, groups):
     classifying series and for each product of a group, at the group's order,
     weighted 1 + 2gn / COEFF_BITS for coefficients of about 2gn bits, plus one
     subtraction per coefficient of each shifted copy."""
-    products = n * (order + 1) ** 2 + sum((len(residues) - 1) * (order - min(shifts) + 1) ** 2
-                                          for residues, shifts in groups.items())
+    products = n * (order + 1) ** 2 + sum((len(keys) - 1) * (order - min(shifts) + 1) ** 2
+                                          for keys, shifts in groups.items())
     passes = sum(order - shift + 1 for shifts in groups.values() for shift in shifts)
     # rounded up, the weighted charge passes the limit exactly when it does unrounded
     return -(-products * (COEFF_BITS + 2 * g * n) // COEFF_BITS) + passes
@@ -97,8 +98,10 @@ def ss_equivariant_series(n, d, g, order):
     so d and -d give equal series.  One entry keeps the longest series so far
     and serves shorter orders by truncation.  Types are enumerated at the
     key's residue, so d, d + n and -d get one answer and one budget decision.
-    The parts are multiplied once per residue vector ((n_i, d_i mod n_i),
-    ...), to the order its least shift needs.
+    A part's series depends only on its key (n_i, min(d_i mod n_i, -d_i mod
+    n_i)) and the product commutes, so the types are grouped by the sorted
+    tuple of their part keys, and each group's parts are multiplied once, to
+    the order its least shift needs.
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
@@ -108,16 +111,16 @@ def ss_equivariant_series(n, d, g, order):
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
     groups = {}
-    for mu in enumerate_types(n, residue, g, order // 2):
-        if not mu.is_trivial:
-            residues = tuple((nj, dj % nj) for nj, dj in mu.parts)
-            groups.setdefault(residues, []).append(2 * codim(mu, g))
+    for codim, parts in walk_types(n, residue, g, order // 2):
+        if len(parts) > 1:
+            keys = tuple(sorted((nj, min(dj % nj, -dj % nj)) for nj, dj in parts))
+            groups.setdefault(keys, []).append(2 * codim)
     check_budget("rank %s at genus %s to order %s" % (shown(n), shown(g), shown(order)),
                  "weighted coefficient products", _series_charge(n, g, order, groups),
                  MAX_SERIES_PRODUCTS)
     coeffs = classifying_coefficients(n, g, order)
-    for residues, shifts in groups.items():
-        parts = [ss_equivariant_series(nj, rj, g, order - min(shifts)) for nj, rj in residues]
+    for keys, shifts in groups.items():
+        parts = [ss_equivariant_series(nj, rj, g, order - min(shifts)) for nj, rj in keys]
         product = prod(parts[1:], start=parts[0])
         for shift in shifts:
             coeffs[shift:] = map(sub, coeffs[shift:], product.coeffs)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import modrec
-from modrec import cli
+from modrec import cli, yangmills
 from modrec.cli import SYMPROD_CHARGE, load_curve, main
 from modrec.errors import InvariantViolation
 from modrec.fields import SpecializationField
@@ -58,6 +58,17 @@ def test_crosscheck_document(capsys):
     status, out, _ = run_cli(capsys, "crosscheck", "--n", "3", "--d", "1", "--g", "2")
     assert status == 0
     assert json.loads(out) == {"match": True}
+
+
+def test_gauge_route_reaches_rank_ten(capsys):
+    # rank 10 at genus 2 is within MAX_LATTICE_POINTS on both routes
+    status, out, _ = run_cli(capsys, "crosscheck", "--n", "10", "--d", "1", "--g", "2")
+    assert status == 0
+    assert json.loads(out) == {"match": True}
+    yangmills.clear_caches()
+    status, out, _ = run_cli(capsys, "betti", "--n", "10", "--d", "3", "--g", "2")
+    assert status == 0
+    assert json.loads(out)["degree"] == 2 * (10 * 10 + 1)
 
 
 def test_zeta_value(capsys, curve_file):

@@ -137,6 +137,18 @@ def test_enumeration_matches_gap_oracle(g):
                     (n, d, g, M)
 
 
+@pytest.mark.parametrize("g", [2, 3, 5])
+def test_walk_codim_is_codim(g):
+    # the codimension read from the walk's running cost is the pair sum
+    for n in range(1, 7):
+        for d in range(-n, 2 * n):
+            for M in (0, 7, 20):
+                walked = list(hn.walk_types(n, d, g, M))
+                assert walked[0] == (0, ((n, d),))
+                for c, parts in walked:
+                    assert c == codim(HNType(parts), g), (n, d, g, parts)
+
+
 def test_enumeration_refuses_far_past_budget():
     with pytest.raises(ValidationError, match="lattice points"):
         enumerate_types(3, 1, 2, 100000)
@@ -144,11 +156,14 @@ def test_enumeration_refuses_far_past_budget():
         enumerate_types(40, 1, 2, 3)
 
 
-# top calls of moduli_poincare(n, 1, g), at bound n^2 (g - 1) + 3: the budget
-# admits and refuses the same ones as the slope-gap estimate it replaced
+# top calls of moduli_poincare(n, 1, g), at bound n^2 (g - 1) + 3: the second
+# row holds the last admitted and the third the first refused rank at each
+# genus from 2 to 7, and the last admitted and first refused genus at rank 6
 @pytest.mark.parametrize("n, g, admitted", [
     (9, 2, True), (7, 3, True), (6, 4, True), (5, 5, True), (4, 6, True), (6, 6, True),
-    (10, 2, False), (8, 3, False), (7, 4, False), (6, 7, False),
+    (10, 2, True), (8, 3, True), (7, 4, True), (7, 5, True), (6, 7, True), (6, 8, True),
+    (11, 2, False), (9, 3, False), (8, 4, False), (8, 5, False), (7, 6, False), (7, 7, False),
+    (6, 9, False),
 ])
 def test_budget_boundary_of_top_calls(n, g, admitted):
     M = n * n * (g - 1) + 3

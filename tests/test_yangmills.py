@@ -214,9 +214,9 @@ def _ss_oracle(n, d, g, order, memo):
 def test_ss_series_sweep_against_oracle():
     # every d in -n..2n-1 at the order moduli_poincare uses for (n, g); d < n
     # is computed from a cold memo, d >= n is served from the residue key
-    for g in (2, 3):
+    for g, top in ((2, 6), (3, 5), (4, 4), (6, 3)):
         memo = {}
-        for n in range(1, 6):
+        for n in range(1, top + 1):
             order = 2 * (n * n * (g - 1) + 1) + yangmills.TRUNCATION_SLACK
             for d in range(-n, 2 * n):
                 if d < n:
@@ -227,8 +227,8 @@ def test_ss_series_sweep_against_oracle():
 
 
 def test_ss_series_high_genus_against_oracle():
-    # many types per residue vector: at (3, 1, 12) the top call has 241
-    # nontrivial types in 5 groups
+    # many types per group: at (3, 1, 12) the top call has 241 nontrivial
+    # types in 3 part-key groups (5 residue vectors)
     clear_caches()
     order = 2 * (3 * 3 * 11 + 1) + yangmills.TRUNCATION_SLACK
     assert ss_equivariant_series(3, 1, 12, order).coeffs == _ss_oracle(3, 1, 12, order, {})
@@ -245,7 +245,7 @@ def test_ss_series_memo_serves_prefixes():
 
 
 @pytest.mark.parametrize("n, d, g, admitted", [
-    (4, 1, 32, True), (4, 1, 33, False), (7, 1, 4, False),
+    (4, 1, 32, True), (4, 1, 47, True), (4, 1, 48, False), (7, 1, 6, False),
 ])
 def test_dual_degrees_get_one_budget_decision(n, d, g, admitted):
     # the types are walked at min(d mod n, -d mod n), so d and n - d test the
