@@ -11,7 +11,11 @@ appears in any output.  Output goes to stdout, diagnostics to stderr.
 Each handler imports the modules it calls, and ``main`` builds only the
 subparser that argv names, so a process pays at start-up only for its own
 subcommand's code and parser.  Help and usage errors build every subparser,
-so their messages list all the subcommands.
+so their messages list all the subcommands.  Importing this module loads
+only ``errors`` from the package.  The finite-field and numeric queries run
+on ints and Fractions and load no symbolic algebra (``exactalg``,
+``factored``): ``zeta`` loads ``fields`` and ``curve``; ``count`` and
+``mass --curve`` add ``tamagawa``; ``siegel`` adds ``hn`` as well.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import json
 import sys
 
 from .errors import InvariantViolation, ValidationError, check_budget
-from .exactalg import fraction_to_str, ratfun_to_json
 
 FORMATS = ("json", "csv", "plain")
 
@@ -118,13 +121,20 @@ def _numeric_field(args):
     return SpecializationField.numeric(curve)
 
 
+def _number(c):
+    """An int or Fraction as its "p/q" string."""
+    from fractions import Fraction
+
+    return str(Fraction(c))
+
+
 def _poly_doc(poly, **extra):
     doc = dict(extra)
     doc["degree"] = max(poly.degree("t"), 0)
     if poly.is_zero:
         doc["coeffs"] = ["0"]
     else:
-        doc["coeffs"] = [fraction_to_str(c) for c in poly.scalar_coeffs("t")]
+        doc["coeffs"] = [_number(c) for c in poly.scalar_coeffs("t")]
     return doc
 
 
@@ -145,9 +155,9 @@ def _cmd_count(args):
     from .tamagawa import fixed_determinant_count, stable_count
 
     field = _numeric_field(args)
-    doc = {"stable_count": fraction_to_str(stable_count(args.n, args.d, field))}
+    doc = {"stable_count": _number(stable_count(args.n, args.d, field))}
     if args.fixed_det:
-        doc["fixed_det_count"] = fraction_to_str(fixed_determinant_count(args.n, args.d, field))
+        doc["fixed_det_count"] = _number(fixed_determinant_count(args.n, args.d, field))
     return doc, 0
 
 
@@ -167,8 +177,10 @@ def _cmd_mass(args):
     value = ss_mass(args.n, args.d, field)
     doc = {"n": args.n, "d": args.d, "mode": field.mode}
     if field.mode == SpecializationField.NUMERIC:
-        doc["value"] = fraction_to_str(value)
+        doc["value"] = _number(value)
     else:
+        from .exactalg import ratfun_to_json
+
         doc["value"] = ratfun_to_json(value)
     return doc, 0
 
@@ -209,10 +221,10 @@ def _cmd_symprod(args):
         if curve.is_arithmetic:
             check_budget("symprod at n = %d over q = %d" % (args.n, curve.q), "n bits(q)",
                          args.n * curve.q.bit_length(), SYMPROD_CHARGE)
-        doc = {"n": args.n, "count": fraction_to_str(sym_count(curve, args.n))}
+        doc = {"n": args.n, "count": _number(sym_count(curve, args.n))}
         if args.enumerate:
             model = load_model(args.curve)
-            doc["enumerated"] = fraction_to_str(divisor_enumerate(model, args.n))
+            doc["enumerated"] = _number(divisor_enumerate(model, args.n))
         return doc, 0
     if args.g is None:
         raise ValidationError("symprod needs --g (Betti mode) or --curve (counts)")
@@ -257,7 +269,7 @@ def _cmd_kirwan(args):
         return {
             "weights": ws.to_json(),
             "is_polynomial": report.is_polynomial,
-            "series_coeffs": [fraction_to_str(c)
+            "series_coeffs": [_number(c)
                               for c in report.series_coefficients(2 * ws.dim + 2)],
         }, 0
     return _poly_doc(quotient_poincare(ws), weights=ws.to_json()), 0
@@ -291,7 +303,7 @@ def _cmd_zeta(args):
         check_budget("zeta at i = %d over q = %d at genus %d" % (args.i, curve.q, curve.genus),
                      "i bits(q) g", args.i * curve.q.bit_length() * curve.genus, ZETA_CHARGE)
         field = SpecializationField.numeric(curve)
-        return {"i": args.i, "value": fraction_to_str(field.zeta(args.i))}, 0
+        return {"i": args.i, "value": _number(field.zeta(args.i))}, 0
     return {
         "genus": curve.genus,
         "q": curve.q,

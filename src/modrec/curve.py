@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import InvariantViolation, ValidationError, check_budget, shown
-from .exactalg import Poly, conv, poly_divexact, poly_gcd
 from .fields import SpecializationField  # noqa: F401 - still read as curve.SpecializationField
 
 FIELD_SIZE_LIMIT = 2 ** 18
@@ -405,23 +404,37 @@ def _count_by_tables(K, f, h):
 
 class CurveData:
     """Genus plus, in arithmetic mode, the size of the base field and the
-    degree-2g zeta numerator (integer coefficients, constant term 1)."""
+    degree-2g zeta numerator (integer coefficients, constant term 1).
 
-    __slots__ = ("genus", "q", "numerator")
+    The numerator is given and kept as its ascending coefficient list, or
+    given as a ``Poly`` in t; ``numerator`` builds the ``Poly`` on access,
+    so arithmetic curves load no ``exactalg``."""
+
+    __slots__ = ("genus", "q", "_coeffs")
 
     def __init__(self, genus, q=None, numerator=None):
         if genus < 2:
             raise ValidationError("genus must be at least 2, got %d" % genus)
         if (q is None) != (numerator is None):
             raise ValidationError("arithmetic mode needs both q and the zeta numerator")
+        coeffs = None
         if q is not None:
             _validate_prime_power(q)
-            _validate_numerator(numerator, q, genus)
-        self.genus, self.q, self.numerator = genus, q, numerator
+            coeffs = _validate_numerator(numerator, q, genus)
+        self.genus, self.q, self._coeffs = genus, q, coeffs
 
     @property
     def is_arithmetic(self):
         return self.q is not None
+
+    @property
+    def numerator(self):
+        """The zeta numerator as a ``Poly`` in t; None in symbolic mode."""
+        if self._coeffs is None:
+            return None
+        from .exactalg import Poly
+
+        return Poly.univariate("t", self._coeffs)
 
     @staticmethod
     def symbolic(genus):
@@ -434,20 +447,20 @@ class CurveData:
         return zeta_from_counts(model.q, model.genus, counts)
 
     def coefficients(self):
-        return [int(c) for c in self.numerator.scalar_coeffs("t", upto=2 * self.genus)]
+        return list(self._coeffs)
 
     def point_count(self, r):
         """N_r recovered from the zeta numerator via Newton's identities."""
         if not self.is_arithmetic:
             raise ValidationError("point counts need arithmetic mode")
-        a = self.coefficients()
+        a = self._coeffs
         e = [(-1) ** k * a[k] for k in range(len(a))]
         power_sums = _power_sums_from_elementary(e, r)
         return self.q ** r + 1 - power_sums[r - 1]
 
     def class_number(self):
         """P(1) = number of degree-0 divisor classes."""
-        return sum(self.coefficients())
+        return sum(self._coeffs)
 
 
 # Miller-Rabin on these bases is exact below the bound (Sorenson and Webster,
@@ -493,11 +506,15 @@ def _power_sums_from_elementary(e, upto):
 
 
 def _validate_numerator(P, q, g):
-    coeffs = P.scalar_coeffs("t", upto=2 * g) if not P.is_zero else []
-    if P.is_zero or P.degree("t") != 2 * g or any(v != "t" for v in P.vars):
+    """The ascending coefficients of a zeta numerator P, given as a list or
+    as a ``Poly`` in t, as a tuple, once they pass every check."""
+    if not isinstance(P, list):
+        P = P.scalar_coeffs("t") if P and set(P.vars) <= {"t"} else []
+    if len(P) != 2 * g + 1 or not P[-1]:
         raise ValidationError("zeta numerator must have degree 2g in t")
-    if any(not isinstance(c, int) for c in coeffs):
+    if any(not isinstance(c, int) for c in P):
         raise ValidationError("zeta numerator needs integer coefficients")
+    coeffs = tuple(P)
     if coeffs[0] != 1:
         raise ValidationError("zeta numerator must have constant term 1")
     for i in range(0, g + 1):
@@ -516,6 +533,7 @@ def _validate_numerator(P, q, g):
     for r, s in enumerate(_power_sums_from_elementary(e, 2 * g), start=1):
         if s ** 2 > 4 * g ** 2 * q ** r:
             raise ValidationError("derived count at r=%d violates Hasse-Weil" % r)
+    return coeffs
 
 
 def _weil_norm_check(coeffs, q):
@@ -530,17 +548,10 @@ def _weil_norm_check(coeffs, q):
     distinct roots there on the squarefree part of V (a chain on V itself
     miscounts when a multiple root sits at an end of the interval).
     """
-    g = len(coeffs) // 2
-    R, D = [coeffs[g]] + [0] * g, [[2], [0, 1]]
-    for k in range(1, g + 1):
-        R = [r + coeffs[g - k] * c for r, c in itertools.zip_longest(R, D[k], fillvalue=0)]
-        D.append([c - q * b for c, b in itertools.zip_longest([0] + D[k], D[k - 1], fillvalue=0)])
-    V = [(-1) ** g * c for c in conv(R, [(-1) ** i * r for i, r in enumerate(R)])[::2]]
-    Vp = Poly.univariate("t", V)
-    S = poly_divexact(Vp, poly_gcd(Vp, Poly.univariate("t", _derivative(V)))).scalar_coeffs("t")
+    S = _squarefree_part(_norm_polynomial(coeffs, q))
     chain = [S, _derivative(S)]
     while len(chain[-1]) > 1:
-        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+        chain.append([-c for c in _primitive(_divmod(chain[-2], chain[-1])[1])])
 
     def variations(x):
         signs = [v for v in (sum(c * x ** i for i, c in enumerate(p)) for p in chain) if v]
@@ -551,19 +562,52 @@ def _weil_norm_check(coeffs, q):
                               "(norm condition)")
 
 
+def _norm_polynomial(coeffs, q):
+    """V, with V(s^2) = (-1)^g R(s) R(-s), as an ascending int list of
+    degree g (see ``_weil_norm_check``)."""
+    g = len(coeffs) // 2
+    R, D = [coeffs[g]] + [0] * g, [[2], [0, 1]]
+    for k in range(1, g + 1):
+        R = [r + coeffs[g - k] * c for r, c in itertools.zip_longest(R, D[k], fillvalue=0)]
+        D.append([c - q * b for c, b in itertools.zip_longest([0] + D[k], D[k - 1], fillvalue=0)])
+    # the odd coefficients of R(s) R(-s) cancel, so V takes the even ones
+    sign = (-1) ** g
+    return [sign * sum((-1) ** i * R[i] * R[k - i] for i in range(max(0, k - g), min(k, g) + 1))
+            for k in range(0, 2 * g + 1, 2)]
+
+
+def _squarefree_part(V):
+    """V / gcd(V, V') by Euclid's algorithm over Q, on ascending lists, with
+    each remainder scaled to coprime ints; V has degree >= 1."""
+    a, b = V, _derivative(V)
+    while b:
+        a, b = b, _primitive(_divmod(a, b)[1])
+    return _primitive(_divmod(V, a)[0])
+
+
+def _primitive(a):
+    """A list of rationals times the positive rational that makes its
+    entries coprime ints (a Sturm chain keeps its signs)."""
+    den = lcm(*(Fraction(c).denominator for c in a))
+    a = [int(c * den) for c in a]
+    content = gcd(*a)
+    return [c // content for c in a] if content > 1 else a
+
+
 def _derivative(a):
     return [k * c for k, c in enumerate(a)][1:]
 
 
-def _remainder(a, b):
-    """Remainder of ascending coefficient lists over Q; b has a nonzero top."""
+def _divmod(a, b):
+    """Quotient and remainder of ascending coefficient lists over Q; b has a
+    nonzero last entry, and the remainder's last entry is nonzero too."""
     a = [Fraction(c) for c in a]
-    while len(a) >= len(b):
-        c, shift = a[-1] / b[-1], len(a) - len(b)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = a[shift + len(b) - 1] / b[-1]
         for j, bj in enumerate(b):
             a[shift + j] -= c * bj
-        _trim(a)
-    return a
+    return quot, _trim(a[:len(b) - 1])
 
 
 def zeta_from_counts(q, g, counts):
@@ -590,5 +634,4 @@ def zeta_from_counts(q, g, counts):
         e.append(ek)
     a = [1] + [int((-1) ** k * e[k]) for k in range(1, g + 1)]
     a += [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
-    P = Poly.univariate("t", a)
-    return CurveData(g, q, P)
+    return CurveData(g, q, a)

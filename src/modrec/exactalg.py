@@ -17,8 +17,9 @@ Representation choices:
   coefficients and a positive leading coefficient (lexicographic term
   order), so equality is plain structural equality.  It does no arithmetic:
   Betti and Hodge values are computed as ``modrec.factored`` elements over
-  known cyclotomic denominators and reduced into this form once.  The
-  reducing ``RatFun`` arithmetic, with its gcds, is a test oracle.
+  known cyclotomic denominators and reduced into this form once.  No
+  production path needs a polynomial gcd: the reducing ``RatFun``
+  arithmetic and the gcd and exact division it runs on are test oracles.
 
 * ``Series`` is a dense truncated power series in one variable whose
   coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
@@ -503,104 +504,6 @@ def over_one_minus(a, c, size):
     for r in range(min(c, size)):
         out[r::c] = accumulate(out[r::c])
     return out
-
-
-# ---------------------------------------------------------------------------
-# gcd and exact division
-# ---------------------------------------------------------------------------
-
-
-def _int_coeffs(coeffs):
-    """Clear denominators of a coefficient list; returns a primitive int list."""
-    if _all_int(coeffs):
-        return _int_primitive(coeffs)
-    den = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-    return _int_primitive([int(c * den) for c in coeffs])
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _int_primitive(a):
-    g = _int_gcd(*a)
-    if g > 1:
-        a = [c // g for c in a]
-    return a
-
-
-def _gcd_univar(A, B):
-    """gcd of ascending coefficient lists: primitive ints, positive leading."""
-    A = _int_coeffs(A)
-    B = _int_coeffs(B)
-    if len(A) < len(B):
-        A, B = B, A
-    while any(B):
-        R = _int_primitive(_int_prem(A, B))
-        A, B = B, R
-    if A and A[-1] < 0:
-        A = [-c for c in A]
-    return A
-
-
-def poly_gcd(a, b):
-    """Greatest common divisor, primitive with positive leading coefficient.
-
-    Univariate pairs take the primitive remainder sequence; a multivariate
-    pair raises ``ValidationError``.  The one caller is the square-free step
-    of the zeta root check in ``curve``: rational functions are reduced
-    against their known cyclotomic denominators instead (``modrec.factored``).
-    """
-    if a.is_zero and b.is_zero:
-        return Poly.zero()
-    if a.is_zero:
-        return b.scaled(1 / b.signed_content())
-    if b.is_zero:
-        return a.scaled(1 / a.signed_content())
-    if a.is_const or b.is_const:
-        return Poly.one()
-    union = set(a.vars) | set(b.vars)
-    if len(union) > 1:
-        raise ValidationError("multivariate gcd is not supported: %s and %s" % (a, b))
-    name = a.vars[0]
-    return Poly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
-
-
-def poly_divexact(a, b):
-    """Exact polynomial division in one variable; raises if the division
-    leaves a remainder, and on a multivariate pair."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return Poly.zero()
-    if b.is_const:
-        return a.scaled(Fraction(1) / Fraction(b.terms[()]))
-    union = set(a.vars) | set(b.vars)
-    if len(union) > 1:
-        raise ValidationError("multivariate exact division is not supported: %s by %s" % (a, b))
-    name = b.vars[0]
-    quot = divexact(a.scalar_coeffs(name), b.scalar_coeffs(name))
-    if quot is None:
-        raise ValidationError("non-exact polynomial division")
-    return Poly.univariate(name, quot)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ the programme is a ``Factored`` element, an integer numerator over a
 product of factors (1 - q^c), so its sums and products run no gcd; the
 mass is reduced to a canonical ``RatFun`` once, at the end of ``ss_mass``.
 The same formulas thus give Poincare series and their Hodge refinements.
+Masses and counts need no filtration types, so ``hn`` is loaded only by
+``stratum_mass`` and ``siegel_check``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from math import comb, gcd
 
 from .errors import InvariantViolation, ValidationError, check_budget, shown
 from .fields import SpecializationField
-from .hn import codim, enumerate_types, mass_exponent
 
 
 def total_mass(n, d, field):
@@ -145,6 +146,8 @@ def matches_moduli_polynomial(mass, poly, field):
 
 def stratum_mass(mu, field):
     """Mass of the stratum labelled by one filtration type."""
+    from .hn import mass_exponent
+
     value = field.q_power(mass_exponent(mu, field.genus))
     for nj, dj in mu.parts:
         value = value * ss_mass(nj, dj, field)
@@ -192,17 +195,15 @@ class SiegelReport(namedtuple("SiegelReport", "n d mode total semistable partial
     __slots__ = ()
 
     def to_json(self):
-        from .exactalg import fraction_to_str
-
         return {
             "n": self.n,
             "d": self.d,
             "mode": self.mode,
-            "value": fraction_to_str(self.semistable),
-            "total": fraction_to_str(self.total),
-            "partial_sums": [fraction_to_str(v) for v in self.partial_sums],
-            "gaps": [fraction_to_str(v) for v in self.gaps],
-            "tail_bound": fraction_to_str(self.tail_bound),
+            "value": str(Fraction(self.semistable)),
+            "total": str(Fraction(self.total)),
+            "partial_sums": [str(Fraction(v)) for v in self.partial_sums],
+            "gaps": [str(Fraction(v)) for v in self.gaps],
+            "tail_bound": str(Fraction(self.tail_bound)),
         }
 
 
@@ -218,6 +219,8 @@ def siegel_check(n, d, field, max_codim):
     2-core x86-64 host (both F_2 curve configs, max_codim 3 and 100, best
     of 3).
     """
+    from .hn import codim, enumerate_types
+
     _require_numeric(field)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")

@@ -1,6 +1,7 @@
 import pytest
 
-from modrec import exactalg, yangmills
+import oracles
+from modrec import yangmills
 from oracles import graded_poly_divexact, graded_poly_gcd
 
 
@@ -14,7 +15,7 @@ def _cold_gauge_memos():
 
 @pytest.fixture()
 def graded_gcd(monkeypatch):
-    """RatFun arithmetic in Q(u, v): exactalg's gcd and exact division with
-    the graded branch of tests/oracles.py."""
-    monkeypatch.setattr(exactalg, "poly_gcd", graded_poly_gcd)
-    monkeypatch.setattr(exactalg, "poly_divexact", graded_poly_divexact)
+    """RatFun arithmetic in Q(u, v): the oracle gcd and exact division with
+    their graded branch, both in tests/oracles.py."""
+    monkeypatch.setattr(oracles, "poly_gcd", graded_poly_gcd)
+    monkeypatch.setattr(oracles, "poly_divexact", graded_poly_divexact)

@@ -38,13 +38,18 @@
   is the mass programme with its total masses written over that field, as
   ``tamagawa`` had them; the ``Factored`` masses must reduce to the same
   rational functions.
-* ``graded_poly_gcd`` and ``graded_poly_divexact`` extend ``exactalg``'s
-  univariate gcd and exact division to Q[u, v] pairs with one argument of
-  the form u^i v^j f(uv), by a gcd over the graded pieces and a sparse
-  division.  ``exactalg`` refuses multivariate pairs since the Hodge masses
-  are reduced by known cyclotomic factors; the ``graded_gcd`` fixture
-  installs these two, so that ``RatFun`` arithmetic in u, v, which the
-  Hodge oracles above run on, works in the tests that ask for it.
+* ``poly_gcd`` and ``poly_divexact`` are the univariate gcd (a primitive
+  remainder sequence over Z) and exact division that ``exactalg`` held
+  while the zeta root check took its square-free part with them.
+  ``curve._squarefree_part`` runs Euclid's algorithm over Q instead and must
+  agree up to sign and content.  ``ReducingRatFun`` runs on these two.
+* ``graded_poly_gcd`` and ``graded_poly_divexact`` extend them to Q[u, v]
+  pairs with one argument of the form u^i v^j f(uv), by a gcd over the
+  graded pieces and a sparse division.  ``poly_gcd`` refuses multivariate
+  pairs since the Hodge masses are reduced by known cyclotomic factors; the
+  ``graded_gcd`` fixture installs these two in their place, so that
+  ``RatFun`` arithmetic in u, v, which the Hodge oracles above run on,
+  works in the tests that ask for it.
 * ``exp_log_by_digit_walk`` builds a finite field's exp/log tables by
   decoding each element to digits and multiplying by the generator with a
   generic polynomial product and reduction.  ``curve._exp_log`` steps by
@@ -86,13 +91,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import comb
+from math import gcd as _int_gcd
 
-from modrec import exactalg
 from modrec.curve import _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
-from modrec.exactalg import Poly, RatFun, Series, _check_var, _cnorm, _gcd_univar, _strip_vars
-from modrec.exactalg import poly_divexact as univariate_divexact
-from modrec.exactalg import poly_gcd as univariate_gcd
+from modrec.exactalg import (Poly, RatFun, Series, _all_int, _check_var, _cnorm, _strip_vars,
+                             divexact)
 from modrec.errors import ValidationError
 from modrec.fields import SpecializationField
 from modrec.hn import HNType, codim
@@ -100,6 +104,109 @@ from modrec.kirwan import Stratum, strata
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
 from modrec.yangmills import moduli_poincare
+
+
+# ---------------------------------------------------------------------------
+# the univariate gcd and exact division
+# ---------------------------------------------------------------------------
+
+
+def _int_coeffs(coeffs):
+    """Clear denominators of a coefficient list; returns a primitive int list."""
+    if _all_int(coeffs):
+        return _int_primitive(coeffs)
+    den = 1
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            den = den * c.denominator // _int_gcd(den, c.denominator)
+    return _int_primitive([int(c * den) for c in coeffs])
+
+
+def _int_prem(a, b):
+    """Pseudo-remainder of integer coefficient lists (ascending)."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) - 1 < db:
+            break
+        la = a[-1]
+        shift = len(a) - 1 - db
+        a = [c * lb for c in a]
+        for j in range(db + 1):
+            a[shift + j] -= la * b[j]
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _int_primitive(a):
+    g = _int_gcd(*a)
+    if g > 1:
+        a = [c // g for c in a]
+    return a
+
+
+def _gcd_univar(A, B):
+    """gcd of ascending coefficient lists: primitive ints, positive leading."""
+    A = _int_coeffs(A)
+    B = _int_coeffs(B)
+    if len(A) < len(B):
+        A, B = B, A
+    while any(B):
+        R = _int_primitive(_int_prem(A, B))
+        A, B = B, R
+    if A and A[-1] < 0:
+        A = [-c for c in A]
+    return A
+
+
+def poly_gcd(a, b):
+    """Greatest common divisor, primitive with positive leading coefficient.
+
+    Univariate pairs take the primitive remainder sequence; a multivariate
+    pair raises ``ValidationError``.
+    """
+    if a.is_zero and b.is_zero:
+        return Poly.zero()
+    if a.is_zero:
+        return b.scaled(1 / b.signed_content())
+    if b.is_zero:
+        return a.scaled(1 / a.signed_content())
+    if a.is_const or b.is_const:
+        return Poly.one()
+    union = set(a.vars) | set(b.vars)
+    if len(union) > 1:
+        raise ValidationError("multivariate gcd is not supported: %s and %s" % (a, b))
+    name = a.vars[0]
+    return Poly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
+
+
+def poly_divexact(a, b):
+    """Exact polynomial division in one variable; raises if the division
+    leaves a remainder, and on a multivariate pair."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero:
+        return Poly.zero()
+    if b.is_const:
+        return a.scaled(Fraction(1) / Fraction(b.terms[()]))
+    union = set(a.vars) | set(b.vars)
+    if len(union) > 1:
+        raise ValidationError("multivariate exact division is not supported: %s by %s" % (a, b))
+    name = b.vars[0]
+    quot = divexact(a.scalar_coeffs(name), b.scalar_coeffs(name))
+    if quot is None:
+        raise ValidationError("non-exact polynomial division")
+    return Poly.univariate(name, quot)
+
+
+
+
+# the graded gcd and division below fall back on these, also while a test
+# has patched this module's poly_gcd and poly_divexact
+univariate_gcd, univariate_divexact = poly_gcd, poly_divexact
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +280,9 @@ class ReducingRatFun(RatFun):
     product of the two positive leading terms; such a sum vanishes only when
     both denominators are 1, so a zero sum is 0/1.  An inverse den / num of a
     reduced pair only needs its new denominator normalised.  The gcd and
-    exact division are looked up on ``exactalg`` at each call, so a test
-    that patches them there (the ``graded_gcd`` fixture, the gcd counters)
-    reaches this arithmetic.
+    exact division are looked up as this module's ``poly_gcd`` and
+    ``poly_divexact`` at each call, so a test that patches them here (the
+    ``graded_gcd`` fixture, the gcd counters) reaches this arithmetic.
     """
 
     __slots__ = ()
@@ -239,19 +346,19 @@ class ReducingRatFun(RatFun):
             return other
         if other.is_zero:
             return self
-        g = exactalg.poly_gcd(self.den, other.den)
+        g = poly_gcd(self.den, other.den)
         if g.is_const:
             # already reduced and normalised (see the class docstring)
             num = self.num * other.den + other.num * self.den
             return ReducingRatFun(num, self.den * other.den, _reduced=True)
         # Fraction-style addition: keep gcd inputs small
-        da = exactalg.poly_divexact(self.den, g)
-        db = exactalg.poly_divexact(other.den, g)
+        da = poly_divexact(self.den, g)
+        db = poly_divexact(other.den, g)
         num = self.num * db + other.num * da
-        h = exactalg.poly_gcd(num, g)
+        h = poly_gcd(num, g)
         if not h.is_const:
-            num = exactalg.poly_divexact(num, h)
-            g = exactalg.poly_divexact(g, h)
+            num = poly_divexact(num, h)
+            g = poly_divexact(g, h)
         num, den = _unit_normalize(num, da * db * g)
         return ReducingRatFun(num, den, _reduced=True)
 
@@ -335,10 +442,10 @@ class ReducingRatFun(RatFun):
 def _reduce(num, den):
     if num.is_zero:
         return Poly.zero(), Poly.one()
-    g = exactalg.poly_gcd(num, den)
+    g = poly_gcd(num, den)
     if not g.is_const:
-        num = exactalg.poly_divexact(num, g)
-        den = exactalg.poly_divexact(den, g)
+        num = poly_divexact(num, g)
+        den = poly_divexact(den, g)
     return _unit_normalize(num, den)
 
 
@@ -352,10 +459,10 @@ def _unit_normalize(num, den):
 
 def _cancel(a, b):
     """Divide out gcd(a, b); returns the reduced pair."""
-    g = exactalg.poly_gcd(a, b)
+    g = poly_gcd(a, b)
     if g.is_const:
         return a, b
-    return exactalg.poly_divexact(a, g), exactalg.poly_divexact(b, g)
+    return poly_divexact(a, g), poly_divexact(b, g)
 
 
 def compositions(n):
@@ -717,14 +824,14 @@ def ratfun_zagier_sum(n, d, field):
 
 
 def graded_poly_gcd(a, b):
-    """``exactalg.poly_gcd``, and in Q[u, v] when one argument is u^i v^j f(uv)."""
+    """``poly_gcd``, and in Q[u, v] when one argument is u^i v^j f(uv)."""
     if a.is_zero or b.is_zero or a.is_const or b.is_const or len(set(a.vars) | set(b.vars)) < 2:
         return univariate_gcd(a, b)
     return gcd_graded(a, b)
 
 
 def graded_poly_divexact(a, b):
-    """``exactalg.poly_divexact``, and by leading terms in the last variable
+    """``poly_divexact``, and by leading terms in the last variable
     when the pair is multivariate."""
     union = sorted(set(a.vars) | set(b.vars))
     if a.is_zero or b.is_const or len(union) < 2:

@@ -470,13 +470,19 @@ def test_arithmetic_curves_need_no_numpy(tmp_path):
 
 
 GAUGE_ONLY = {"curve", "fields", "factored", "tamagawa", "kirwan", "acceptance"}
+# the finite-field and numeric queries run on ints and Fractions
+SYMBOLIC = {"exactalg", "factored", "yangmills", "kirwan", "symprod", "matrixdiv"}
 
 
 @pytest.mark.parametrize("argv, absent", [
     (["betti", "--n", "2", "--d", "1", "--g", "2"], GAUGE_ONLY | {"matrixdiv", "symprod"}),
-    (["zeta", "--curve", "{model}"], {"hn", "yangmills", "tamagawa", "kirwan"}),
+    (["zeta", "--curve", "{model}"], SYMBOLIC | {"hn", "tamagawa"}),
+    (["zeta", "--curve", "{counts}", "--i", "3"], SYMBOLIC | {"hn", "tamagawa"}),
     (["kirwan", "--weights", "[1,1,-1,-1]", "--op", "quotient"], {"curve", "hn", "yangmills"}),
-    (["count", "--n", "2", "--d", "1", "--curve", "{model}"], set()),
+    (["count", "--n", "3", "--d", "1", "--curve", "{model}", "--fixed-det"], SYMBOLIC | {"hn"}),
+    (["count", "--n", "2", "--d", "1", "--curve", "{counts}"], SYMBOLIC | {"hn"}),
+    (["mass", "--n", "4", "--d", "2", "--curve", "{model}"], SYMBOLIC | {"hn"}),
+    (["siegel", "--n", "3", "--d", "1", "--curve", "{model}"], SYMBOLIC),
     (["bridge", "--n", "3", "--g", "2", "--e", "30", "--cutoff", "12"], GAUGE_ONLY),
     (["matrixdiv", "--n", "4", "--e", "12", "--g", "2"], GAUGE_ONLY),
     (["mass", "--n", "3", "--d", "1", "--mode", "betti", "--g", "2"],
@@ -484,26 +490,33 @@ GAUGE_ONLY = {"curve", "fields", "factored", "tamagawa", "kirwan", "acceptance"}
     (["mass", "--n", "3", "--d", "1", "--mode", "hodge", "--g", "2"],
      {"curve", "yangmills", "kirwan", "symprod", "matrixdiv"}),
     (["crosscheck", "--n", "3", "--d", "1", "--g", "2"], {"curve", "kirwan", "symprod"}),
-], ids=["betti", "zeta", "kirwan", "count", "bridge", "matrixdiv", "mass-betti", "mass-hodge",
-        "crosscheck"])
+], ids=["betti", "zeta", "zeta-i", "kirwan", "count", "count-counts", "mass-numeric", "siegel",
+        "bridge", "matrixdiv", "mass-betti", "mass-hodge", "crosscheck"])
 def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
-    # in a fresh process a subcommand imports none of the other subcommands'
-    # modules (the symbolic fields and the symmetric powers need no curve),
-    # and no module pulls in dataclasses (and inspect behind it)
+    # in a fresh process the cli module loads only errors, a subcommand
+    # imports none of the other subcommands' modules (the symbolic fields and
+    # the symmetric powers need no curve, the finite-field and numeric
+    # queries no symbolic algebra), and no module pulls in dataclasses (and
+    # inspect behind it); pytest's own process has every module loaded, so
+    # this needs a subprocess
     model = tmp_path / "model.json"
     model.write_text(json.dumps(F2_CONFIG))
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(COUNTS_CONFIG))
     code = ("import json, sys\n"
             "import modrec.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('modrec.')]))\n"
             "assert 'dataclasses' not in sys.modules, 'imported by modrec.cli'\n"
             "assert modrec.cli.main(%r) == 0\n"
             "print(json.dumps([m for m in sys.modules if m.startswith('modrec.')]))\n"
             "print(json.dumps('dataclasses' in sys.modules))\n"
-            % [a.format(model=str(model)) for a in argv])
+            % [a.format(model=str(model), counts=str(counts)) for a in argv])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modrec.__file__)))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    _, loaded, dataclasses_loaded = done.stdout.splitlines()
+    imported, _, loaded, dataclasses_loaded = done.stdout.splitlines()
+    assert sorted(json.loads(imported)) == ["modrec.cli", "modrec.errors"]
     loaded = {name[len("modrec."):] for name in json.loads(loaded)}
     assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
     assert json.loads(dataclasses_loaded) is False

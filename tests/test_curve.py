@@ -5,7 +5,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 
@@ -17,8 +17,10 @@ from modrec.curve import (
     _find_irreducible,
     _is_irreducible,
     _is_prime,
+    _norm_polynomial,
     _pmod,
     _pmul,
+    _squarefree_part,
     _validate_prime_power,
     _weil_norm_check,
     CurveData,
@@ -32,7 +34,7 @@ from modrec.exactalg import Poly
 from modrec.symprod import sym_count
 
 from oracles import (ReducingRatFun, count_by_tables_per_element, exp_log_by_digit_walk,
-                     sym_count_by_zeta)
+                     poly_divexact, poly_gcd, sym_count_by_zeta)
 
 T = Poly.var("t")
 
@@ -557,6 +559,50 @@ def test_off_circle_products_are_rejected():
     # on V rather than its squarefree part accepts this
     with pytest.raises(ValidationError, match="norm condition"):
         _weil_norm_check(_weil_product((6, 6, 7), 9), 9)
+
+
+def _primitive(a):
+    """A nonzero coefficient list scaled to coprime ints with a positive top."""
+    den = lcm(*(Fraction(c).denominator for c in a))
+    ints = [int(c * den) for c in a]
+    return [c // (gcd(*ints) if ints[-1] > 0 else -gcd(*ints)) for c in ints]
+
+
+def _squarefree_by_gcd(V):
+    derivative = [k * c for k, c in enumerate(V)][1:]
+    V = Poly.univariate("t", V)
+    return poly_divexact(V, poly_gcd(V, Poly.univariate("t", derivative))).scalar_coeffs("t")
+
+
+def test_squarefree_part_matches_the_gcd_oracle():
+    # Euclid over Q agrees up to sign and content with V / gcd(V, V') by the
+    # primitive remainder sequence, on the norm polynomials of the Weil
+    # products on and off the circle, and on a seeded sweep of products of
+    # powers of linear and quadratic factors
+    cases = []
+    for q in (2, 3, 4, 9, 16, 25):
+        for g in (2, 3):
+            for betas in itertools.combinations_with_replacement(range(-8, 9), g):
+                cases.append(_norm_polynomial(_weil_product(betas, q), q))
+    # multiple roots at the ends of [0, 4q], which a chain on V miscounts
+    for betas, q, root in (((0, 0), 2, 0), ((0, 0, 1), 3, 0), ((4, -4), 4, 16),
+                           ((6, 6, 1), 9, 36), ((0, 0, 10, -10), 25, 0), ((0, 0, 10, -10), 25, 100)):
+        V = _norm_polynomial(_weil_product(betas, q), q)
+        for k in range(2):  # V and V' vanish there
+            assert sum(i ** k * c * root ** (i - k) for i, c in enumerate(V) if i >= k) == 0
+        cases.append(V)
+    rng = random.Random(1975)
+    for _ in range(300):
+        q = rng.choice([2, 3, 4, 5, 9])
+        V = [rng.choice([-3, -1, 1, 2])]
+        for root in rng.sample([0, 4 * q, 1, 2, q, 3 * q, 4 * q + 1], rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 3)):  # times (t - root)
+                V = [a - root * b for a, b in zip([0] + V, V + [0])]
+        for _ in range(rng.choice([0, 0, 1, 2])):  # times (1 + t^2)
+            V = [a + b for a, b in zip(V + [0, 0], [0, 0] + V)]
+        cases.append(V)
+    for V in cases:
+        assert _primitive(_squarefree_part(V)) == _primitive(_squarefree_by_gcd(V)), V
 
 
 def test_root_condition_is_the_only_failed_check():
