@@ -165,11 +165,10 @@ def criterion_9_property_suite():
     checked = 0
     for g in (2, 3):
         for n, d in [(2, 1), (3, 1), (3, 2)]:
-            for mu in enumerate_types(n, d, g, 20):
-                pairs = sum(mu.parts[i][0] * mu.parts[j][0]
-                            for i in range(len(mu.parts))
-                            for j in range(i + 1, len(mu.parts)))
-                assert mass_exponent(mu, g) == 2 * (g - 1) * pairs - codim(mu, g)
+            for _, parts in enumerate_types(n, d, g, 20):
+                pairs = sum(parts[i][0] * parts[j][0]
+                            for i in range(len(parts)) for j in range(i + 1, len(parts)))
+                assert mass_exponent(parts, g) == 2 * (g - 1) * pairs - codim(parts, g)
                 checked += 1
     return "moduli properties, periodicity, exponent identity on %d types" % checked
 

@@ -194,12 +194,12 @@ def _cmd_siegel(args):
 
 
 def _cmd_hn_types(args):
-    from .hn import sorted_types
+    from .hn import enumerate_types
 
-    keyed = sorted_types(args.n, args.d, args.g, args.max_codim)
+    keyed = enumerate_types(args.n, args.d, args.g, args.max_codim)
     return {
         "n": args.n, "d": args.d, "g": args.g, "max_codim": args.max_codim,
-        "types": [mu.to_json() for _, mu in keyed],
+        "types": [[list(part) for part in parts] for _, parts in keyed],
         "codims": [c for c, _ in keyed],
     }, 0
 

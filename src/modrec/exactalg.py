@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd as _int_gcd
 from operator import mul as _mul
 
 from .errors import ValidationError
@@ -296,33 +295,6 @@ class Poly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    # -- normal-form helpers --------------------------------------------
-
-    def signed_content(self):
-        """Rational r with the sign of the leading coefficient such that
-        self / r has coprime integer coefficients and positive leading one.
-        Always a ``Fraction``, so that 1 / r stays exact."""
-        if self.is_zero:
-            raise ValidationError("zero polynomial has no content")
-        values = self.terms.values()
-        if _all_int(values):
-            r = Fraction(_int_gcd(*values))
-        else:
-            num_gcd = 0
-            den_lcm = 1
-            for c in values:
-                f = Fraction(c)
-                num_gcd = _int_gcd(num_gcd, f.numerator)
-                den_lcm = den_lcm * f.denominator // _int_gcd(den_lcm, f.denominator)
-            r = Fraction(num_gcd, den_lcm)
-        return -r if self.terms[max(self.terms)] < 0 else r
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        if factor == 0:
-            return Poly.zero()
-        return Poly(self.vars, {e: _cnorm(c * factor) for e, c in self.terms.items()}, _trusted=True)
 
     # -- display ---------------------------------------------------------
 

@@ -1,8 +1,8 @@
-"""Filtration types: ordered (rank, degree) lists with decreasing slopes.
+"""Filtration types: tuples of (rank, degree) parts with decreasing slopes.
 
-A type mu = ((n_1, d_1), ..., (n_r, d_r)) with d_1/n_1 > ... > d_r/n_r
-indexes one stratum of the instability stratification.  Two integer-linear
-forms drive everything:
+A type is a plain tuple of parts mu = ((n_1, d_1), ..., (n_r, d_r)) with
+positive ranks and d_1/n_1 > ... > d_r/n_r; it indexes one stratum of the
+instability stratification.  Two integer-linear forms drive everything:
 
     codim(mu)         = sum_{l>j} (n_l d_j - n_j d_l + n_l n_j (g-1))
     mass_exponent(mu) = sum_{i<j} (n_i d_j - n_j d_i + n_i n_j (g-1))
@@ -34,49 +34,9 @@ from .errors import InvariantViolation, ValidationError, check_budget, shown
 MAX_LATTICE_POINTS = 150_000
 
 
-class HNType:
-    """A type: a non-empty tuple of (rank, degree) parts, positive ranks,
-    strictly decreasing slopes.  Equal parts make equal types."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple((int(n), int(d)) for n, d in parts)
-        if not parts:
-            raise ValidationError("a type needs at least one part")
-        for n, _ in parts:
-            if n < 1:
-                raise ValidationError("ranks must be positive")
-        for (n1, d1), (n2, d2) in zip(parts, parts[1:]):
-            if d1 * n2 <= d2 * n1:
-                raise ValidationError("slopes must be strictly decreasing")
-        self.parts = parts
-
-    def __eq__(self, other):
-        return self.parts == other.parts if type(other) is HNType else NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "HNType(parts=%r)" % (self.parts,)
-
-    @property
-    def is_trivial(self):
-        return len(self.parts) == 1
-
-    def to_json(self):
-        return [[n, d] for n, d in self.parts]
-
-    @staticmethod
-    def trivial(n, d):
-        return HNType(((n, d),))
-
-
-def codim(mu, g):
-    """Codimension of the stratum labelled by mu (0 iff mu is trivial)."""
+def codim(parts, g):
+    """Codimension of the stratum labelled by the type parts (0 iff one part)."""
     _check_genus(g)
-    parts = mu.parts
     total = 0
     for j in range(len(parts)):
         nj, dj = parts[j]
@@ -86,8 +46,8 @@ def codim(mu, g):
     return total
 
 
-def mass_exponent(mu, g):
-    """Exponent of q in the stacky mass of the stratum labelled by mu.
+def mass_exponent(parts, g):
+    """Exponent of q in the stacky mass of the stratum labelled by parts.
 
     Counting extensions with the automorphism groupoid gives, per pair of
     parts, dim Ext^1 - dim Hom = n_i d_j - n_j d_i + n_i n_j (g - 1) by
@@ -95,7 +55,6 @@ def mass_exponent(mu, g):
     mass_exponent + codim = 2 (g-1) sum_{i<j} n_i n_j.
     """
     _check_genus(g)
-    parts = mu.parts
     total = 0
     for i in range(len(parts)):
         ni, di = parts[i]
@@ -202,18 +161,17 @@ def walk_types(n, d, g, max_codim):
         yield from found
 
 
-def sorted_types(n, d, g, max_codim):
-    """walk_types as a list of (codim, HNType), sorted by (codim, parts).
-    The codimension of the last type is recomputed by codim() and must equal
-    the walk's, and be within the bound."""
-    keyed = sorted(walk_types(n, d, g, max_codim))  # parts differ, so no tie
-    top, parts = keyed[-1]
-    if top > max_codim or codim(HNType(parts), g) != top:
-        raise InvariantViolation("enumeration produced a wrong or out-of-bound codimension")
-    return [(c, HNType(parts)) for c, parts in keyed]
-
-
 def enumerate_types(n, d, g, max_codim):
-    """All types of total rank n and degree d with codim <= max_codim,
-    sorted by (codim, parts); see walk_types."""
-    return [mu for _, mu in sorted_types(n, d, g, max_codim)]
+    """walk_types as a list of (codim, parts), sorted by (codim, parts).  The
+    walk makes the parts, so a type with a rank below 1 or slopes that do not
+    strictly decrease, or a last codimension that codim() does not recompute
+    or that passes the bound, is a program fault: InvariantViolation."""
+    keyed = sorted(walk_types(n, d, g, max_codim))  # parts differ, so no tie
+    for _, parts in keyed:
+        falling = all(d1 * n2 > d2 * n1 for (n1, d1), (n2, d2) in zip(parts, parts[1:]))
+        if not parts or min(rank for rank, _ in parts) < 1 or not falling:
+            raise InvariantViolation("enumeration produced the malformed type %r" % (parts,))
+    top, parts = keyed[-1]
+    if top > max_codim or codim(parts, g) != top:
+        raise InvariantViolation("enumeration produced a wrong or out-of-bound codimension")
+    return keyed

@@ -144,12 +144,13 @@ def matches_moduli_polynomial(mass, poly, field):
     return mass.num * (q - 1) == poly * mass.den
 
 
-def stratum_mass(mu, field):
-    """Mass of the stratum labelled by one filtration type."""
+def stratum_mass(parts, field):
+    """Mass of the stratum labelled by the type parts ((n_1, d_1), ..., (n_r,
+    d_r)): q^mass_exponent times the semistable masses of the parts."""
     from .hn import mass_exponent
 
-    value = field.q_power(mass_exponent(mu, field.genus))
-    for nj, dj in mu.parts:
+    value = field.q_power(mass_exponent(parts, field.genus))
+    for nj, dj in parts:
         value = value * ss_mass(nj, dj, field)
     return value
 
@@ -214,26 +215,24 @@ def siegel_check(n, d, field, max_codim):
     with the zeta-value total for every level up to ``max_codim``; the gaps
     must shrink monotonically and the final gap must sit below a geometric
     tail bound computed from the ratios actually used.  Types are enumerated
-    before any mass, so a rank that ``hn`` refuses costs nothing.  The
+    before any mass, so a rank that ``hn`` refuses costs nothing, and each
+    stratum is filed under the codimension its walk read off.  The
     slowest admitted checks, at rank 18, took up to 0.6 s end to end on a
     2-core x86-64 host (both F_2 curve configs, max_codim 3 and 100, best
     of 3).
     """
-    from .hn import codim, enumerate_types
+    from .hn import enumerate_types
 
     _require_numeric(field)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
-    g = field.genus
-    types = enumerate_types(n, d, g, max_codim)
+    types = enumerate_types(n, d, field.genus, max_codim)
     total = total_mass(n, d, field)
     beta = ss_mass(n, d, field)
     level_mass = {}
-    for mu in types:
-        if mu.is_trivial:
-            continue
-        c = codim(mu, g)
-        level_mass[c] = level_mass.get(c, 0) + stratum_mass(mu, field)
+    for c, parts in types:
+        if len(parts) > 1:
+            level_mass[c] = level_mass.get(c, 0) + stratum_mass(parts, field)
     partials, gaps = [], []
     acc = beta
     for level in range(max_codim + 1):

@@ -3,12 +3,13 @@
 * ``ReducingRatFun`` is ``exactalg.RatFun`` with the gcd-reducing
   constructor and the + - * /, powers and substitution it had before the
   Betti and Hodge values became ``factored`` elements; ``coefficient``,
-  ``substitute`` and ``evaluate`` are the ``Poly`` operations that only it
-  and the tests use.  Production code compares without a gcd: ``Factored``
-  values by their difference over common multiplicities, a reduced mass
-  against a polynomial by cross-multiplying, and ``RatFun`` is only the
-  output form.  The oracles below that work with rational functions build
-  them from ``ReducingRatFun``.
+  ``substitute``, ``evaluate``, ``signed_content`` and ``scaled`` are the
+  ``Poly`` operations that only it and the tests use.  Production code
+  compares without a gcd: ``Factored`` values by their difference over
+  common multiplicities, a reduced mass against a polynomial by
+  cross-multiplying, and ``RatFun`` is only the output form.  The oracles
+  below that work with rational functions build them from
+  ``ReducingRatFun``.
 * ``compositions`` lists all 2^(n-1) ordered compositions of n.  Production
   code never lists them all: ``hn`` builds only those under a pair-sum bound,
   and ``tamagawa`` sums over them as programmes over prefix sums.
@@ -21,8 +22,9 @@
   sum and must give the same ``Fraction``.
 * ``enumerate_types_by_gaps`` walks rational slope gaps, solves for the
   degrees in ``Fraction`` and drops every gap vector whose degrees are not
-  integers.  ``hn.enumerate_types`` walks integer prefix degrees instead and
-  must return the same list.
+  integers.  It returns (codim(parts), parts) pairs.  ``hn.enumerate_types``
+  walks integer prefix degrees instead, reads each codimension off the
+  walk's running cost, and must return the same list.
 * ``cone_sum`` sums the stratum masses of one composition over every degree
   vector, in closed form per residue cell of the slope-gap lattice.  With
   ``cone_for`` it drives the Harder-Narasimhan recursion that the closed-form
@@ -99,7 +101,7 @@ from modrec.exactalg import (Poly, RatFun, Series, _all_int, _check_var, _cnorm,
                              divexact)
 from modrec.errors import ValidationError
 from modrec.fields import SpecializationField
-from modrec.hn import HNType, codim
+from modrec.hn import codim
 from modrec.kirwan import Stratum, strata
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
@@ -171,9 +173,9 @@ def poly_gcd(a, b):
     if a.is_zero and b.is_zero:
         return Poly.zero()
     if a.is_zero:
-        return b.scaled(1 / b.signed_content())
+        return scaled(b, 1 / signed_content(b))
     if b.is_zero:
-        return a.scaled(1 / a.signed_content())
+        return scaled(a, 1 / signed_content(a))
     if a.is_const or b.is_const:
         return Poly.one()
     union = set(a.vars) | set(b.vars)
@@ -191,7 +193,7 @@ def poly_divexact(a, b):
     if a.is_zero:
         return Poly.zero()
     if b.is_const:
-        return a.scaled(Fraction(1) / Fraction(b.terms[()]))
+        return scaled(a, Fraction(1) / Fraction(b.terms[()]))
     union = set(a.vars) | set(b.vars)
     if len(union) > 1:
         raise ValidationError("multivariate exact division is not supported: %s by %s" % (a, b))
@@ -268,6 +270,34 @@ def substitute(p, bindings):
 def evaluate(p, bindings):
     """p with every variable bound to a rational; returns a Fraction."""
     return substitute(p, {k: Poly.const(v) for k, v in bindings.items()}).const_value()
+
+
+def signed_content(p):
+    """Rational r with the sign of the leading coefficient such that p / r
+    has coprime integer coefficients and positive leading one.  Always a
+    ``Fraction``, so that 1 / r stays exact."""
+    if p.is_zero:
+        raise ValidationError("zero polynomial has no content")
+    values = p.terms.values()
+    if _all_int(values):
+        r = Fraction(_int_gcd(*values))
+    else:
+        num_gcd = 0
+        den_lcm = 1
+        for c in values:
+            f = Fraction(c)
+            num_gcd = _int_gcd(num_gcd, f.numerator)
+            den_lcm = den_lcm * f.denominator // _int_gcd(den_lcm, f.denominator)
+        r = Fraction(num_gcd, den_lcm)
+    return -r if p.terms[max(p.terms)] < 0 else r
+
+
+def scaled(p, factor):
+    """p times the rational factor."""
+    factor = Fraction(factor)
+    if factor == 0:
+        return Poly.zero()
+    return Poly(p.vars, {e: _cnorm(c * factor) for e, c in p.terms.items()}, _trusted=True)
 
 
 class ReducingRatFun(RatFun):
@@ -450,10 +480,10 @@ def _reduce(num, den):
 
 
 def _unit_normalize(num, den):
-    r = den.signed_content()
+    r = signed_content(den)
     if r != 1:
-        den = den.scaled(1 / r)
-        num = num.scaled(1 / r)
+        den = scaled(den, 1 / r)
+        num = scaled(num, 1 / r)
     return num, den
 
 
@@ -596,13 +626,14 @@ def degrees_from_gaps(comp, d, gaps):
 
 
 def enumerate_types_by_gaps(n, d, g, max_codim):
-    """All types of total rank n and degree d with codim <= max_codim.
+    """(codim(parts), parts) for all types of total rank n and degree d with
+    codim <= max_codim.
 
     For each composition the codimension is an affine form with positive
     weights in the slope gaps, so a gap-box search with pruning is finite and
     complete.  Output sorted by (codim, parts).  No work budget.
     """
-    found = [HNType.trivial(n, d)]
+    found = [((n, d),)]
     for comp in compositions(n):
         r = len(comp)
         if r < 2:
@@ -616,7 +647,7 @@ def enumerate_types_by_gaps(n, d, g, max_codim):
             if k == r - 1:
                 degrees = degrees_from_gaps(comp, d, gaps)
                 if degrees is not None:
-                    found.append(HNType(tuple(zip(comp, degrees))))
+                    found.append(tuple(zip(comp, degrees)))
                 return
             remaining_min = sum(weights[k + 1:])
             gap = 1
@@ -625,8 +656,7 @@ def enumerate_types_by_gaps(n, d, g, max_codim):
                 gap += 1
 
         search(0, (), Fraction(0))
-    found.sort(key=lambda mu: (codim(mu, g), mu.parts))
-    return found
+    return sorted((codim(parts, g), parts) for parts in found)
 
 
 @dataclass(frozen=True)
@@ -900,7 +930,7 @@ def divexact_sparse(a, b, main):
         dr = r.degree(main)
         lr = coefficient(r, main, dr)
         if lb.is_const:
-            qc = lr.scaled(Fraction(1) / Fraction(lb.terms[()]))
+            qc = scaled(lr, Fraction(1) / Fraction(lb.terms[()]))
         else:
             qc = graded_poly_divexact(lr, lb)
         step = qc * v ** (dr - db)

@@ -112,6 +112,18 @@ def test_hn_types_document(capsys):
     doc = json.loads(out)
     assert doc["types"] == [[[2, 1]], [[1, 1], [1, 0]], [[1, 2], [1, -1]], [[1, 3], [1, -2]]]
     assert doc["codims"] == [0, 2, 4, 6]
+    # csv and plain print each type through json.dumps, so a type must reach
+    # them as lists: a tuple would print as ((1, 1), (1, 0))
+    types = "[[2, 1]]%s[[1, 1], [1, 0]]%s[[1, 2], [1, -1]]%s[[1, 3], [1, -2]]"
+    status, out, _ = run_cli(capsys, "--format", "csv", "hn-types", "--n", "2", "--d", "1",
+                             "--g", "2", "--max-codim", "6")
+    assert (status, out) == (0, "codims,0;2;4;6\nd,1\ng,2\nmax_codim,6\nn,2\n"
+                                "types,%s\n" % (types % (";", ";", ";")))
+    status, out, _ = run_cli(capsys, "--format", "plain", "hn-types", "--n", "2", "--d", "1",
+                             "--g", "2", "--max-codim", "6")
+    assert (status, out) == (0, "codims     0 2 4 6\nd          1\ng          2\n"
+                                "max_codim  6\nn          2\ntypes      %s\n"
+                                % (types % (" ", " ", " ")))
 
 
 def test_symprod_and_enumeration(capsys, curve_file):

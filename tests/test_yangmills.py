@@ -198,12 +198,12 @@ def _ss_oracle(n, d, g, order, memo):
     key = (n, d, g, order)
     if key not in memo:
         total = _classifying_oracle(n, g, order)
-        for mu in enumerate_types(n, d, g, order // 2):
-            if mu.is_trivial:
+        for _, mu in enumerate_types(n, d, g, order // 2):
+            if len(mu) == 1:
                 continue
             shift = 2 * codim(mu, g)
             prod = [1] + [0] * (order - shift)
-            for nj, dj in mu.parts:
+            for nj, dj in mu:
                 prod = _lmul(prod, _ss_oracle(nj, dj, g, order - shift, memo), order - shift)
             for k, c in enumerate(prod):
                 total[shift + k] -= c
