@@ -63,26 +63,25 @@ def _json_int(text):
 
 def load_curve(path):
     """Read and validate a curve config file; returns CurveData."""
+    return _curve_and_model(path)[0]
+
+
+def _curve_and_model(path):
+    """The CurveData of a curve config file, and its HyperellipticModel, whose
+    kept counts serve later counts, or None in the other modes."""
     from .curve import CurveData, zeta_from_counts
 
     raw, mode = _read_config(path)
     if mode == "symbolic":
-        return CurveData.symbolic(_field(raw, "genus", int, path))
+        return CurveData.symbolic(_field(raw, "genus", int, path)), None
     if mode == "counts":
         return zeta_from_counts(_field(raw, "q", int, path),
                                 _field(raw, "genus", int, path),
-                                _int_list(raw, "counts", path))
+                                _int_list(raw, "counts", path)), None
     if mode == "hyperelliptic":
-        return CurveData.from_model(_model(raw, path))
+        model = _model(raw, path)
+        return CurveData.from_model(model), model
     raise ValidationError("%s: unknown curve mode %r" % (path, mode))
-
-
-def load_model(path):
-    """As load_curve but keeps the hyperelliptic model (for enumeration)."""
-    raw, mode = _read_config(path)
-    if mode != "hyperelliptic":
-        raise ValidationError("%s: divisor enumeration needs a hyperelliptic model" % path)
-    return _model(raw, path)
 
 
 def _model(raw, path):
@@ -217,13 +216,15 @@ def _cmd_symprod(args):
     if args.curve:
         if args.g is not None:
             raise ValidationError("symprod takes --curve or --g, not both")
-        curve = load_curve(args.curve)
+        curve, model = _curve_and_model(args.curve)
         if curve.is_arithmetic:
             check_budget("symprod at n = %d over q = %d" % (args.n, curve.q), "n bits(q)",
                          args.n * curve.q.bit_length(), SYMPROD_CHARGE)
         doc = {"n": args.n, "count": _number(sym_count(curve, args.n))}
         if args.enumerate:
-            model = load_model(args.curve)
+            if model is None:
+                raise ValidationError("%s: divisor enumeration needs a hyperelliptic model"
+                                      % args.curve)
             doc["enumerated"] = _number(divisor_enumerate(model, args.n))
         return doc, 0
     if args.g is None:
@@ -320,23 +321,12 @@ def _emit(doc, fmt, stream):
     if fmt == "json":
         stream.write(json.dumps(doc, sort_keys=True) + "\n")
         return
-    if fmt == "csv":
-        for key in sorted(doc):
-            value = doc[key]
-            if isinstance(value, list):
-                value = ";".join(_scalar(v) for v in value)
-            else:
-                value = _scalar(value)
-            stream.write("%s,%s\n" % (key, value))
-        return
-    width = max(len(k) for k in doc)
+    sep, line = (";", "%s,%s\n") if fmt == "csv" else (" ", "%s  %s\n")
+    width = max(map(len, doc)) if fmt == "plain" else 0
     for key in sorted(doc):
         value = doc[key]
-        if isinstance(value, list):
-            value = " ".join(_scalar(v) for v in value)
-        else:
-            value = _scalar(value)
-        stream.write("%-*s  %s\n" % (width, key, value))
+        value = sep.join(map(_scalar, value)) if isinstance(value, list) else _scalar(value)
+        stream.write(line % (key.ljust(width), value))
 
 
 def _scalar(value):

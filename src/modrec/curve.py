@@ -2,8 +2,9 @@
 
 A curve enters in one of two ways: symbolically (genus only, feeding the
 Betti/Hodge specializations of ``modrec.fields``) or arithmetically (a
-hyperelliptic model over a prime field, or directly its point counts / zeta
-numerator).
+hyperelliptic model over a prime field, or directly its point counts).
+Either way the arithmetic data is the zeta numerator, kept as its ascending
+integer coefficients.
 
 Finite fields F_{p^m} are realized as polynomial quotients.  The defining
 irreducible is the smallest one in lexicographic order on the ascending
@@ -13,7 +14,9 @@ go through exp/log tables of a primitive element, except on prime fields,
 which count with plain arithmetic mod p; fields are capped at
 FIELD_SIZE_LIMIT elements, the largest size that counts in a few seconds.
 The model is defined over F_p, so Frobenius permutes the points and a count
-over F_{p^m} evaluates one x per Frobenius orbit.
+over F_{p^m} evaluates one x per Frobenius orbit.  No field is cached: each
+count builds its own, and a model keeps its counts N_r, so one model builds
+each field at most once.
 """
 
 from __future__ import annotations
@@ -134,22 +137,17 @@ class GF:
 
     The tables come from the walk a -> a * g, by one of three steps: shift
     and XOR for p = 2, a * g % p for prime fields, and tabulated half-digit
-    products for the other odd fields (see ``_exp_log``).
+    products for the other odd fields (see ``_exp_log``).  Every
+    construction builds its tables; a model keeps its counts instead.
     """
 
-    _cache = {}  # the last field built only: its tables hold q entries
-
     def __new__(cls, p, m):
-        key = (p, m)
-        if key not in cls._cache:
-            check_field_size(p, m)
-            self = super().__new__(cls)
-            self.p, self.m, self.q = p, m, p ** m
-            self.modulus = _find_irreducible(p, m)
-            self.exp, self.log = _exp_log(p, m, self.modulus)
-            cls._cache.clear()
-            cls._cache[key] = self
-        return cls._cache[key]
+        check_field_size(p, m)
+        self = super().__new__(cls)
+        self.p, self.m, self.q = p, m, p ** m
+        self.modulus = _find_irreducible(p, m)
+        self.exp, self.log = _exp_log(p, m, self.modulus)
+        return self
 
 
 def check_field_size(p, m):
@@ -404,11 +402,8 @@ def _count_by_tables(K, f, h):
 
 class CurveData:
     """Genus plus, in arithmetic mode, the size of the base field and the
-    degree-2g zeta numerator (integer coefficients, constant term 1).
-
-    The numerator is given and kept as its ascending coefficient list, or
-    given as a ``Poly`` in t; ``numerator`` builds the ``Poly`` on access,
-    so arithmetic curves load no ``exactalg``."""
+    degree-2g zeta numerator, given as its ascending integer coefficient
+    list (constant term 1) and returned as one by ``coefficients``."""
 
     __slots__ = ("genus", "q", "_coeffs")
 
@@ -426,15 +421,6 @@ class CurveData:
     @property
     def is_arithmetic(self):
         return self.q is not None
-
-    @property
-    def numerator(self):
-        """The zeta numerator as a ``Poly`` in t; None in symbolic mode."""
-        if self._coeffs is None:
-            return None
-        from .exactalg import Poly
-
-        return Poly.univariate("t", self._coeffs)
 
     @staticmethod
     def symbolic(genus):
@@ -506,10 +492,8 @@ def _power_sums_from_elementary(e, upto):
 
 
 def _validate_numerator(P, q, g):
-    """The ascending coefficients of a zeta numerator P, given as a list or
-    as a ``Poly`` in t, as a tuple, once they pass every check."""
-    if not isinstance(P, list):
-        P = P.scalar_coeffs("t") if P and set(P.vars) <= {"t"} else []
+    """The ascending coefficient list P of a zeta numerator as a tuple, once
+    it passes every check."""
     if len(P) != 2 * g + 1 or not P[-1]:
         raise ValidationError("zeta numerator must have degree 2g in t")
     if any(not isinstance(c, int) for c in P):

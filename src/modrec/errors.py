@@ -36,6 +36,13 @@ def check_budget(what, unit, charge, limit):
                               % (what, unit, shown(charge), limit))
 
 
+def weighted(count, bits):
+    """``count`` operations on coefficients of about ``bits`` bits, each
+    weighted 1 + bits / 512 and rounded up: an int charge that passes an int
+    limit exactly when the unrounded one does."""
+    return -(-count * (512 + bits) // 512)
+
+
 def shown(value):
     """A non-negative int as a message shows it: itself, or past int -> str's
     digit guard the power of two below it, so formatting it never raises."""

@@ -21,9 +21,9 @@ Representation choices:
   production path needs a polynomial gcd: the reducing ``RatFun``
   arithmetic and the gcd and exact division it runs on are test oracles.
 
-* ``Series`` is a dense truncated power series in one variable whose
-  coefficients are plain scalars (``int`` or ``Fraction``), stored as a list.
-  Arithmetic never reads past the truncation order.
+* ``Series`` is a dense truncated power series whose coefficients are
+  plain scalars (``int`` or ``Fraction``), stored as a list; it holds the
+  gauge recursion's memo.  Arithmetic never reads past the truncation order.
 
 * Dense coefficient lists (ascending, index k for y^k) carry every
   integer-series computation in the package through one kernel: ``conv``
@@ -533,17 +533,12 @@ class RatFun:
 
 
 class Series:
-    """Truncated power series in one variable with int/Fraction coefficients."""
+    """Truncated power series with int/Fraction coefficients, built only from
+    coefficient lists that are already normalised."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, var, coeffs, *, _trusted=False):
-        if not _trusted:
-            _check_var(var)
-            coeffs = [_as_coeff(c) for c in coeffs]
-            if not coeffs:
-                raise ValidationError("series needs at least the constant coefficient")
-        self.var = var
+    def __init__(self, coeffs):
         self.coeffs = coeffs
 
     @property
@@ -553,25 +548,23 @@ class Series:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return Series(self.var, self.coeffs[: order + 1], _trusted=True)
+        return Series(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        if other.var != self.var:
-            raise ValidationError("series variables differ")
         top = min(self.order, other.order) + 1
-        return Series(self.var, _normed(conv(self.coeffs, other.coeffs, top)), _trusted=True)
+        return Series(_normed(conv(self.coeffs, other.coeffs, top)))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return "Series(%r, %r)" % (self.var, self.coeffs)
+        return "Series(%r)" % (self.coeffs,)
 
 
 def is_palindrome(p, top_degree):

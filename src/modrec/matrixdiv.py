@@ -26,18 +26,17 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .errors import ValidationError, check_budget, shown
+from .errors import ValidationError, check_budget, shown, weighted
 from .exactalg import Poly, add_into, conv
 from .symprod import sym_poincare
 from .yangmills import classifying_coefficients
 
 # A product of polynomials with a and b terms is charged (a + TERM_PAD) *
 # (b + TERM_PAD) coefficient products, padded for building and summing the
-# result, each weighted 1 + bits / COEFF_BITS for coefficients of about bits
-# bits.  README.md gives the slowest admitted requests.
+# result, each weighted for coefficients of about bits bits
+# (``errors.weighted``).  README.md gives the slowest admitted requests.
 MAX_PRODUCTS = 9_000_000
 TERM_PAD = 10
-COEFF_BITS = 512
 
 
 def _betti_charge(n, e):
@@ -65,10 +64,8 @@ def div_poincare(n, e, g, cap=None):
         return Poly.univariate("t", sym_poincare(g, e).scalar_coeffs("t")[:top])
     S = [sym_poincare(g, 0).scalar_coeffs("t")]  # checks the genus before the budget
     bits = min(2 * g * n, e * (2 * g * n).bit_length())  # coefficients near binomial(2gn, e)
-    # rounded up, the weighted charge passes the limit exactly when it does unrounded
     check_budget("rank %s at torsion degree %s and genus %s" % (shown(n), shown(e), shown(g)),
-                 "coefficient products",
-                 -(-_betti_charge(n, e) * (COEFF_BITS + bits) // COEFF_BITS), MAX_PRODUCTS)
+                 "coefficient products", weighted(_betti_charge(n, e), bits), MAX_PRODUCTS)
     S += [sym_poincare(g, k).scalar_coeffs("t")[:top] for k in range(1, e + 1)]
     # the shifts t^(2k) that stay within the cap; a longer one leaves 0
     reach = e + 1 if cap is None else min(e, cap // 2) + 1

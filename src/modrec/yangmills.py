@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb, gcd, prod
 from operator import sub
 
-from .errors import InvariantViolation, ValidationError, check_budget, shown
+from .errors import InvariantViolation, ValidationError, check_budget, shown, weighted
 from .exactalg import (Poly, Series, conv, divexact, is_palindrome, over_one_minus,
                        times_one_minus)
 from .hn import walk_types
@@ -29,7 +29,6 @@ _SS_SERIES = {}
 # The most weighted coefficient products (_series_charge) of one call; the
 # slowest admitted, moduli_poincare(3, d, 130), is timed in README.md.
 MAX_SERIES_PRODUCTS = 100_000_000
-COEFF_BITS = 512
 
 # orders above the expected top degree in which moduli_poincare requires the
 # collapsed series to vanish; a wrong type cutoff shows up there
@@ -80,13 +79,12 @@ def classifying_coefficients(n, g, order):
 def _series_charge(n, g, order, groups):
     """(order + 1)^2 coefficient products for each numerator factor of the
     classifying series and for each product of a group, at the group's order,
-    weighted 1 + 2gn / COEFF_BITS for coefficients of about 2gn bits, plus one
-    subtraction per coefficient of each shifted copy."""
+    weighted for coefficients of about 2gn bits (``errors.weighted``), plus
+    one subtraction per coefficient of each shifted copy."""
     products = n * (order + 1) ** 2 + sum((len(keys) - 1) * (order - min(shifts) + 1) ** 2
                                           for keys, shifts in groups.items())
     passes = sum(order - shift + 1 for shifts in groups.values() for shift in shifts)
-    # rounded up, the weighted charge passes the limit exactly when it does unrounded
-    return -(-products * (COEFF_BITS + 2 * g * n) // COEFF_BITS) + passes
+    return weighted(products, 2 * g * n) + passes
 
 
 def ss_equivariant_series(n, d, g, order):
@@ -124,7 +122,7 @@ def ss_equivariant_series(n, d, g, order):
         product = prod(parts[1:], start=parts[0])
         for shift in shifts:
             coeffs[shift:] = map(sub, coeffs[shift:], product.coeffs)
-    total = Series("t", coeffs, _trusted=True)
+    total = Series(coeffs)
     _SS_SERIES[key] = total
     return total
 

@@ -1039,13 +1039,14 @@ def series_expand(f, var, order):
                 break
             acc -= c * out[n - k]
         out.append(_cnorm(acc if inv is None else acc * inv))
-    return Series(var, out, _trusted=True)
+    return Series(out)
 
 
 def zeta_Z(curve):
     """Z(t) = P(t) / ((1 - t)(1 - q t)) as an exact rational function."""
     t = Poly.var("t")
-    return ReducingRatFun(curve.numerator, (Poly.one() - t) * (Poly.one() - curve.q * t))
+    return ReducingRatFun(Poly.univariate("t", curve.coefficients()),
+                          (Poly.one() - t) * (Poly.one() - curve.q * t))
 
 
 def sym_count_by_zeta(curve, n):

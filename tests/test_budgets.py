@@ -58,3 +58,30 @@ def test_one_message_form():
     # too long for a decimal string: still a ValidationError, in one line
     with pytest.raises(ValidationError, match=r"^e: u = at least 2\^20000 exceeds the limit 1$"):
         check_budget("e", "u", 2 ** 20000 + 1, 1)
+
+
+def test_weighting_is_the_rounded_up_rule():
+    # yangmills and matrixdiv each wrote this rule out with 512-bit units;
+    # the shared helper must charge the same to the unit, and round up
+    from fractions import Fraction
+    from math import ceil
+
+    from modrec.errors import weighted
+
+    counts = list(range(60)) + [k * 10 ** e + j for e in range(2, 13) for k in (1, 3, 7)
+                                for j in (-1, 0, 1)]
+    for count in counts:
+        for bits in list(range(0, 1200, 7)) + [511, 512, 513, 1024, 2 * 140 * 3, 10 ** 9]:
+            old = -(-count * (512 + bits) // 512)
+            assert weighted(count, bits) == old == ceil(count * (1 + Fraction(bits, 512))), \
+                (count, bits)
+
+
+@pytest.mark.parametrize("module, call, charge", [
+    ("yangmills", ("moduli_poincare", 3, 1, 140), 101_392_755),
+    ("matrixdiv", ("div_poincare", 3, 73, 2), 9_283_255),
+], ids=["series", "matrix-divisors"])
+def test_weighted_charges_are_unchanged(module, call, charge):
+    name, *args = call
+    with pytest.raises(ValidationError, match=r" = %d exceeds" % charge):
+        getattr(importlib.import_module("modrec." + module), name)(*args)

@@ -271,7 +271,7 @@ def test_load_curve_counts_vs_model(tmp_path):
     p1.write_text(json.dumps(COUNTS_CONFIG))
     p2 = tmp_path / "model.json"
     p2.write_text(json.dumps(F2_CONFIG))
-    assert load_curve(str(p1)).numerator == load_curve(str(p2)).numerator
+    assert load_curve(str(p1)).coefficients() == load_curve(str(p2)).coefficients()
 
 
 def test_selftest_flag(capsys):
@@ -353,6 +353,49 @@ def test_symprod_count_past_its_charge_is_refused(capsys):
     status, out, err = run_cli(capsys, "symprod", "--n", "6", "--curve", config, "--enumerate")
     assert status == 0 and err == ""
     assert json.loads(out) == {"count": "155", "enumerated": "155", "n": 6}
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def test_symprod_enumeration_builds_each_field_once(capsys, monkeypatch):
+    # one model serves the zeta reconstruction (N_1, N_2) and the oracle
+    # (N_1..N_6): F_{2^r} is built once for each r, not twice for r <= 2
+    from modrec import curve
+
+    builds = []
+    build = curve._exp_log
+
+    def counted(p, m, modulus):
+        builds.append((p, m))
+        return build(p, m, modulus)
+
+    monkeypatch.setattr(curve, "_exp_log", counted)
+    status, out, err = run_cli(capsys, "symprod", "--n", "6", "--curve",
+                               os.path.join(CONFIGS, "g2q2.json"), "--enumerate")
+    assert status == 0 and err == ""
+    assert json.loads(out) == {"count": "155", "enumerated": "155", "n": 6}
+    assert builds == [(2, m) for m in range(1, 7)]
+
+
+@pytest.mark.parametrize("config, n, blamed", [
+    ("g2q2_counts.json", "2", "{path}: divisor enumeration needs a hyperelliptic model"),
+    ("g2q2_counts.json", "-1", "degree must be >= 0"),
+    ("g2q2_counts.json", "3000000", "symprod at n = 3000000 over q = 2: n bits(q) = 6000000 "
+                                    "exceeds the limit 650000"),
+    ("g2q2.json", "3000000", "symprod at n = 3000000 over q = 2: n bits(q) = 6000000 "
+                             "exceeds the limit 650000"),
+    ("g2q2.json", "7", "divisor enumeration: degree = 7 exceeds the limit 6"),
+    ("g2q2.json", "-1", "degree must be >= 0"),
+], ids=["counts", "counts-negative", "counts-past-charge", "model-past-charge",
+        "model-past-degree", "model-negative"])
+def test_symprod_enumerate_error_order(capsys, config, n, blamed):
+    # the charge check and the zeta count come before the oracle's
+    # refusals, and a counts config is refused only at the oracle
+    path = os.path.join(CONFIGS, config)
+    status, out, err = run_cli(capsys, "symprod", "--n", n, "--curve", path, "--enumerate")
+    assert status == 1 and out == ""
+    assert err == "error: %s\n" % blamed.format(path=path), err
 
 
 def test_numeric_mass_over_a_large_q_is_refused(capsys, tmp_path):

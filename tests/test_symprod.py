@@ -134,7 +134,6 @@ def test_generating_identity_on_two_curves():
 def test_counts_are_kept_per_model(monkeypatch):
     # criterion 7's calls on fresh models build each field F_{p^m} once, and
     # the kept counts equal the counts of models that have counted nothing
-    monkeypatch.setattr(curve.GF, "_cache", {})
     builds = []
     build = curve._exp_log
 
