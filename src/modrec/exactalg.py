@@ -10,7 +10,7 @@ Representation choices:
   ``{t, u, v}``.  A polynomial stores the ordered tuple of variables it
   actually uses and a dict mapping exponent tuples to nonzero coefficients.
   Unused variables are stripped, so two equal polynomials are structurally
-  identical.
+  identical.  ``Poly(vars, terms)`` stores terms already in this form.
 
 * ``RatFun`` is the output form of a rational function: a numerator and a
   denominator that are coprime, the denominator with coprime integer
@@ -27,7 +27,8 @@ Representation choices:
 
 * Dense coefficient lists (ascending, index k for y^k) carry every
   integer-series computation in the package through one kernel: ``conv``
-  (the product, optionally cut to its first coefficients), ``divexact``
+  (the product, optionally cut to its first coefficients, by shifted copies
+  or by one integer product), ``divexact``
   (exact division, ``None`` on a remainder), ``times_one_minus`` and
   ``over_one_minus`` (multiplying by (1 - y^c)^k and expanding a quotient
   by 1 - y^c) and ``add_into`` (a shifted add).  ``Poly`` and ``Series``
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul as _mul
 
 from .errors import ValidationError
 
@@ -83,10 +83,8 @@ def _as_coeff(c):
         return c
     if isinstance(c, Fraction):
         return _cnorm(c)
-    if isinstance(c, str):
-        return _cnorm(Fraction(c))
     # floats stay out on purpose: the whole point is exactness
-    raise TypeError("coefficients must be int, Fraction or 'p/q' string, got %r" % type(c))
+    raise TypeError("coefficients must be int or Fraction, got %r" % type(c))
 
 
 def _check_var(name):
@@ -96,38 +94,20 @@ def _check_var(name):
 
 
 class Poly:
-    """Sparse exact polynomial in a subset of the variables t, u, v."""
+    """Sparse exact polynomial in a subset of the variables t, u, v, built
+    from canonical terms only: nothing is checked (see the module docstring)."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars=(), terms=None, *, _trusted=False):
-        if _trusted:
-            self.vars = vars
-            self.terms = terms if terms is not None else {}
-            return
-        vars = tuple(vars)
-        for name in vars:
-            _check_var(name)
-        if list(vars) != sorted(vars, key=_VAR_INDEX.__getitem__) or len(set(vars)) != len(vars):
-            raise ValidationError("variables must be distinct and in canonical order %s" % (VARIABLES,))
-        clean = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(vars):
-                raise ValidationError("exponent length does not match variable list")
-            if any(e < 0 for e in exp):
-                raise ValidationError("negative exponent in polynomial")
-            c = _as_coeff(c)
-            if c:
-                clean[exp] = clean.get(exp, 0) + c
-        clean = {e: _cnorm(c) for e, c in clean.items() if c}
-        self.vars, self.terms = _strip_vars(vars, clean)
+    def __init__(self, vars, terms):
+        self.vars = vars
+        self.terms = terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero():
-        return Poly((), {}, _trusted=True)
+        return Poly((), {})
 
     @staticmethod
     def one():
@@ -138,12 +118,12 @@ class Poly:
         c = _as_coeff(c)
         if not c:
             return Poly.zero()
-        return Poly((), {(): c}, _trusted=True)
+        return Poly((), {(): c})
 
     @staticmethod
     def var(name):
         _check_var(name)
-        return Poly((name,), {(1,): 1}, _trusted=True)
+        return Poly((name,), {(1,): 1})
 
     @staticmethod
     def univariate(name, coeffs):
@@ -178,12 +158,10 @@ class Poly:
             return Fraction(0)
         return Fraction(self.terms[()])
 
-    def degree(self, name=None):
-        """Total degree, or degree in one variable (zero polynomial: -1)."""
+    def degree(self, name):
+        """Degree in one variable (zero polynomial: -1)."""
         if self.is_zero:
             return -1
-        if name is None:
-            return max(sum(e) for e in self.terms)
         if name not in self.vars:
             return 0
         i = self.vars.index(name)
@@ -218,7 +196,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()}, _trusted=True)
+        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         other = Poly._coerce(other)
@@ -237,7 +215,7 @@ class Poly:
             else:
                 out.pop(e, None)
         vars, out = _strip_vars(vars, out)
-        return Poly(vars, out, _trusted=True)
+        return Poly(vars, out)
 
     __radd__ = __add__
 
@@ -261,10 +239,10 @@ class Poly:
             return Poly.zero()
         if self.is_const:
             c = self.terms[()]
-            return Poly(other.vars, {e: _cnorm(c * v) for e, v in other.terms.items()}, _trusted=True)
+            return Poly(other.vars, {e: _cnorm(c * v) for e, v in other.terms.items()})
         if other.is_const:
             c = other.terms[()]
-            return Poly(self.vars, {e: _cnorm(c * v) for e, v in self.terms.items()}, _trusted=True)
+            return Poly(self.vars, {e: _cnorm(c * v) for e, v in self.terms.items()})
         if self.vars == other.vars and len(self.vars) == 1:
             name = self.vars[0]
             return _univar(name, _normed(conv(self.scalar_coeffs(name), other.scalar_coeffs(name))))
@@ -280,7 +258,7 @@ class Poly:
                     del out[e]
         out = {e: _cnorm(c) for e, c in out.items()}
         vars, out = _strip_vars(vars, out)
-        return Poly(vars, out, _trusted=True)
+        return Poly(vars, out)
 
     __rmul__ = __mul__
 
@@ -371,8 +349,8 @@ def _univar(name, coeffs):
     if not terms:
         return Poly.zero()
     if len(terms) == 1 and (0,) in terms:
-        return Poly((), {(): terms[(0,)]}, _trusted=True)
-    return Poly((name,), terms, _trusted=True)
+        return Poly((), {(): terms[(0,)]})
+    return Poly((name,), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +362,9 @@ def conv(a, b, top=None):
     """The product of two non-empty dense coefficient lists: its first ``top``
     coefficients when a cut is given, all of them otherwise.
 
-    The path follows the sizes (after the cut) alone:
+    Two paths, chosen by the shorter factor's length after the cut and by
+    the coefficient types:
 
-    * both factors reach the cut and are shorter than 48: one truncated dot
-      product per coefficient;
     * a factor of at most 8 entries, or a non-int coefficient: shifted
       copies of the longer factor, one per nonzero entry of the shorter;
     * otherwise one integer product (Kronecker substitution): each list is
@@ -402,9 +379,6 @@ def conv(a, b, top=None):
     if len(a) < len(b):
         a, b = b, a
     lb = len(b)
-    if lb == size < 48:
-        # coefficient k is the dot product of a[:k+1] with b[k], ..., b[0]
-        return [sum(map(_mul, a[:k + 1], b[k::-1])) for k in range(size)]
     if lb <= 8 or not (_all_int(a) and _all_int(b)):
         out = [0] * size
         for j, y in enumerate(b):
@@ -565,18 +539,6 @@ class Series:
 
     def __repr__(self):
         return "Series(%r)" % (self.coeffs,)
-
-
-def is_palindrome(p, top_degree):
-    """True iff coefficient(k) == coefficient(top_degree - k) for all k."""
-    if not isinstance(p, Poly):
-        raise ValidationError("is_palindrome expects a Poly")
-    if any(v != "t" for v in p.vars):
-        raise ValidationError("palindrome check requires a univariate polynomial in t")
-    if p.degree("t") > top_degree:
-        raise ValidationError("degree exceeds the stated top degree")
-    coeffs = p.scalar_coeffs("t", upto=top_degree)
-    return all(coeffs[k] == coeffs[top_degree - k] for k in range(top_degree + 1))
 
 
 # ---------------------------------------------------------------------------

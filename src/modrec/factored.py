@@ -27,9 +27,10 @@ terms add, so one kernel product multiplies them.
 
 Two elements are equal when their difference, raised to the common
 multiplicities, has a zero numerator, so comparing needs no gcd either.
-``ratfun`` reduces once: it divides N exactly by the cyclotomic factors that
-the vector names, Phi_m(t) with m | 2c for Betti and Phi_m(uv) on every
-graded piece for Hodge, and returns the canonical ``RatFun``.  An element
+``ratfun`` is the one reduction (``tamagawa.ss_mass`` memoizes it): it
+divides N exactly by the cyclotomic factors that the vector names, Phi_m(t)
+with m | 2c for Betti and Phi_m(uv) on every graded piece for Hodge, and
+returns the canonical ``RatFun``, unused variables stripped.  An element
 mixes only with ints and with elements of its own field; anything else is a
 ``TypeError``.
 """
@@ -40,7 +41,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .exactalg import Poly, RatFun, add_into, conv, divexact, over_one_minus, times_one_minus
+from .exactalg import (Poly, RatFun, _strip_vars, add_into, conv, divexact, over_one_minus,
+                       times_one_minus)
 
 
 class Factored:
@@ -51,13 +53,12 @@ class Factored:
     Instances are never mutated.
     """
 
-    __slots__ = ("low", "parts", "mult", "_reduced")
+    __slots__ = ("low", "parts", "mult")
 
     def __init__(self, low, parts, mult=()):
         self.low = low
         self.parts = parts
         self.mult = mult
-        self._reduced = None
 
     # -- the elements the fields build ----------------------------------
 
@@ -168,14 +169,6 @@ class Factored:
             return not any(any(a) for a in (self - other).parts.values())
         return NotImplemented
 
-    # -- the one reduction --------------------------------------------------
-
-    def ratfun(self):
-        """The canonical reduced ``RatFun`` (computed once per instance)."""
-        if self._reduced is None:
-            self._reduced = self._to_ratfun()
-        return self._reduced
-
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.ratfun())
 
@@ -200,7 +193,8 @@ class BettiFactored(Factored):
         return cls._from_terms({(j % 2, e * j + j // 2): comb(2 * genus, j)
                                 for j in range(2 * genus + 1)})
 
-    def _to_ratfun(self):
+    def ratfun(self):
+        """The canonical reduced ``RatFun``."""
         even, odd = self.parts.get(0, []), self.parts.get(1, [])
         ts = [0] * (2 * max(len(even), len(odd)))
         ts[0:2 * len(even):2] = even
@@ -215,7 +209,7 @@ class BettiFactored(Factored):
         if low < 0:  # t^-low joins the denominator
             num = {(i - low,): x for (i,), x in num.items()}
             den = {(i - low,): x for (i,), x in den.items()}
-        return RatFun(Poly(("t",), num), Poly(("t",), den))
+        return RatFun(Poly(*_strip_vars(("t",), num)), Poly(*_strip_vars(("t",), den)))
 
 
 class HodgeFactored(Factored):
@@ -241,7 +235,8 @@ class HodgeFactored(Factored):
         return cls._from_terms({(a - b, e * (a + b) + min(a, b)): comb(genus, a) * comb(genus, b)
                                 for a in range(genus + 1) for b in range(genus + 1)})
 
-    def _to_ratfun(self):
+    def ratfun(self):
+        """The canonical reduced ``RatFun``."""
         grades = list(self.parts)
         powers = {c: k for c, k in enumerate(self.mult, 1) if k}
         pieces, low, sign, phi = _cancel([self.parts[s] for s in grades], self.low, powers)
@@ -258,7 +253,7 @@ class HodgeFactored(Factored):
         sv = max(0, -min(b for _, b in terms))
         num = {(a + su, b + sv): x for (a, b), x in terms.items()}
         den = {(su + k, sv + k): x for k, x in enumerate(_phi_product(phi)) if x}
-        return RatFun(Poly(("u", "v"), num), Poly(("u", "v"), den))
+        return RatFun(Poly(*_strip_vars(("u", "v"), num)), Poly(*_strip_vars(("u", "v"), den)))
 
 
 # ---------------------------------------------------------------------------

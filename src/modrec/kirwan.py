@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .errors import InvariantViolation, ValidationError
-from .exactalg import Poly, is_palindrome, over_one_minus
+from .exactalg import Poly, over_one_minus
 
 
 class WeightSystem:
@@ -186,9 +186,9 @@ def quotient_poincare(ws):
     if not report.is_polynomial:
         raise InvariantViolation("quotient series is not a polynomial")
     poly = report.polynomial_part
-    top = poly.degree("t")
-    if not is_palindrome(poly, top):
+    coeffs = poly.scalar_coeffs("t")
+    if coeffs != coeffs[::-1]:
         raise InvariantViolation("quotient polynomial is not palindromic")
-    if any(c < 0 or not isinstance(c, int) for c in poly.scalar_coeffs("t")):
+    if any(c < 0 or not isinstance(c, int) for c in coeffs):
         raise InvariantViolation("quotient polynomial has bad coefficients")
     return poly

@@ -43,10 +43,10 @@ from .errors import InvariantViolation, ValidationError, check_budget, shown
 from .fields import SpecializationField
 
 
-def total_mass(n, d, field):
-    """Total stacky mass of rank-n degree-d bundles; independent of d, so
-    memoized per field instance on n alone (in its own store, apart from
-    the semistable masses)."""
+def total_mass(n, field):
+    """Total stacky mass of rank-n bundles of any one degree (it does not
+    depend on the degree), memoized per field instance on n (in its own
+    store, apart from the semistable masses)."""
     if n < 1:
         raise ValidationError("rank must be positive")
     cached = field.total_cache.get(n)
@@ -90,7 +90,7 @@ def _zagier_sum(n, d, field):
     multiplies once by the weight of its last part.
     """
     g = field.genus
-    alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
+    alpha = [None] + [total_mass(m, field) for m in range(1, n + 1)]
     up = [-(-s * d // n) for s in range(n)]
     geom = [None] + [field.geom(c) for c in range(1, n + 1)]
 
@@ -227,7 +227,7 @@ def siegel_check(n, d, field, max_codim):
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
     types = enumerate_types(n, d, field.genus, max_codim)
-    total = total_mass(n, d, field)
+    total = total_mass(n, field)
     beta = ss_mass(n, d, field)
     level_mass = {}
     for c, parts in types:

@@ -20,8 +20,7 @@ from math import comb, gcd, prod
 from operator import sub
 
 from .errors import InvariantViolation, ValidationError, check_budget, shown, weighted
-from .exactalg import (Poly, Series, conv, divexact, is_palindrome, over_one_minus,
-                       times_one_minus)
+from .exactalg import Poly, Series, conv, divexact, over_one_minus, times_one_minus
 from .hn import walk_types
 
 _SS_SERIES = {}
@@ -148,14 +147,14 @@ def moduli_poincare(n, d, g):
             raise InvariantViolation(
                 "coefficient %d above the top degree is %s; wrong truncation"
                 % (k, values[k]))
-    poly = Poly.univariate("t", values[: top + 1])
-    if not is_palindrome(poly, top):
+    values = values[: top + 1]
+    if values != values[::-1]:
         raise InvariantViolation("moduli polynomial is not palindromic")
-    if any(not isinstance(c, int) or c < 0 for c in values[: top + 1]):
+    if any(not isinstance(c, int) or c < 0 for c in values):
         raise InvariantViolation("moduli polynomial has bad coefficients")
-    if sum(values[0:top + 1:2]) != sum(values[1:top + 1:2]):
+    if sum(values[0::2]) != sum(values[1::2]):
         raise InvariantViolation("moduli polynomial misses the vanishing at t = -1")
-    return poly
+    return Poly.univariate("t", values)
 
 
 def fixed_determinant_poly(n, d, g):

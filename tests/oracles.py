@@ -230,7 +230,7 @@ def coefficient(p, name, k):
     if not terms:
         return Poly.zero()
     rest, terms = _strip_vars(rest, terms)
-    return Poly(rest, terms, _trusted=True)
+    return Poly(rest, terms)
 
 
 def substitute(p, bindings):
@@ -297,7 +297,7 @@ def scaled(p, factor):
     factor = Fraction(factor)
     if factor == 0:
         return Poly.zero()
-    return Poly(p.vars, {e: _cnorm(c * factor) for e, c in p.terms.items()}, _trusted=True)
+    return Poly(p.vars, {e: _cnorm(c * factor) for e, c in p.terms.items()})
 
 
 class ReducingRatFun(RatFun):
@@ -517,7 +517,7 @@ def zagier_sum_by_prefix_tree(n, d, field):
     """
     g = field.genus
     one = ReducingRatFun.one()
-    alpha = [None] + [total_mass(m, d, field) for m in range(1, n + 1)]
+    alpha = [None] + [total_mass(m, field) for m in range(1, n + 1)]
     link = {(a, b): alpha[b] / (one - field.q_power(a + b))
             for a in range(1, n) for b in range(1, n - a + 1)}
     terms = []
@@ -916,7 +916,7 @@ def gcd_graded(a, b):
         h = [1]
     terms = {(mu + k, mv + k): c for k, c in enumerate(h) if c}
     vars, terms = _strip_vars(("u", "v"), terms)
-    return Poly(vars, terms, _trusted=True)
+    return Poly(vars, terms)
 
 
 def divexact_sparse(a, b, main):

@@ -1,13 +1,14 @@
 """The coefficient-list kernel of exactalg (the product, exact division and
-the (1 - y^c) steps) against schoolbook arithmetic, and the cyclotomic
-products of the factored masses built on it."""
+the (1 - y^c) steps) against schoolbook arithmetic, the cyclotomic products
+of the factored masses built on it, and the canonical form of their
+reductions."""
 
 import random
 from fractions import Fraction
 from math import comb
 
-from modrec.exactalg import conv, divexact, over_one_minus, times_one_minus
-from modrec.factored import _phi_product, cyclotomic
+from modrec.exactalg import Poly, RatFun, conv, divexact, over_one_minus, times_one_minus
+from modrec.factored import BettiFactored, HodgeFactored, _phi_product, cyclotomic
 
 
 def schoolbook(a, b):
@@ -21,8 +22,8 @@ def schoolbook(a, b):
 # coefficients whose bit sizes straddle the byte widths of the integer product
 EDGES = [0, 1, -1] + [s * (2 ** (8 * k - 1) + e) for k in (1, 2, 3, 5)
                       for e in (-1, 0, 1) for s in (1, -1)]
-# each side of the 8/9 boundary (shifted copies / integer product) and of the
-# 47/48 boundary (truncated dot products / integer product)
+# each side of the 8/9 boundary between the two paths (shifted copies /
+# integer product), and longer factors up to 60 entries, cut and uncut
 LENGTHS = list(range(1, 41)) + [47, 48, 49, 60]
 
 
@@ -38,8 +39,8 @@ def test_conv_matches_schoolbook():
             assert conv(a, b) == full, (a, b)
             for top in (1, min(la, lb), la + lb + 5):
                 assert conv(a, b, top) == full[:top], (a, b, top)
-    # a Fraction takes shifted copies unless both factors reach the cut, at
-    # lengths that would otherwise be an integer product too
+    # a Fraction takes shifted copies at every length, also where int
+    # coefficients would take the integer product
     for la, lb in [(1, 1), (3, 8), (9, 9), (12, 30), (47, 47), (48, 48), (49, 60)]:
         a = [Fraction(rng.choice(EDGES), rng.randint(1, 9)) for _ in range(la)]
         b = [rng.choice(EDGES) for _ in range(lb)]
@@ -109,3 +110,25 @@ def test_one_minus_steps_match_schoolbook():
                 for _ in range(k):
                     out = over_one_minus(out, c, size)
                 assert out == schoolbook(a, geom)[:size], (a, c, k, size)
+
+
+def _form(p):
+    return p.vars, p.terms
+
+
+def test_ratfun_parts_carry_only_the_variables_they_use():
+    # Poly stores its terms unchecked, so ratfun must hand it canonical ones:
+    # structural equality with the named constructors rests on that
+    three = BettiFactored.monomial(0, 3).ratfun()
+    assert _form(three.num) == ((), {(): 3}) and _form(three.den) == ((), {(): 1})
+    assert three == RatFun(3)
+    assert _form(BettiFactored(0, {1: [1]}).ratfun().num) == (("t",), {(1,): 1})
+    geom = HodgeFactored.geom(1).ratfun()  # 1 / (1 - uv) = -1 / (uv - 1)
+    assert _form(geom.num) == ((), {(): -1})
+    assert _form(geom.den) == (("u", "v"), {(0, 0): -1, (1, 1): 1})
+    u = HodgeFactored(0, {1: [1]}).ratfun()
+    assert _form(u.num) == (("u",), {(1,): 1}) and _form(u.den) == ((), {(): 1})
+    assert u == RatFun(Poly.var("u"))
+    v_over = (HodgeFactored(0, {-1: [1]}) * HodgeFactored.geom(2)).ratfun()
+    assert v_over.num == Poly.var("v") * -1
+    assert v_over.den.vars == ("u", "v")

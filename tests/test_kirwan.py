@@ -12,9 +12,12 @@ import time
 
 import pytest
 
-from modrec.errors import ValidationError
-from modrec.exactalg import Poly, is_palindrome
+from modrec import kirwan
+from modrec.cli import main
+from modrec.errors import InvariantViolation, ValidationError
+from modrec.exactalg import Poly
 from modrec.kirwan import (
+    PerfectionReport,
     Stratum,
     WeightSystem,
     bb_decomposition,
@@ -93,7 +96,23 @@ def test_quotient_against_count_oracle():
     for weights in [(-1, 1), (1, 1, -1, -1), (1, 1, 1, -1, -1, -1), (2, 1, -1), (3, 1, -2, -2)]:
         got = quotient_poincare(WeightSystem(weights))
         assert got == quotient_count_oracle(weights), weights
-        assert is_palindrome(got, got.degree("t"))
+        coeffs = got.scalar_coeffs("t")
+        assert coeffs == coeffs[::-1]
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([1, 2], "quotient polynomial is not palindromic"),
+    ([-1, 0, -1], "quotient polynomial has bad coefficients"),
+])
+def test_quotient_identity_checks_fire(coeffs, message, capsys, monkeypatch):
+    report = PerfectionReport(numerator=(1,), polynomial_part=Poly.univariate("t", coeffs),
+                              periodic_tail=Poly.zero(), is_polynomial=True)
+    monkeypatch.setattr(kirwan, "perfection_check", lambda ws: report)
+    with pytest.raises(InvariantViolation, match="^%s$" % message):
+        quotient_poincare(WeightSystem((1, 1, -1, -1)))
+    assert main(["kirwan", "--weights", "[1,1,-1,-1]", "--op", "quotient"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "invariant violation: %s\n" % message
 
 
 def test_quotient_preconditions():

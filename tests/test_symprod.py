@@ -85,11 +85,10 @@ def test_sym_poincare_binomial_convolution():
 
 
 def test_sym_poincare_palindromic():
-    from modrec.exactalg import is_palindrome
-
     for g in (2, 3):
         for n in range(7):
-            assert is_palindrome(sym_poincare(g, n), 2 * n)
+            coeffs = sym_poincare(g, n).scalar_coeffs("t", upto=2 * n)
+            assert len(coeffs) == 2 * n + 1 and coeffs == coeffs[::-1], (g, n)
 
 
 def test_sym_count_examples():

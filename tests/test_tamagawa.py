@@ -66,11 +66,11 @@ def F2():
 
 
 def test_total_mass_rank_one(F2):
-    assert total_mass(1, 0, F2) == Fraction(5)  # P(1)/(q-1) = 5/1
+    assert total_mass(1, F2) == Fraction(5)  # P(1)/(q-1) = 5/1
 
 
 def test_total_mass_rank_two_example(F2):
-    assert total_mass(2, 1, F2) == Fraction(325, 3)
+    assert total_mass(2, F2) == Fraction(325, 3)
 
 
 def test_total_mass_betti_matches_classifying_series():
@@ -83,9 +83,9 @@ def test_total_mass_betti_matches_classifying_series():
         for g in (2, 3):
             F = SpecializationField.betti(g)
             torus = F.P_power(0) * F.geom(1)
-            assert total_mass(n, 0, F) * (F.q - 1) * torus == F.P_one() * classifying_series(n, g)
-            assert total_mass(n, 0, F) == -classifying_series(n, g)
-            assert total_mass(n, 0, F) != classifying_series(n, g)
+            assert total_mass(n, F) * (F.q - 1) * torus == F.P_one() * classifying_series(n, g)
+            assert total_mass(n, F) == -classifying_series(n, g)
+            assert total_mass(n, F) != classifying_series(n, g)
 
 
 def test_ss_mass_rank_one(F2):
@@ -283,7 +283,7 @@ def cone_mass(n, d, field, memo):
     minus, per composition, the cone sum of its strata over all degrees."""
     key = (n, d % n)
     if key not in memo:
-        value = total_mass(n, d, field)
+        value = total_mass(n, field)
         for comp in compositions(n):
             if len(comp) > 1:
                 parts = cone_for(comp, field, lambda m, e, F: cone_mass(m, e, F, memo))
@@ -403,7 +403,7 @@ def test_factored_masses_match_ratfun_programme(mode, g, top, graded_gcd):
         expected = [ratfun_zagier_sum(n, d, oracle) for d in range(n)]
         for d in range(-1, 2 * n):
             assert F.reduce(_zagier_sum(n, d, F)) == expected[d % n], (n, d)
-        assert F.reduce(total_mass(n, 0, F)) == oracle.total_cache[n], n
+        assert F.reduce(total_mass(n, F)) == oracle.total_cache[n], n
 
 
 @pytest.mark.parametrize("mode", ["betti", "hodge"])
@@ -550,7 +550,7 @@ def test_numeric_values_are_ints_or_fractions(config):
     assert _plain(F.q) and _plain(F.P_one())
     assert all(_plain(F.zeta(i)) for i in range(2, 9))
     for n in range(1, 7):
-        assert _plain(total_mass(n, 0, F))
+        assert _plain(total_mass(n, F))
         assert all(_plain(ss_mass(n, d, F)) for d in range(n))
         assert all(_plain(stratum_mass(mu, F)) for _, mu in enumerate_types(n, 1, F.genus, 6))
         report = siegel_check(n, 1, F, 6)

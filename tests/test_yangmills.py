@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
-from modrec.errors import ValidationError
+from modrec.cli import main
+from modrec.errors import InvariantViolation, ValidationError
 from modrec import yangmills
-from modrec.exactalg import Poly, is_palindrome
+from modrec.exactalg import Poly, Series, over_one_minus
 from modrec.hn import codim, enumerate_types
 from modrec.yangmills import (
     classifying_coefficients,
@@ -123,10 +124,36 @@ def test_moduli_properties():
         p = moduli_poincare(n, d, g)
         top = 2 * (n * n * (g - 1) + 1)
         assert p.degree("t") == top
-        assert is_palindrome(p, top)
         coeffs = p.scalar_coeffs("t")
+        assert coeffs == coeffs[::-1]
         assert all(isinstance(c, int) and c >= 0 for c in coeffs)
         assert evaluate(p, {"t": -1}) == 0
+
+
+# (2, 1, 2) has top degree 10 and the polynomial
+# 1 + 4t + 7t^2 + 12t^3 + 24t^4 + 32t^5 + 24t^6 + 12t^7 + 7t^8 + 4t^9 + t^10;
+# each change below passes the checks before the one it breaks
+BROKEN_MODULI = [
+    ({11: 1}, "coefficient 11 above the top degree is 1; wrong truncation"),
+    ({1: 1}, "moduli polynomial is not palindromic"),
+    ({0: -2, 10: -2}, "moduli polynomial has bad coefficients"),
+    ({5: 1}, "moduli polynomial misses the vanishing at t = -1"),
+]
+
+
+@pytest.mark.parametrize("change, message", BROKEN_MODULI, ids=[m for _, m in BROKEN_MODULI])
+def test_moduli_identity_checks_fire(change, message, capsys, monkeypatch):
+    # the series plus change / (1 - t^2) collapses to the polynomial plus change
+    order = 14
+    good = ss_equivariant_series(2, 1, 2, order).coeffs
+    delta = [change.get(k, 0) for k in range(order + 1)]
+    broken = Series([a + b for a, b in zip(good, over_one_minus(delta, 2, order + 1))])
+    monkeypatch.setattr(yangmills, "ss_equivariant_series", lambda n, d, g, top: broken)
+    with pytest.raises(InvariantViolation, match="^%s$" % message):
+        moduli_poincare(2, 1, 2)
+    assert main(["betti", "--n", "2", "--d", "1", "--g", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "invariant violation: %s\n" % message
 
 
 def test_moduli_rejects_non_coprime():
