@@ -281,9 +281,11 @@ def _cmd_crosscheck(args):
     from .tamagawa import matches_moduli_polynomial, ss_mass
     from .yangmills import moduli_poincare
 
+    # the polynomial first: the gauge budget bounds rank and genus, the
+    # mass budget rank only
+    poly = moduli_poincare(args.n, args.d, args.g)
     F = SpecializationField.betti(args.g)
-    mass = ss_mass(args.n, args.d, F)
-    match = matches_moduli_polynomial(mass, moduli_poincare(args.n, args.d, args.g), F)
+    match = matches_moduli_polynomial(ss_mass(args.n, args.d, F), poly, F)
     return {"match": match}, 0 if match else 2
 
 

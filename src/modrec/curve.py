@@ -10,9 +10,10 @@ Finite fields F_{p^m} are realized as polynomial quotients.  The defining
 irreducible is the smallest one in lexicographic order on the ascending
 coefficient tuple (c_0, ..., c_{m-1}), so counts are reproducible across
 runs.  An element is the int sum c_i p^i of its coefficients, and products
-go through exp/log tables of a primitive element, except on prime fields,
-which count with plain arithmetic mod p; fields are capped at
-FIELD_SIZE_LIMIT elements, the largest size that counts in a few seconds.
+go through exp/log tables of a primitive element, built by one walk for
+every p and m; odd prime fields count with plain arithmetic mod p instead.
+Fields are capped at FIELD_SIZE_LIMIT elements, the largest size that
+counts in a few seconds.
 The model is defined over F_p, so Frobenius permutes the points and a count
 over F_{p^m} evaluates one x per Frobenius orbit.  No field is cached: each
 count builds its own, and a model keeps its counts N_r, so one model builds
@@ -135,10 +136,9 @@ def _find_irreducible(p, m):
 class GF:
     """F_{p^m} with elements as ints sum c_i p^i; exp[k] = g^k, g primitive, and log inverts it.
 
-    The tables come from the walk a -> a * g, by one of three steps: shift
-    and XOR for p = 2, a * g % p for prime fields, and tabulated half-digit
-    products for the other odd fields (see ``_exp_log``).  Every
-    construction builds its tables; a model keeps its counts instead.
+    The tables come from one walk a -> a * g for every p and m (see
+    ``_exp_log``).  Every construction builds its tables; a model keeps its
+    counts instead.
     """
 
     def __new__(cls, p, m):
@@ -160,94 +160,62 @@ def check_field_size(p, m):
 
 
 def _exp_log(p, m, modulus):
-    """exp/log tables of the first element, in encoding order, of order q - 1.
+    """exp/log tables of the first element g, in encoding order, of order q - 1.
 
-    The walk a -> a * g takes one of three steps:
-
-    * p = 2: shift and XOR against the modulus bits;
-    * m = 1: a * g % p;
-    * odd p, m >= 2: multiplying by g is F_p-linear, so ``_packed_walk``
-      tabulates it once on the low and the high half of the digits.
-
-    The walk must come back to 1 after exactly q - 1 steps.
+    The walk a -> a * g carries each element as its digit vector packed w
+    bits apart, w = bit_length(2p - 2).  Multiplying by g is F_p-linear, so
+    it is tabulated on the low h = m // 2 and the high m - h digits, each
+    table indexed by a packed half, from the m images x^i g alone: an entry
+    whose digit i is d >= 1 is the entry with d - 1 there plus the image of
+    x^i.  A sum of two packed entries has digits at most 2p - 2, and p comes
+    off each digit >= p at once: a digit below p fits in w - 1 bits, so
+    adding 2^(w-1) - p to every digit sets the top bit of exactly those >= p
+    and carries out of none.  The walk must come back to 1 after exactly
+    q - 1 steps.
     """
     q, powers = p ** m, [p ** i for i in range(m)]
     n = q - 1
     cofactors = [n // ell for ell in _prime_divisors(n)]
     g = next(g for g in range(1, q) if all(
         _ppowmod([g // pw % p for pw in powers], e, modulus, p) != [1] for e in cofactors))
-    exp, log = [0] * n, [0] * q
-    if p > 2 and m > 1:
-        a = _packed_walk(p, m, modulus, g, exp, log)
-    else:
-        if p == 2:
-            red = sum(c << i for i, c in enumerate(modulus))
-
-            def step(a):  # a * g by shift-and-XOR against the modulus bits
-                out, b = 0, g
-                while b:
-                    if b & 1:
-                        out ^= a
-                    a, b = a << 1, b >> 1
-                    if a >> m:
-                        a ^= red
-                return out
-        else:
-            def step(a):
-                return a * g % p
-        a = 1
-        for k in range(n):
-            exp[k] = a
-            log[a] = k
-            a = step(a)
-    if a != 1 or log[1] != 0:
-        raise InvariantViolation("%d is not primitive in F_{%d^%d}" % (g, p, m))
-    return exp, log
-
-
-def _packed_walk(p, m, modulus, g, exp, log):
-    """Fill exp and log by the walk a -> a * g over odd p with m >= 2.
-
-    The walk carries each element as its digit vector packed w bits apart,
-    w = bit_length(2p - 2).  Multiplying by g is tabulated on the low
-    h = m // 2 and the high m - h digits, p^h + p^(m-h) generic products,
-    with the entries packed too and each table indexed by a packed half.  A
-    step adds a low and a high entry without carries, every digit then being
-    at most 2p - 2, and takes p off each digit >= p at once: a digit below p
-    fits in w - 1 bits, so adding 2^(w-1) - p to every digit sets the top bit
-    of exactly those >= p and carries out of none.  Returns the packed
-    element the walk ends on, which is 1 when g is primitive.
-    """
     h, w = m // 2, (2 * p - 2).bit_length()
-    powers = [p ** i for i in range(m)]
-    gd = [g // pw % p for pw in powers]
+    top = w - 1
 
     def pack(digits):
         return sum(d << w * i for i, d in enumerate(digits))
 
+    offset, tops = pack([(1 << top) - p] * m), pack([1 << top] * m)
+    gd = [g // pw % p for pw in powers]
+    images = [pack(_pmod(_pmul([0] * i + [1], gd, p), modulus, p)) for i in range(m)]
+
     def half(low, size):  # per packed half: the packed product by g, and the int
-        times, code = [None] * (1 << w * size), [None] * (1 << w * size)
-        for digits in itertools.product(range(p), repeat=size):
-            poly = [0] * low + list(digits)
-            key = pack(digits)
-            times[key] = pack(_pmod(_pmul(poly, gd, p), modulus, p))
-            code[key] = sum(map(operator.mul, poly, powers))
+        times, code, keys = [0] * (1 << w * size), [0] * (1 << w * size), [0]
+        for i in range(low, low + size):
+            step, image, unit = 1 << w * (i - low), images[i], powers[i]
+            known = len(keys)
+            keys = [key + d * step for d in range(p) for key in keys]
+            for key in keys[known:]:
+                s = times[key - step] + image
+                times[key] = s - (((s + offset) & tops) >> top) * p
+                code[key] = code[key - step] + unit
         return times, code
 
     lo_times, lo_code = half(0, h)
     hi_times, hi_code = half(h, m - h)
-    shift, top = w * h, w - 1
+    shift = w * h
     mask = (1 << shift) - 1
-    offset, tops = pack([(1 << top) - p] * m), pack([1 << top] * m)
+    exp, log = [0] * n, [0] * q
     r = 1
-    for k in range(len(exp)):
+    for k in range(n):
         lo, hi = r & mask, r >> shift
         a = lo_code[lo] + hi_code[hi]
         exp[k] = a
         log[a] = k
         s = lo_times[lo] + hi_times[hi]
         r = s - (((s + offset) & tops) >> top) * p
-    return r
+    if r != 1 or log[1] != 0:
+        raise InvariantViolation("%d is not primitive in F_{%d^%d}" % (g, p, m))
+    return exp, log
 
 
 # ---------------------------------------------------------------------------

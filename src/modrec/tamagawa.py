@@ -111,8 +111,9 @@ def _zagier_sum(n, d, field):
 def ss_mass(n, d, field):
     """Stacky mass of semistable rank-n degree-d bundles in the given field.
 
-    Memoized per field instance on (n, d mod n): twisting by a degree-1 line
-    bundle shifts d by n without changing the mass.  Ranks past the field's
+    Memoized per field instance on (n, d mod n), and computed at d mod n:
+    twisting by a degree-1 line bundle shifts d by n without changing the
+    mass, and the programme's q-powers grow with d.  Ranks past the field's
     MASS_RANK_LIMIT, and numeric masses past NUMERIC_MASS_CHARGE, are
     refused with ValidationError.  Betti and Hodge masses come out of the
     programme in factored form and are reduced once, here, to a ``RatFun``.
@@ -129,7 +130,7 @@ def ss_mass(n, d, field):
     cached = field.mass_cache.get(key)
     if cached is not None:
         return cached
-    value = field.reduce(_zagier_sum(n, d, field))
+    value = field.reduce(_zagier_sum(n, d % n, field))
     if field.mode == SpecializationField.NUMERIC and value <= 0:
         raise InvariantViolation("numeric semistable mass is not positive")
     field.mass_cache[key] = value

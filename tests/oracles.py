@@ -55,8 +55,8 @@
 * ``exp_log_by_digit_walk`` builds a finite field's exp/log tables by
   decoding each element to digits and multiplying by the generator with a
   generic polynomial product and reduction.  ``curve._exp_log`` steps by
-  tables of half-digit products (or by ``a * g % p`` on prime fields) and
-  must build the same tables.
+  tables of half-digit products, filled by linearity from the images of
+  x^i, for every p and m, and must build the same tables.
 * ``count_by_tables_per_element`` counts points over a field by evaluating
   f and h at every element.  ``curve._count_by_tables`` evaluates one
   element per Frobenius orbit, weighted by the orbit's size, and must give

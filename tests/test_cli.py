@@ -259,6 +259,20 @@ def test_crosscheck_mismatch_exits_two(capsys, monkeypatch):
     assert json.loads(out) == {"match": False}
 
 
+def test_crosscheck_is_bounded_by_the_gauge_budget(capsys, monkeypatch):
+    # the gauge budget bounds rank and genus, so the polynomial goes first
+    # and a request past it is refused before any mass is computed
+    import modrec.tamagawa as tamagawa_mod
+
+    def unbudgeted(n, d, field):
+        raise AssertionError("ss_mass ran before the gauge budget refused")
+
+    monkeypatch.setattr(tamagawa_mod, "ss_mass", unbudgeted)
+    status, out, err = run_cli(capsys, "crosscheck", "--n", "2", "--d", "1", "--g", "3000")
+    assert status == 1 and out == ""
+    assert "weighted coefficient products" in err and "exceeds the limit" in err
+
+
 def test_load_curve_symbolic(tmp_path):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"mode": "symbolic", "genus": 3}))

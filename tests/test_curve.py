@@ -277,6 +277,13 @@ def test_odd_field_tables_match_digit_walk():
         assert (K.exp, K.log) == exp_log_by_digit_walk(p, m, K.modulus), (p, m)
 
 
+def test_binary_field_tables_match_digit_walk():
+    # the same walk serves p = 2, with two bits per digit
+    for m in range(1, 13):
+        K = GF(2, m)
+        assert (K.exp, K.log) == exp_log_by_digit_walk(2, m, K.modulus), m
+
+
 def test_largest_odd_fields_build_quickly():
     for p, m in ((3, 11), (509, 2), (262139, 1)):
         start = time.perf_counter()
