@@ -26,25 +26,17 @@ from .tamagawa import (_zagier_sum, fixed_determinant_count, matches_moduli_poly
 from .yangmills import (classifying_series, clear_caches, moduli_poincare,
                         ss_equivariant_series)
 
-T = Poly.var("t")
-ONE = Poly.one()
-
 MODEL_F2 = HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,))
 MODEL_F3 = HyperellipticModel(p=3, k=1, f=(1, 0, 0, 0, 0, 1), h=())
 
 
-def _rank2_closed_form(g):
-    """Numerator and denominator of the rank-2 moduli polynomial's closed form."""
-    num = (ONE + T) ** (2 * g) * ((ONE + T ** 3) ** (2 * g)
-                                  - T ** (2 * g) * (ONE + T) ** (2 * g))
-    den = (ONE - T ** 2) ** 2 * (ONE + T ** 2)
-    return num, den
-
-
 def criterion_1_rank2_closed_form():
+    # P_t(M(2, 1)) (1 - q)^2 (1 + q) = P(1) (P(q) - q^g P(1)), q = t^2
     for g in (2, 3):
-        num, den = _rank2_closed_form(g)
-        assert moduli_poincare(2, 1, g) * den == num, "closed form fails at g=%d" % g
+        F = SpecializationField.betti(g)
+        P1 = F.P_one()
+        lhs = F.element(moduli_poincare(2, 1, g)) * (1 - F.q) * (1 - F.q) * (1 + F.q)
+        assert lhs == P1 * (F.P_power(1) - F.q_power(g) * P1), "closed form fails at g=%d" % g
     return "moduli polynomial (2,1) equals the closed form for g=2,3"
 
 

@@ -439,9 +439,6 @@ def main(argv=None):
     except ValidationError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (ZeroDivisionError,) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
     except InvariantViolation as exc:
         sys.stderr.write("invariant violation: %s\n" % exc)
         return 2

@@ -6,11 +6,15 @@ enters any computation.
 
 Representation choices:
 
-* ``Poly`` is a sparse multivariate polynomial over the closed variable set
-  ``{t, u, v}``.  A polynomial stores the ordered tuple of variables it
-  actually uses and a dict mapping exponent tuples to nonzero coefficients.
-  Unused variables are stripped, so two equal polynomials are structurally
-  identical.  ``Poly(vars, terms)`` stores terms already in this form.
+* ``Poly`` is the output form of a sparse multivariate polynomial over the
+  closed variable set ``{t, u, v}``.  A polynomial stores the ordered tuple
+  of variables it actually uses and a dict mapping exponent tuples to
+  nonzero coefficients.  Unused variables are stripped, so two equal
+  polynomials are structurally identical.  ``Poly(vars, terms)`` stores
+  terms already in this form, and ``Poly.univariate`` builds them from a
+  coefficient list.  It does no arithmetic: the t-side modules compute on
+  coefficient lists and wrap the result once, and a Betti or Hodge
+  comparison maps its polynomials into ``modrec.factored`` elements.
 
 * ``RatFun`` is the output form of a rational function: a numerator and a
   denominator that are coprime, the denominator with coprime integer
@@ -18,8 +22,9 @@ Representation choices:
   order), so equality is plain structural equality.  It does no arithmetic:
   Betti and Hodge values are computed as ``modrec.factored`` elements over
   known cyclotomic denominators and reduced into this form once.  No
-  production path needs a polynomial gcd: the reducing ``RatFun``
-  arithmetic and the gcd and exact division it runs on are test oracles.
+  production path needs a polynomial gcd: the reducing ``RatFun`` and
+  ``Poly`` arithmetic and the gcd and exact division they run on are test
+  oracles.
 
 * ``Series`` is a dense truncated power series whose coefficients are
   plain scalars (``int`` or ``Fraction``), stored as a list; it holds the
@@ -31,17 +36,18 @@ Representation choices:
   or by one integer product), ``divexact``
   (exact division, ``None`` on a remainder), ``times_one_minus`` and
   ``over_one_minus`` (multiplying by (1 - y^c)^k and expanding a quotient
-  by 1 - y^c) and ``add_into`` (a shifted add).  ``Poly`` and ``Series``
-  products, ``modrec.factored`` and the t-side modules all call it.
+  by 1 - y^c) and ``add_into`` (a shifted add).  ``Series`` products,
+  ``modrec.factored`` and the t-side modules all call it.
 
 Integer path: every stored coefficient is an ``int`` or a ``Fraction`` with
 denominator > 1, so int inputs give int outputs and an integral Fraction
 comes back as ``int``.  Sums and products of ints are ints, so a result list
 is normalised once, and only when it holds a non-int (``_normed``).
 
->>> t = Poly.var("t")
->>> (Poly.one() + t) * (Poly.one() - t) == Poly.one() - t ** 2
+>>> conv([1, 1], [1, -1]) == [1, 0, -1]
 True
+>>> Poly.univariate("t", [1, 0, -1])
+Poly(1 - t^2)
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from itertools import accumulate
 from .errors import ValidationError
 
 VARIABLES = ("t", "u", "v")
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
 _INT = {int}
@@ -88,14 +93,15 @@ def _as_coeff(c):
 
 
 def _check_var(name):
-    if name not in _VAR_INDEX:
+    if name not in VARIABLES:
         raise ValidationError("unknown variable %r; allowed: %s" % (name, ", ".join(VARIABLES)))
     return name
 
 
 class Poly:
     """Sparse exact polynomial in a subset of the variables t, u, v, built
-    from canonical terms only: nothing is checked (see the module docstring)."""
+    from canonical terms only: nothing is checked (see the module docstring).
+    An output form: it compares, hashes and prints, and does no arithmetic."""
 
     __slots__ = ("vars", "terms")
 
@@ -103,53 +109,24 @@ class Poly:
         self.vars = vars
         self.terms = terms
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return Poly((), {})
-
-    @staticmethod
-    def one():
-        return Poly.const(1)
-
-    @staticmethod
-    def const(c):
-        c = _as_coeff(c)
-        if not c:
-            return Poly.zero()
-        return Poly((), {(): c})
-
-    @staticmethod
-    def var(name):
-        _check_var(name)
-        return Poly((name,), {(1,): 1})
-
-    @staticmethod
-    def univariate(name, coeffs):
+    @classmethod
+    def univariate(cls, name, coeffs):
         """Build a polynomial in one variable from an ascending coefficient list."""
         _check_var(name)
         if not _all_int(coeffs):
             coeffs = [_as_coeff(c) for c in coeffs]
-        return _univar(name, coeffs)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Poly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Poly.const(value)
-        return NotImplemented
+        terms = {(k,): c for k, c in enumerate(coeffs) if c}
+        if not terms:
+            return cls((), {})
+        if len(terms) == 1 and (0,) in terms:
+            return cls((), {(): terms[(0,)]})
+        return cls((name,), terms)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def is_zero(self):
         return not self.terms
-
-    @property
-    def is_const(self):
-        return not self.vars
 
     def const_value(self):
         if self.vars:
@@ -185,94 +162,9 @@ class Poly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __eq__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __bool__(self):
-        return not self.is_zero
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        vars, ta, tb = _align(self, other)
-        out = dict(ta)
-        for e, c in tb.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = _cnorm(s)
-            else:
-                out.pop(e, None)
-        vars, out = _strip_vars(vars, out)
-        return Poly(vars, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        if self.is_const:
-            c = self.terms[()]
-            return Poly(other.vars, {e: _cnorm(c * v) for e, v in other.terms.items()})
-        if other.is_const:
-            c = other.terms[()]
-            return Poly(self.vars, {e: _cnorm(c * v) for e, v in self.terms.items()})
-        if self.vars == other.vars and len(self.vars) == 1:
-            name = self.vars[0]
-            return _univar(name, _normed(conv(self.scalar_coeffs(name), other.scalar_coeffs(name))))
-        vars, ta, tb = _align(self, other)
-        out = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        out = {e: _cnorm(c) for e, c in out.items()}
-        vars, out = _strip_vars(vars, out)
-        return Poly(vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("Poly exponent must be a non-negative integer")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- display ---------------------------------------------------------
 
@@ -304,6 +196,9 @@ class Poly:
         return "Poly(%s)" % self
 
 
+_ONE = Poly((), {(): 1})
+
+
 def _strip_vars(vars, terms):
     """Drop variables whose exponent is zero in every term."""
     if not vars or not terms:
@@ -321,36 +216,6 @@ def _strip_vars(vars, terms):
     for e, c in terms.items():
         new_terms[tuple(e[i] for i in keep)] = c
     return new_vars, new_terms
-
-
-def _align(a, b):
-    """Common variable tuple plus both term dicts re-indexed onto it."""
-    if a.vars == b.vars:
-        return a.vars, a.terms, b.terms
-    union = tuple(sorted(set(a.vars) | set(b.vars), key=_VAR_INDEX.__getitem__))
-
-    def remap(p):
-        idx = [union.index(v) for v in p.vars]
-        out = {}
-        n = len(union)
-        for e, c in p.terms.items():
-            new = [0] * n
-            for pos, k in zip(idx, e):
-                new[pos] = k
-            out[tuple(new)] = c
-        return out
-
-    return union, remap(a), remap(b)
-
-
-def _univar(name, coeffs):
-    """Trusted polynomial in ``name`` from normalised ascending coefficients."""
-    terms = {(k,): c for k, c in enumerate(coeffs) if c}
-    if not terms:
-        return Poly.zero()
-    if len(terms) == 1 and (0,) in terms:
-        return Poly((), {(): terms[(0,)]})
-    return Poly((name,), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +327,9 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
-        num = Poly._coerce(num)
-        den = Poly._coerce(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise ValidationError("RatFun expects polynomials or rationals")
+    def __init__(self, num, den=_ONE):
+        if not (isinstance(num, Poly) and isinstance(den, Poly)):
+            raise ValidationError("RatFun expects polynomials")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
@@ -474,7 +337,7 @@ class RatFun:
 
     @staticmethod
     def zero():
-        return RatFun(Poly.zero(), Poly.one())
+        return RatFun(Poly((), {}))
 
     @property
     def is_zero(self):
@@ -482,7 +345,7 @@ class RatFun:
 
     @property
     def is_poly(self):
-        return self.den == Poly.one()
+        return self.den == _ONE
 
     def __eq__(self, other):
         if not isinstance(other, RatFun):

@@ -30,9 +30,11 @@ multiplicities, has a zero numerator, so comparing needs no gcd either.
 ``ratfun`` is the one reduction (``tamagawa.ss_mass`` memoizes it): it
 divides N exactly by the cyclotomic factors that the vector names, Phi_m(t)
 with m | 2c for Betti and Phi_m(uv) on every graded piece for Hodge, and
-returns the canonical ``RatFun``, unused variables stripped.  An element
-mixes only with ints and with elements of its own field; anything else is a
-``TypeError``.
+returns the canonical ``RatFun``, unused variables stripped.  ``from_poly``
+goes the other way for a ``Poly`` in t (Betti) or u, v (Hodge), term by
+term, so a polynomial is compared with an element in this arithmetic.  An
+element mixes only with ints and with elements of its own field; anything
+else is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
+from .errors import ValidationError
 from .exactalg import (Poly, RatFun, _strip_vars, add_into, conv, divexact, over_one_minus,
                        times_one_minus)
 
@@ -71,6 +74,15 @@ class Factored:
     def geom(cls, c):
         """1 / (1 - q^c), c >= 1."""
         return cls(0, {0: [1]}, (0,) * (c - 1) + (1,))
+
+    @classmethod
+    def from_poly(cls, poly):
+        """The element of a ``Poly`` in the field's variables, each term
+        mapped by ``_grade`` to its grade and q-exponent."""
+        if not set(poly.vars) <= set(cls.VARS):
+            raise ValidationError("%s is not a polynomial in %s" % (poly, ", ".join(cls.VARS)))
+        return cls._from_terms({cls._grade(dict(zip(poly.vars, e))): c
+                                for e, c in poly.terms.items()})
 
     @classmethod
     def _from_terms(cls, terms):
@@ -177,6 +189,13 @@ class BettiFactored(Factored):
     """Betti field element, q = t^2: grades x_0 = 1 and x_1 = t."""
 
     __slots__ = ()
+    VARS = ("t",)
+
+    @staticmethod
+    def _grade(exps):
+        # t^j = x_(j mod 2) q^(j // 2)
+        j = exps.get("t", 0)
+        return j % 2, j // 2
 
     @staticmethod
     def _offset(s):
@@ -216,6 +235,13 @@ class HodgeFactored(Factored):
     """Hodge field element, q = u v: grades x_s = u^s (s >= 0), v^-s (s < 0)."""
 
     __slots__ = ()
+    VARS = ("u", "v")
+
+    @staticmethod
+    def _grade(exps):
+        # u^a v^b = x_(a-b) q^min(a, b)
+        a, b = exps.get("u", 0), exps.get("v", 0)
+        return a - b, min(a, b)
 
     @staticmethod
     def _offset(s):

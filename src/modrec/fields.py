@@ -26,8 +26,9 @@ class SpecializationField:
     (``factored.BettiFactored`` and ``HodgeFactored``): an integer Laurent
     numerator over a product of factors (1 - q^c), which every value of the
     mass programme has, so their sums, products and equality tests need no
-    gcd; they mix only with ints and elements of the same field, and
-    ``reduce`` turns one into the canonical ``RatFun``, an output form.
+    gcd; they mix only with ints and elements of the same field.
+    ``reduce`` turns one into the canonical ``RatFun``, an output form, and
+    ``element`` maps a ``Poly`` back into the field.
     Every field answers the same calls: ``q_power``, ``geom``, ``P_power``,
     ``P_one``, ``zeta`` and ``reduce``, and its elements mix with the int
     literals 0 and 1, so the arithmetic recursion is written once for every
@@ -117,6 +118,10 @@ class SpecializationField:
             self._zeta[i] = (self.P_power(-i) * self.q_power(2 * i - 1)
                              * self.geom(i) * self.geom(i - 1))
         return self._zeta[i]
+
+    def element(self, poly):
+        """A ``Poly`` in t (Betti) or u, v (Hodge) as an element of the field."""
+        return self._kind.from_poly(poly)
 
     def reduce(self, value):
         """The canonical form of a field element: itself in numeric mode, the

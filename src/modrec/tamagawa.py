@@ -139,10 +139,10 @@ def ss_mass(n, d, field):
 
 def matches_moduli_polynomial(mass, poly, field):
     """True when (q - 1) mass equals the polynomial ``poly``, for a reduced
-    Betti or Hodge mass N / D: the sides are cross-multiplied,
+    Betti or Hodge mass N / D: the sides are cross-multiplied in the field,
     N (q - 1) == poly D, so the comparison needs no gcd."""
-    q = field.reduce(field.q).num
-    return mass.num * (q - 1) == poly * mass.den
+    element = field.element
+    return element(mass.num) * (field.q - 1) == element(poly) * element(mass.den)
 
 
 def stratum_mass(parts, field):

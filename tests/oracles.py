@@ -1,5 +1,12 @@
 """Slow reference paths that the production code replaced, kept for tests.
 
+* ``ArithPoly`` is ``exactalg.Poly`` with the ring arithmetic it had before
+  it became an output form: + - * and powers, the ``zero``, ``one``,
+  ``const`` and ``var`` constructors and the variable alignment they run
+  on.  ``ReducingRatFun`` and the tests build their polynomials with it; a
+  production ``Poly`` mixes with it on either side.  Production code
+  compares a polynomial with a Betti or Hodge value by mapping it into the
+  field (``SpecializationField.element``) and comparing there.
 * ``ReducingRatFun`` is ``exactalg.RatFun`` with the gcd-reducing
   constructor and the + - * /, powers and substitution it had before the
   Betti and Hodge values became ``factored`` elements; ``coefficient``,
@@ -97,8 +104,8 @@ from math import gcd as _int_gcd
 
 from modrec.curve import _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
-from modrec.exactalg import (Poly, RatFun, Series, _all_int, _check_var, _cnorm, _strip_vars,
-                             divexact)
+from modrec.exactalg import (VARIABLES, Poly, RatFun, Series, _all_int, _as_coeff, _check_var,
+                             _cnorm, _normed, _strip_vars, conv, divexact)
 from modrec.errors import ValidationError
 from modrec.fields import SpecializationField
 from modrec.hn import codim
@@ -106,6 +113,173 @@ from modrec.kirwan import Stratum, strata
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
 from modrec.yangmills import moduli_poincare
+
+
+# ---------------------------------------------------------------------------
+# Poly arithmetic
+# ---------------------------------------------------------------------------
+
+_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
+
+
+class ArithPoly(Poly):
+    """``exactalg.Poly`` with the ring arithmetic it had before it became an
+    output form: + - * and powers, and the constructors ``zero``, ``one``,
+    ``const`` and ``var``.  Every operand goes through ``of``, so a
+    production polynomial mixes with these on either side."""
+
+    __slots__ = ()
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def zero():
+        return ArithPoly((), {})
+
+    @staticmethod
+    def one():
+        return ArithPoly.const(1)
+
+    @staticmethod
+    def const(c):
+        c = _as_coeff(c)
+        if not c:
+            return ArithPoly.zero()
+        return ArithPoly((), {(): c})
+
+    @staticmethod
+    def var(name):
+        _check_var(name)
+        return ArithPoly((name,), {(1,): 1})
+
+    @staticmethod
+    def of(value):
+        """value as an ``ArithPoly``: a ``Poly`` keeps its terms, a rational
+        is a constant, anything else is ``NotImplemented``."""
+        if isinstance(value, ArithPoly):
+            return value
+        if isinstance(value, Poly):
+            return ArithPoly(value.vars, value.terms)
+        if isinstance(value, (int, Fraction)):
+            return ArithPoly.const(value)
+        return NotImplemented
+
+    @property
+    def is_const(self):
+        return not self.vars
+
+    def __eq__(self, other):
+        other = ArithPoly.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
+
+    __hash__ = Poly.__hash__
+
+    def __bool__(self):
+        return not self.is_zero
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __neg__(self):
+        return ArithPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __add__(self, other):
+        other = ArithPoly.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        vars, ta, tb = _align(self, other)
+        out = dict(ta)
+        for e, c in tb.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = _cnorm(s)
+            else:
+                out.pop(e, None)
+        vars, out = _strip_vars(vars, out)
+        return ArithPoly(vars, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = ArithPoly.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = ArithPoly.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = ArithPoly.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return ArithPoly.zero()
+        if self.is_const:
+            c = self.terms[()]
+            return ArithPoly(other.vars, {e: _cnorm(c * v) for e, v in other.terms.items()})
+        if other.is_const:
+            c = other.terms[()]
+            return ArithPoly(self.vars, {e: _cnorm(c * v) for e, v in self.terms.items()})
+        if self.vars == other.vars and len(self.vars) == 1:
+            name = self.vars[0]
+            return ArithPoly.univariate(
+                name, _normed(conv(self.scalar_coeffs(name), other.scalar_coeffs(name))))
+        vars, ta, tb = _align(self, other)
+        out = {}
+        for ea, ca in ta.items():
+            for eb, cb in tb.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                s = out.get(e, 0) + ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        out = {e: _cnorm(c) for e, c in out.items()}
+        vars, out = _strip_vars(vars, out)
+        return ArithPoly(vars, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValidationError("Poly exponent must be a non-negative integer")
+        result = ArithPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+
+def _align(a, b):
+    """Common variable tuple plus both term dicts re-indexed onto it."""
+    if a.vars == b.vars:
+        return a.vars, a.terms, b.terms
+    union = tuple(sorted(set(a.vars) | set(b.vars), key=_VAR_INDEX.__getitem__))
+
+    def remap(p):
+        idx = [union.index(v) for v in p.vars]
+        out = {}
+        n = len(union)
+        for e, c in p.terms.items():
+            new = [0] * n
+            for pos, k in zip(idx, e):
+                new[pos] = k
+            out[tuple(new)] = c
+        return out
+
+    return union, remap(a), remap(b)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +345,18 @@ def poly_gcd(a, b):
     pair raises ``ValidationError``.
     """
     if a.is_zero and b.is_zero:
-        return Poly.zero()
+        return ArithPoly.zero()
     if a.is_zero:
         return scaled(b, 1 / signed_content(b))
     if b.is_zero:
         return scaled(a, 1 / signed_content(a))
     if a.is_const or b.is_const:
-        return Poly.one()
+        return ArithPoly.one()
     union = set(a.vars) | set(b.vars)
     if len(union) > 1:
         raise ValidationError("multivariate gcd is not supported: %s and %s" % (a, b))
     name = a.vars[0]
-    return Poly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
+    return ArithPoly.univariate(name, _gcd_univar(a.scalar_coeffs(name), b.scalar_coeffs(name)))
 
 
 def poly_divexact(a, b):
@@ -191,7 +365,7 @@ def poly_divexact(a, b):
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
-        return Poly.zero()
+        return ArithPoly.zero()
     if b.is_const:
         return scaled(a, Fraction(1) / Fraction(b.terms[()]))
     union = set(a.vars) | set(b.vars)
@@ -201,7 +375,7 @@ def poly_divexact(a, b):
     quot = divexact(a.scalar_coeffs(name), b.scalar_coeffs(name))
     if quot is None:
         raise ValidationError("non-exact polynomial division")
-    return Poly.univariate(name, quot)
+    return ArithPoly.univariate(name, quot)
 
 
 
@@ -220,7 +394,7 @@ def coefficient(p, name, k):
     """Coefficient of ``name**k`` in p as a Poly in the remaining variables."""
     _check_var(name)
     if name not in p.vars:
-        return p if k == 0 else Poly.zero()
+        return p if k == 0 else ArithPoly.zero()
     i = p.vars.index(name)
     rest = p.vars[:i] + p.vars[i + 1:]
     terms = {}
@@ -228,29 +402,29 @@ def coefficient(p, name, k):
         if e[i] == k:
             terms[e[:i] + e[i + 1:]] = c
     if not terms:
-        return Poly.zero()
+        return ArithPoly.zero()
     rest, terms = _strip_vars(rest, terms)
-    return Poly(rest, terms)
+    return ArithPoly(rest, terms)
 
 
 def substitute(p, bindings):
-    """Substitute polynomials (or scalars) for variables of p; returns a Poly."""
+    """Substitute polynomials (or scalars) for variables of p; returns a ArithPoly."""
     bound = {}
     for name, value in bindings.items():
         _check_var(name)
-        value = Poly._coerce(value)
+        value = ArithPoly.of(value)
         if value is NotImplemented:
             raise ValidationError("binding for %s is not a polynomial" % name)
         bound[name] = value
     if not any(v in bound for v in p.vars):
         return p
-    result = Poly.zero()
-    powers = {name: {0: Poly.one()} for name in p.vars}
+    result = ArithPoly.zero()
+    powers = {name: {0: ArithPoly.one()} for name in p.vars}
 
     def _power(name, k):
         cache = powers[name]
         if k not in cache:
-            base = bound.get(name, Poly.var(name))
+            base = bound.get(name, ArithPoly.var(name))
             best = max(i for i in cache if i <= k)
             acc = cache[best]
             for i in range(best, k):
@@ -259,7 +433,7 @@ def substitute(p, bindings):
         return cache[k]
 
     for e, c in p.terms.items():
-        term = Poly.const(c)
+        term = ArithPoly.const(c)
         for name, k in zip(p.vars, e):
             if k:
                 term = term * _power(name, k)
@@ -269,7 +443,7 @@ def substitute(p, bindings):
 
 def evaluate(p, bindings):
     """p with every variable bound to a rational; returns a Fraction."""
-    return substitute(p, {k: Poly.const(v) for k, v in bindings.items()}).const_value()
+    return substitute(p, {k: ArithPoly.const(v) for k, v in bindings.items()}).const_value()
 
 
 def signed_content(p):
@@ -296,8 +470,8 @@ def scaled(p, factor):
     """p times the rational factor."""
     factor = Fraction(factor)
     if factor == 0:
-        return Poly.zero()
-    return Poly(p.vars, {e: _cnorm(c * factor) for e, c in p.terms.items()})
+        return ArithPoly.zero()
+    return ArithPoly(p.vars, {e: _cnorm(c * factor) for e, c in p.terms.items()})
 
 
 class ReducingRatFun(RatFun):
@@ -318,21 +492,24 @@ class ReducingRatFun(RatFun):
     __slots__ = ()
 
     def __init__(self, num, den=1, *, _reduced=False):
+        num, den = ArithPoly.of(num), ArithPoly.of(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise ValidationError("RatFun expects polynomials or rationals")
         super().__init__(num, den)
         if not _reduced:
             self.num, self.den = _reduce(self.num, self.den)
 
     @staticmethod
     def zero():
-        return ReducingRatFun(Poly.zero(), Poly.one(), _reduced=True)
+        return ReducingRatFun(ArithPoly.zero(), ArithPoly.one(), _reduced=True)
 
     @staticmethod
     def one():
-        return ReducingRatFun(Poly.one(), Poly.one(), _reduced=True)
+        return ReducingRatFun(ArithPoly.one(), ArithPoly.one(), _reduced=True)
 
     @staticmethod
     def var(name):
-        return ReducingRatFun(Poly.var(name), Poly.one(), _reduced=True)
+        return ReducingRatFun(ArithPoly.var(name), ArithPoly.one(), _reduced=True)
 
     @staticmethod
     def of(value):
@@ -341,10 +518,10 @@ class ReducingRatFun(RatFun):
             return value
         if isinstance(value, RatFun):
             return ReducingRatFun(value.num, value.den, _reduced=True)
-        p = Poly._coerce(value)
+        p = ArithPoly.of(value)
         if p is NotImplemented:
             return NotImplemented
-        return ReducingRatFun(p, Poly.one(), _reduced=True)
+        return ReducingRatFun(p, ArithPoly.one(), _reduced=True)
 
     def as_poly(self):
         if not self.is_poly:
@@ -471,7 +648,7 @@ class ReducingRatFun(RatFun):
 
 def _reduce(num, den):
     if num.is_zero:
-        return Poly.zero(), Poly.one()
+        return ArithPoly.zero(), ArithPoly.one()
     g = poly_gcd(num, den)
     if not g.is_const:
         num = poly_divexact(num, g)
@@ -790,8 +967,8 @@ class RatFunField:
 
     def __init__(self, mode, genus):
         self.mode, self.genus = mode, genus
-        self.q = ReducingRatFun(Poly.var("t") ** 2 if mode == SpecializationField.BETTI
-                                else Poly.var("u") * Poly.var("v"))
+        self.q = ReducingRatFun(ArithPoly.var("t") ** 2 if mode == SpecializationField.BETTI
+                                else ArithPoly.var("u") * ArithPoly.var("v"))
         self._qpow, self._zeta, self._P_one = {}, {}, None
         self.total_cache = {}
 
@@ -916,15 +1093,15 @@ def gcd_graded(a, b):
         h = [1]
     terms = {(mu + k, mv + k): c for k, c in enumerate(h) if c}
     vars, terms = _strip_vars(("u", "v"), terms)
-    return Poly(vars, terms)
+    return ArithPoly(vars, terms)
 
 
 def divexact_sparse(a, b, main):
     """Division by leading terms in ``main``, recursing on their coefficients."""
     db = b.degree(main)
     lb = coefficient(b, main, db)
-    v = Poly.var(main)
-    quot = Poly.zero()
+    v = ArithPoly.var(main)
+    quot = ArithPoly.zero()
     r = a
     while not r.is_zero and r.degree(main) >= db:
         dr = r.degree(main)
@@ -1006,9 +1183,9 @@ def torsion_vectors(n, e):
 
 def div_poincare_by_cells(n, e, g):
     """Betti polynomial of the matrix divisor space, one torus cell at a time."""
-    total = Poly.zero()
+    total = ArithPoly.zero()
     for vec in torsion_vectors(n, e):
-        term = Poly.var("t") ** (2 * sum(i * di for i, di in enumerate(vec)))
+        term = ArithPoly.var("t") ** (2 * sum(i * di for i, di in enumerate(vec)))
         for di in vec:
             term = term * sym_poincare(g, di)
         total = total + term
@@ -1044,9 +1221,9 @@ def series_expand(f, var, order):
 
 def zeta_Z(curve):
     """Z(t) = P(t) / ((1 - t)(1 - q t)) as an exact rational function."""
-    t = Poly.var("t")
-    return ReducingRatFun(Poly.univariate("t", curve.coefficients()),
-                          (Poly.one() - t) * (Poly.one() - curve.q * t))
+    t = ArithPoly.var("t")
+    return ReducingRatFun(ArithPoly.univariate("t", curve.coefficients()),
+                          (ArithPoly.one() - t) * (ArithPoly.one() - curve.q * t))
 
 
 def sym_count_by_zeta(curve, n):
@@ -1063,11 +1240,11 @@ def sym_poincare_by_loop(g, n):
         for b in range(0, n - i + 1):
             k = i + 2 * b
             terms[k] = terms.get(k, 0) + c
-    return Poly.univariate("t", [terms.get(k, 0) for k in range(2 * n + 1)])
+    return ArithPoly.univariate("t", [terms.get(k, 0) for k in range(2 * n + 1)])
 
 
 def _proj_poincare(dim):
-    return Poly.univariate("t", [1, 0] * dim + [1])
+    return ArithPoly.univariate("t", [1, 0] * dim + [1])
 
 
 def strata_by_rescan(ws):
@@ -1087,8 +1264,8 @@ def strata_by_rescan(ws):
 
 def bb_total_by_polys(ws):
     """P_t(P^N) as the sum of the shifted fixed-point pieces, in ``Poly``."""
-    t = Poly.var("t")
-    acc = Poly.zero()
+    t = ArithPoly.var("t")
+    acc = ArithPoly.zero()
     for value in sorted(set(ws.weights)):
         below = sum(1 for x in ws.weights if x < value)
         acc = acc + t ** (2 * below) * _proj_poincare(ws.multiplicity(value) - 1)
@@ -1101,15 +1278,15 @@ def perfection_by_ratfun(ws):
     """(series, polynomial part, periodic tail) of the perfection identity:
     the semistable series as a reduced ``RatFun`` over 1 - t^2, split as
     Q + R / (1 - t^2) with deg R < 2 by multiplying the reduced form back."""
-    t = Poly.var("t")
-    one = Poly.one()
+    t = ArithPoly.var("t")
+    one = ArithPoly.one()
     num = _proj_poincare(ws.dim)
     for s in strata(ws):
         if s.beta != 0:
             num = num - t ** (2 * s.codim) * _proj_poincare(s.fixed_dim)
     ss = ReducingRatFun(num, one - t ** 2)
     if ss.is_poly:
-        return ss, ss.num, Poly.zero()
+        return ss, ss.num, ArithPoly.zero()
     scaled = ss * ReducingRatFun(one - t ** 2)
     if not scaled.is_poly:
         raise InvariantViolation("denominator does not divide 1 - t^2")
@@ -1121,10 +1298,10 @@ def perfection_by_ratfun(ws):
             q[k - 2] += -c
             rem[k] = 0
             rem[k - 2] += c
-    return ss, Poly.univariate("t", q), Poly.univariate("t", rem[:2])
+    return ss, ArithPoly.univariate("t", q), ArithPoly.univariate("t", rem[:2])
 
 
 def fixed_determinant_by_ratfun(n, d, g):
     """The moduli polynomial over (1 + t)^(2g), reduced as a ``RatFun``."""
-    jac = (Poly.one() + Poly.var("t")) ** (2 * g)
+    jac = (ArithPoly.one() + ArithPoly.var("t")) ** (2 * g)
     return ReducingRatFun(moduli_poincare(n, d, g), jac).as_poly()

@@ -251,9 +251,10 @@ def test_crosscheck_mismatch_exits_two(capsys, monkeypatch):
     # the mismatch documented, not as an exception; the handler imports
     # ss_mass when it runs, so patching the library module reaches it
     import modrec.tamagawa as tamagawa_mod
-    from modrec.exactalg import RatFun
+    from modrec.exactalg import Poly, RatFun
 
-    monkeypatch.setattr(tamagawa_mod, "ss_mass", lambda n, d, field: RatFun(1))
+    one = RatFun(Poly.univariate("t", [1]))
+    monkeypatch.setattr(tamagawa_mod, "ss_mass", lambda n, d, field: one)
     status, out, _ = run_cli(capsys, "crosscheck", "--n", "2", "--d", "1", "--g", "2")
     assert status == 2
     assert json.loads(out) == {"match": False}

@@ -30,13 +30,12 @@ from modrec.curve import (
     zeta_from_counts,
 )
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly
 from modrec.symprod import sym_count
 
-from oracles import (ReducingRatFun, count_by_tables_per_element, exp_log_by_digit_walk,
-                     poly_divexact, poly_gcd, sym_count_by_zeta)
+from oracles import (ArithPoly, ReducingRatFun, count_by_tables_per_element,
+                     exp_log_by_digit_walk, poly_divexact, poly_gcd, sym_count_by_zeta)
 
-T = Poly.var("t")
+T = ArithPoly.var("t")
 
 MODEL_F2 = HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,))  # y^2+y = x^5
 MODEL_F3 = HyperellipticModel(p=3, k=1, f=(1, 0, 0, 0, 0, 1), h=())    # y^2 = x^5+1
@@ -470,7 +469,7 @@ def test_zeta_value_numeric():
 def test_zeta_value_betti():
     F = SpecializationField.betti(2)
     z = F.reduce(F.zeta(2))
-    expected = ReducingRatFun((Poly.one() + T ** 3) ** 4,
+    expected = ReducingRatFun((ArithPoly.one() + T ** 3) ** 4,
                       T ** 6 * (T ** 4 - 1) * (T ** 2 - 1))
     assert z == expected
     # numeric spot check at t = 1/2 against direct evaluation
@@ -572,8 +571,8 @@ def _primitive(a):
 
 def _squarefree_by_gcd(V):
     derivative = [k * c for k, c in enumerate(V)][1:]
-    V = Poly.univariate("t", V)
-    return poly_divexact(V, poly_gcd(V, Poly.univariate("t", derivative))).scalar_coeffs("t")
+    V = ArithPoly.univariate("t", V)
+    return poly_divexact(V, poly_gcd(V, ArithPoly.univariate("t", derivative))).scalar_coeffs("t")
 
 
 def test_squarefree_part_matches_the_gcd_oracle():

@@ -7,8 +7,13 @@ import random
 from fractions import Fraction
 from math import comb
 
-from modrec.exactalg import Poly, RatFun, conv, divexact, over_one_minus, times_one_minus
+import pytest
+
+from modrec.errors import ValidationError
+from modrec.exactalg import RatFun, conv, divexact, over_one_minus, times_one_minus
 from modrec.factored import BettiFactored, HodgeFactored, _phi_product, cyclotomic
+
+from oracles import ArithPoly
 
 
 def schoolbook(a, b):
@@ -121,14 +126,20 @@ def test_ratfun_parts_carry_only_the_variables_they_use():
     # structural equality with the named constructors rests on that
     three = BettiFactored.monomial(0, 3).ratfun()
     assert _form(three.num) == ((), {(): 3}) and _form(three.den) == ((), {(): 1})
-    assert three == RatFun(3)
+    assert three == RatFun(ArithPoly.const(3))
     assert _form(BettiFactored(0, {1: [1]}).ratfun().num) == (("t",), {(1,): 1})
     geom = HodgeFactored.geom(1).ratfun()  # 1 / (1 - uv) = -1 / (uv - 1)
     assert _form(geom.num) == ((), {(): -1})
     assert _form(geom.den) == (("u", "v"), {(0, 0): -1, (1, 1): 1})
     u = HodgeFactored(0, {1: [1]}).ratfun()
     assert _form(u.num) == (("u",), {(1,): 1}) and _form(u.den) == ((), {(): 1})
-    assert u == RatFun(Poly.var("u"))
-    v_over = (HodgeFactored(0, {-1: [1]}) * HodgeFactored.geom(2)).ratfun()
-    assert v_over.num == Poly.var("v") * -1
+    assert u == RatFun(ArithPoly.var("u"))
+    value = HodgeFactored(0, {-1: [1]}) * HodgeFactored.geom(2)
+    v_over = value.ratfun()
+    assert v_over.num == ArithPoly.var("v") * -1
     assert v_over.den.vars == ("u", "v")
+    # from_poly maps the parts N / D back term by term: N == value D
+    assert HodgeFactored.from_poly(v_over.num) == value * HodgeFactored.from_poly(v_over.den)
+    assert BettiFactored.from_poly(three.num) == 3
+    with pytest.raises(ValidationError):  # a polynomial in the field's variables only
+        BettiFactored.from_poly(u.num)

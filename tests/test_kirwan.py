@@ -27,6 +27,7 @@ from modrec.kirwan import (
 )
 
 from oracles import (
+    ArithPoly,
     ReducingRatFun,
     bb_total_by_polys,
     perfection_by_ratfun,
@@ -34,13 +35,13 @@ from oracles import (
     strata_by_rescan,
 )
 
-T = Poly.var("t")
+T = ArithPoly.var("t")
 
 
 def quotient_count_oracle(weights):
     """((q^{N+1}-1) - (q^a - 1) - (q^b - 1)) / (q-1)^2 at q = t^2."""
     q = T ** 2
-    one = Poly.one()
+    one = ArithPoly.one()
     a = sum(1 for w in weights if w > 0)
     b = sum(1 for w in weights if w < 0)
     N1 = len(weights)
@@ -64,13 +65,13 @@ def test_strata_examples():
 def test_bb_examples():
     assert bb_decomposition(WeightSystem((0, 0, 0))).match
     report = bb_decomposition(WeightSystem((-1, 1)))
-    assert report.total == Poly.one() + T ** 2
+    assert report.total == ArithPoly.one() + T ** 2
     assert bb_decomposition(WeightSystem((1, 1, -1, -1))).match
 
 
 def test_perfection_examples():
     r = perfection_check(WeightSystem((-1, 1)))
-    assert r.is_polynomial and r.polynomial_part == Poly.one()
+    assert r.is_polynomial and r.polynomial_part == ArithPoly.one()
 
     r = perfection_check(WeightSystem((1, 1, -1, -1)))
     assert r.is_polynomial
@@ -88,7 +89,7 @@ def test_perfection_requires_semistable_points():
 
 
 def test_quotient_examples():
-    assert quotient_poincare(WeightSystem((-1, 1))) == Poly.one()
+    assert quotient_poincare(WeightSystem((-1, 1))) == ArithPoly.one()
     assert quotient_poincare(WeightSystem((1, 1, -1, -1))) == Poly.univariate("t", [1, 0, 2, 0, 1])
 
 
@@ -106,7 +107,7 @@ def test_quotient_against_count_oracle():
 ])
 def test_quotient_identity_checks_fire(coeffs, message, capsys, monkeypatch):
     report = PerfectionReport(numerator=(1,), polynomial_part=Poly.univariate("t", coeffs),
-                              periodic_tail=Poly.zero(), is_polynomial=True)
+                              periodic_tail=ArithPoly.zero(), is_polynomial=True)
     monkeypatch.setattr(kirwan, "perfection_check", lambda ws: report)
     with pytest.raises(InvariantViolation, match="^%s$" % message):
         quotient_poincare(WeightSystem((1, 1, -1, -1)))

@@ -21,7 +21,7 @@ from modrec import acceptance, cli
 from modrec.cli import load_curve
 from modrec.curve import CurveData, HyperellipticModel, zeta_from_counts
 from modrec.errors import ValidationError
-from modrec.exactalg import Poly, RatFun
+from modrec.exactalg import Poly, RatFun, _strip_vars
 from modrec.fields import SpecializationField
 from modrec.hn import codim, enumerate_types
 from modrec.tamagawa import (
@@ -41,6 +41,7 @@ from modrec.tamagawa import (
 from modrec.yangmills import classifying_series, moduli_poincare
 
 from oracles import (
+    ArithPoly,
     ConeSum,
     ConstantRatFunField,
     RatFunField,
@@ -55,7 +56,7 @@ from oracles import (
     zagier_sum_by_prefix_tree,
 )
 
-T = Poly.var("t")
+T = ArithPoly.var("t")
 
 MODEL_F2 = HyperellipticModel(p=2, k=1, f=(0, 0, 0, 0, 0, 1), h=(1,))
 
@@ -336,6 +337,39 @@ def test_closed_form_betti_rank_five_and_six():
     for n, d, g in cases:
         F = fields[g]
         assert matches_moduli_polynomial(ss_mass(n, d, F), moduli_poincare(n, d, g), F), (n, d, g)
+    # and no wrong polynomial matches, every coprime (n, d) to rank 5 at g = 2
+    # and to rank 3 at g = 3
+    for g, top in ((2, 5), (3, 3)):
+        for n in range(1, top + 1):
+            for d in (d for d in range(n) if gcd(n, d) == 1):
+                poly = moduli_poincare(n, d, g)
+                spots = [(k,) for k in range(poly.degree("t") + 1)]
+                _assert_only_the_polynomial_matches(
+                    ss_mass(n, d, fields[g]), poly, fields[g], spots, [(poly.degree("t") + 1,)])
+
+
+def _bumped(p, e, c):
+    """p plus c times the monomial of exponent tuple e (in p's variables)."""
+    terms = dict(p.terms)
+    terms[e] = terms.get(e, 0) + c
+    if not terms[e]:
+        del terms[e]
+    return Poly(*_strip_vars(p.vars, terms))
+
+
+def _assert_only_the_polynomial_matches(mass, poly, F, spots, past):
+    """``poly`` matches ``mass``, and a +-1 change at each exponent in
+    ``spots``, a term at each exponent in ``past`` (one degree past the
+    top) and a +-1 change in the mass numerator's constant term do not."""
+    assert matches_moduli_polynomial(mass, poly, F)
+    for e in spots:
+        for c in (1, -1):
+            assert not matches_moduli_polynomial(mass, _bumped(poly, e, c), F), (e, c)
+    for e in past:
+        assert not matches_moduli_polynomial(mass, _bumped(poly, e, 1), F), e
+    for c in (1, -1):
+        num = _bumped(mass.num, (0,) * len(mass.num.vars), c)
+        assert not matches_moduli_polynomial(RatFun(num, mass.den), poly, F), c
 
 
 def test_fixed_determinant_counts_integral_to_rank_nine():
@@ -433,7 +467,7 @@ def test_mass_programme_makes_no_gcd(monkeypatch, mode):
                 assert not calls, (n, d)
                 assert F.reduce(value) == ss_mass(n, d, F)
     assert not calls
-    ReducingRatFun(1, Poly.one() - T) + ReducingRatFun(1, Poly.one() - T ** 2)
+    ReducingRatFun(1, ArithPoly.one() - T) + ReducingRatFun(1, ArithPoly.one() - T ** 2)
     assert calls  # while the reducing RatFun's arithmetic does reach the wrapper
 
 
@@ -471,7 +505,7 @@ def test_cross_checks_make_no_gcd(monkeypatch, capsys, name):
     assert not calls, name
     if name == "crosscheck":
         assert result == 0 and capsys.readouterr().out == '{"match": true}\n'
-    ReducingRatFun(1, Poly.one() - T) + ReducingRatFun(1, Poly.one() - T ** 2)
+    ReducingRatFun(1, ArithPoly.one() - T) + ReducingRatFun(1, ArithPoly.one() - T ** 2)
     assert calls  # while the reducing RatFun's arithmetic is counted
 
 
@@ -488,14 +522,15 @@ def test_hodge_mass_gives_the_hodge_polynomial(n, d, g):
     # Poincare polynomial of the gauge recursion at u = v = t
     F = SpecializationField.hodge(g)
     mass = ss_mass(n, d, F)
-    u, v = Poly.var("u"), Poly.var("v")
+    u, v = ArithPoly.var("u"), ArithPoly.var("v")
     assert mass.den == u * v - 1
     E = mass.num
-    assert matches_moduli_polynomial(mass, E, F)
+    D = n * n * (g - 1) + 1
+    spots = [(a, b) for a in range(D + 1) for b in range(D + 1)]
+    _assert_only_the_polynomial_matches(mass, E, F, spots, [(D + 1, D), (D, D + 1)])
     assert not matches_moduli_polynomial(mass, E + u, F)
     terms = E.terms
     assert E.vars == ("u", "v") and all(type(c) is int and c > 0 for c in terms.values())
-    D = n * n * (g - 1) + 1
     assert all(terms.get((D - a, D - b)) == c for (a, b), c in terms.items())
     assert all(terms.get((b, a)) == c for (a, b), c in terms.items())
     betti = [0] * (2 * D + 1)
@@ -540,7 +575,7 @@ def test_fraction_field_matches_constant_ratfun_field(config):
     assert isinstance(ss_mass(3, 1, oracle), RatFun)
     for n in range(1, 9):
         for d in range(-1, 2 * n):
-            assert RatFun(ss_mass(n, d, F)) == ss_mass(n, d, oracle), (n, d)
+            assert RatFun(ArithPoly.const(ss_mass(n, d, F))) == ss_mass(n, d, oracle), (n, d)
     for n in range(1, 7):
         for d in (0, 1):
             for max_codim in (3, 20):

@@ -19,10 +19,10 @@ from modrec.yangmills import (
     ss_equivariant_series,
 )
 
-from oracles import ReducingRatFun, evaluate, fixed_determinant_by_ratfun, series_expand
+from oracles import ArithPoly, ReducingRatFun, evaluate, fixed_determinant_by_ratfun, series_expand
 
-T = Poly.var("t")
-ONE = Poly.one()
+T = ArithPoly.var("t")
+ONE = ArithPoly.one()
 
 
 def rank2_closed_form(g):
