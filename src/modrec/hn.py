@@ -7,31 +7,23 @@ instability stratification.  Two integer-linear forms drive everything:
     codim(mu)         = sum_{l>j} (n_l d_j - n_j d_l + n_l n_j (g-1))
     mass_exponent(mu) = sum_{i<j} (n_i d_j - n_j d_i + n_i n_j (g-1))
 
-whose sum is 2(g-1) sum_{i<j} n_i n_j.  In the prefix ranks
-S_k = n_1 + ... + n_k and prefix degrees D_k = d_1 + ... + d_k, with
-c_k = n D_k - S_k d, the codimension is
+whose sum is 2(g-1) sum_{i<j} n_i n_j.  A nontrivial type splits into its
+first part (n_1, d_1), the maximal destabilising subbundle, and a type of
+(n - n_1, d - d_1) whose first slope is below d_1/n_1, and the codimension
+is additive across the split:
 
-    n codim(mu) = n (g-1) sum_{i<j} n_i n_j + sum_{k<r} (n_k + n_{k+1}) c_k.
+    codim(mu) = n d_1 - n_1 d + n_1 (n - n_1)(g-1) + codim(rest).
 
-Decreasing slopes give c_k >= 1, and c_k = -S_k d mod n, so the least c_k
-is ((-S_k d - 1) mod n) + 1.  Every c_k raises the codimension, which makes
-the bounded enumeration an integer walk over the D_k, finite and complete.
+The first part has slope above d/n, so the rest may be the single part
+(n - n_1, d - d_1), and every first part within the bound is one type.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .errors import InvariantViolation, ValidationError, check_budget, shown
 
-# Most prefix-degree vectors walk_types may test, and most compositions of
-# the rank.  moduli_poincare(n, d, g) walks its top call at
-# min(d mod n, -d mod n), so d and -d are admitted together: (10, d, 2) tests
-# at most 122,787 vectors, (7, d, 5) 108,322, (5, d, 17) 140,170 and
-# (4, d, 47) 149,584, while (11, d, 2) needs at least 359,325, (6, d, 9)
-# 156,075 and (4, d, 48) 158,665.  README.md gives the time of a walk to the
-# limit.
-MAX_LATTICE_POINTS = 150_000
+# Most types one request may walk, over all its walks (README.md).
+MAX_TYPES = 155_000
 
 
 def codim(parts, g):
@@ -69,96 +61,48 @@ def _check_genus(g):
         raise ValidationError("genus must be at least 2")
 
 
-def _compositions_within(n, bound):
-    """(composition, pair sum) for each composition of n whose pair sum
-    sum_{i<j} n_i n_j is at most bound.  A prefix of sum s and pair sum P
-    ends with a pair sum of at least P + s (n - s), so a prefix past the
-    bound is cut with all its extensions."""
-    out = []
+def walk_types(n, d, g, max_codim, what=None, spent=0):
+    """List (codim, parts) for each type of total rank n and degree d with
+    codim <= max_codim, the trivial type first.
 
-    def extend(prefix, s, pairs):
-        if s == n:
-            out.append((prefix, pairs))
-        for part in range(1, n - s + 1):
-            grown = pairs + s * part
-            if grown + (s + part) * (n - s - part) <= bound:
-                extend(prefix + (part,), s + part, grown)
-
-    extend((), 0, 0)
-    return out
-
-
-def walk_types(n, d, g, max_codim):
-    """Yield (codim, parts) for each type of total rank n and degree d with
-    codim <= max_codim, the trivial type first and the rest in walk order.
-
-    Compositions whose rank pairs alone cost more than max_codim are never
-    built.  For each other composition the prefix degrees D_1, ..., D_{r-1}
-    are walked in turn.  D_k is at least floor_k = (least c_k + S_k d) / n,
-    and D_{r-1} = d, so part k + 1 has degree at least
-    floor_{k+1} - D_{k-1} - d_k; below d_k = (floor_{k+1} - D_{k-1}) n_k //
-    (n_k + n_{k+1}) + 1 its slope cannot fall below that of part k.  The
-    walk of d_k starts at the larger of that value and the one that puts c_k
-    at its least.  A step raises c_k by n, so n codim by (n_k + n_{k+1}) n,
-    and raises the slope of part k, so the walk stops at the first value
-    past the codimension budget or with a slope not below that of part
-    k - 1.  The codimension is read from the running cost, (g - 1) pairs +
-    cost / n.  A request that tests more than MAX_LATTICE_POINTS
-    prefix-degree vectors, or has more compositions than that, raises
-    ValidationError.
+    One recursion on the first part: the remaining (N, D) splits off
+    (n_1, d_1) for each n_1 < N, d_1 rising from floor(n_1 D / N) + 1 while
+    the codimension is within the bound and the slope below that of the part
+    before.  Each (n_1, d_1) tried is one type, closed by the single part
+    (N - n_1, D - d_1).  A request's walks share one count: past MAX_TYPES,
+    with ``spent`` types walked before this one, the request named by
+    ``what`` (by default, the codimension bound) is refused.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
     _check_genus(g)
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
-    # 2^(n-1) compositions pass the limit exactly when n - 1 passes its log2,
-    # so no power of n bits is built
+    # a rank n has 2^(n-1) compositions, checked by the log2 of that count so
+    # no power of n bits is built; it also caps the recursion depth
     check_budget("rank %s" % shown(n), "log2 compositions (n - 1)", n - 1,
-                 MAX_LATTICE_POINTS.bit_length() - 1)
-    yield 0, ((n, d),)
-    visited = 0
-    for comp, pairs in _compositions_within(n, max_codim // (g - 1)):
-        r = len(comp)
-        if r < 2:
-            continue
-        budget = n * (max_codim - (g - 1) * pairs)
-        prefix = list(accumulate(comp[:-1]))
-        weights = [comp[k] + comp[k + 1] for k in range(r - 1)]
-        least = [(-s * d - 1) % n + 1 for s in prefix]
-        floor = [(c + s * d) // n for c, s in zip(least, prefix)] + [d]
-        rest = [0] * r  # least cost of the steps from k on
-        for k in range(r - 2, -1, -1):
-            rest[k] = rest[k + 1] + weights[k] * least[k]
-        if rest[0] > budget:
-            continue
-        found = []
+                 MAX_TYPES.bit_length() - 1)
+    if what is None:
+        what = "codimension bound %s" % shown(max_codim)
+    check_budget(what, "types", spent + 1, MAX_TYPES)
+    found = [(0, ((n, d),))]
+    room = MAX_TYPES - spent
 
-        def walk(k, D, last, used, degrees):
-            nonlocal visited
-            if k == r - 1:
-                dk = d - D
-                if last * comp[k] > dk * comp[k - 1]:
-                    found.append(((g - 1) * pairs + used // n, tuple(zip(comp, degrees + [dk]))))
-                return
-            step = weights[k] * n
-            dk = floor[k] - D
-            skipped = max(0, (floor[k + 1] - D) * comp[k] // weights[k] + 1 - dk)
-            cost = used + weights[k] * least[k] + skipped * step
-            dk += skipped
-            while True:
-                visited += 1
-                if visited > MAX_LATTICE_POINTS:
-                    check_budget("codimension bound %s" % shown(max_codim), "lattice points",
-                                 visited, MAX_LATTICE_POINTS)
-                if cost + rest[k + 1] > budget or k and last * comp[k] <= dk * comp[k - 1]:
-                    return
-                walk(k + 1, D + dk, dk, cost, degrees + [dk])
-                cost += step
-                dk += 1
+    def split(prefix, N, D, last_n, last_d, used):
+        for n1 in range(1, N):
+            d1 = n1 * D // N + 1
+            cost = used + N * d1 - n1 * D + n1 * (N - n1) * (g - 1)
+            while cost <= max_codim and d1 * last_n < last_d * n1:
+                head = prefix + ((n1, d1),)
+                found.append((cost, head + ((N - n1, D - d1),)))
+                if len(found) > room:
+                    check_budget(what, "types", spent + len(found), MAX_TYPES)
+                split(head, N - n1, D - d1, n1, d1, cost)
+                d1 += 1
+                cost += N
 
-        walk(0, 0, None, 0, [])
-        yield from found
+    split((), n, d, 0, 1, 0)  # slope 1/0: the first part has no part before
+    return found
 
 
 def enumerate_types(n, d, g, max_codim):

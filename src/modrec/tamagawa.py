@@ -73,6 +73,11 @@ MASS_RANK_LIMIT = {SpecializationField.NUMERIC: 60,
 # slowest admitted masses.
 NUMERIC_MASS_CHARGE = 6 * 10 ** 11
 
+# siegel_check keeps M + 1 levels of Fractions of about M bits(q) bits, and
+# their arithmetic and printing are quadratic in that size, so it is charged
+# (M + 1) (M bits(q))^2, measured over q from 2 to 2^61 - 1 (README.md).
+SIEGEL_CHARGE = 5 * 10 ** 11
+
 
 def _zagier_sum(n, d, field):
     """Closed inversion of the Harder-Narasimhan recursion (Zagier 1996).
@@ -215,12 +220,12 @@ def siegel_check(n, d, field, max_codim):
     The semistable term plus all strata of codimension <= level is compared
     with the zeta-value total for every level up to ``max_codim``; the gaps
     must shrink monotonically and the final gap must sit below a geometric
-    tail bound computed from the ratios actually used.  Types are enumerated
-    before any mass, so a rank that ``hn`` refuses costs nothing, and each
-    stratum is filed under the codimension its walk read off.  The
-    slowest admitted checks, at rank 18, took up to 0.6 s end to end on a
-    2-core x86-64 host (both F_2 curve configs, max_codim 3 and 100, best
-    of 3).
+    tail bound computed from the ratios actually used.  Types are enumerated,
+    and the levels charged against SIEGEL_CHARGE, before any mass.  A
+    stratum's mass is q^(2 (g-1) sum_{i<j} n_i n_j - codim) times the masses
+    of its parts, so each tuple of part keys (n_i, d_i mod n_i) gets one
+    weight, and each level, the codimension the walk read off, sums the
+    weights of its strata over q^level.  README.md times the slowest checks.
     """
     from .hn import enumerate_types
 
@@ -228,12 +233,23 @@ def siegel_check(n, d, field, max_codim):
     if max_codim < 0:
         raise ValidationError("codimension bound must be >= 0")
     types = enumerate_types(n, d, field.genus, max_codim)
+    size = max_codim * field.curve.q.bit_length()
+    check_budget("codimension bound %s at rank %s over q = %s"
+                 % (shown(max_codim), shown(n), shown(field.curve.q)),
+                 "(M + 1) (M bits(q))^2", (max_codim + 1) * size * size, SIEGEL_CHARGE)
     total = total_mass(n, field)
     beta = ss_mass(n, d, field)
-    level_mass = {}
-    for c, parts in types:
-        if len(parts) > 1:
-            level_mass[c] = level_mass.get(c, 0) + stratum_mass(parts, field)
+    weights, sums = {}, {}
+    for c, parts in types[1:]:  # types[0] is the trivial type, alone at codim 0
+        keys = tuple(sorted((nj, dj % nj) for nj, dj in parts))
+        if keys not in weights:
+            pairs = sum(a * b for i, (a, _) in enumerate(keys) for b, _ in keys[i + 1:])
+            value = field.q_power(2 * (field.genus - 1) * pairs)
+            for nj, rj in keys:
+                value = value * ss_mass(nj, rj, field)
+            weights[keys] = value
+        sums[c] = sums.get(c, 0) + weights[keys]
+    level_mass = {c: value / field.q_power(c) for c, value in sums.items()}
     partials, gaps = [], []
     acc = beta
     for level in range(max_codim + 1):

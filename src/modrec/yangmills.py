@@ -93,37 +93,60 @@ def ss_equivariant_series(n, d, g, order):
     makes the series periodic in d, and dualising sends a type ((n_1, d_1),
     ..., (n_k, d_k)) to ((n_k, -d_k), ..., (n_1, -d_1)) with equal codimension,
     so d and -d give equal series.  One entry keeps the longest series so far
-    and serves shorter orders by truncation.  Types are enumerated at the
-    key's residue, so d, d + n and -d get one answer and one budget decision.
-    A part's series depends only on its key (n_i, min(d_i mod n_i, -d_i mod
-    n_i)) and the product commutes, so the types are grouped by the sorted
-    tuple of their part keys, and each group's parts are multiplied once, to
-    the order its least shift needs.
+    and serves shorter orders by truncation.  A part's series depends only on
+    its key (n_i, min(d_i mod n_i, -d_i mod n_i)) and the product commutes,
+    so the types are grouped by the sorted tuple of their part keys, and each
+    group's parts are multiplied once, to the order its least shift needs.
+    The request is planned (``_plan``) before any series is built, then its
+    keys are computed from rank 1 up.
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
     residue = min(d % n, -d % n)
-    key = (n, residue, g)
-    cached = _SS_SERIES.get(key)
+    cached = _SS_SERIES.get((n, residue, g))
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
-    groups = {}
-    for codim, parts in walk_types(n, residue, g, order // 2):
-        if len(parts) > 1:
-            keys = tuple(sorted((nj, min(dj % nj, -dj % nj)) for nj, dj in parts))
-            groups.setdefault(keys, []).append(2 * codim)
-    check_budget("rank %s at genus %s to order %s" % (shown(n), shown(g), shown(order)),
-                 "weighted coefficient products", _series_charge(n, g, order, groups),
-                 MAX_SERIES_PRODUCTS)
-    coeffs = classifying_coefficients(n, g, order)
-    for keys, shifts in groups.items():
-        parts = [ss_equivariant_series(nj, rj, g, order - min(shifts)) for nj, rj in keys]
-        product = prod(parts[1:], start=parts[0])
-        for shift in shifts:
-            coeffs[shift:] = map(sub, coeffs[shift:], product.coeffs)
-    total = Series(coeffs)
-    _SS_SERIES[key] = total
-    return total
+    for (m, r), (top, groups) in reversed(_plan(n, residue, g, order).items()):
+        coeffs = classifying_coefficients(m, g, top)
+        for keys, shifts in groups.items():
+            cut = top - min(shifts)
+            parts = [_SS_SERIES[nj, rj, g].truncate(cut) for nj, rj in keys]
+            product = prod(parts[1:], start=parts[0])
+            for shift in shifts:
+                coeffs[shift:] = map(sub, coeffs[shift:], product.coeffs)
+        _SS_SERIES[m, r, g] = Series(coeffs)
+    return _SS_SERIES[n, residue, g]
+
+
+def _plan(n, residue, g, order):
+    """{(m, r): (order, groups)}, in falling rank, for each key the request
+    must compute; groups maps each sorted part-key tuple to the shifts
+    2 codim of its types.  A key's order is the longest that a group holding
+    it asks for, and all such groups belong to higher ranks, so each key is
+    walked once, at its residue and final order, unless the memo serves it.
+    The walks share one MAX_TYPES count, and each key is charged against
+    MAX_SERIES_PRODUCTS as soon as its groups are known.
+    """
+    what = "rank %s at genus %s to order %s" % (shown(n), shown(g), shown(order))
+    wanted, plan, spent = {(n, residue): order}, {}, 0
+    for m in range(n, 0, -1):
+        for r in range(m // 2 + 1):
+            top, cached = wanted.get((m, r)), _SS_SERIES.get((m, r, g))
+            if top is None or cached is not None and cached.order >= top:
+                continue
+            types = walk_types(m, r, g, top // 2, what, spent)
+            spent += len(types)
+            groups = {}
+            for codim, parts in types[1:]:
+                keys = tuple(sorted((nj, min(dj % nj, -dj % nj)) for nj, dj in parts))
+                groups.setdefault(keys, []).append(2 * codim)
+            check_budget(what, "weighted coefficient products",
+                         _series_charge(m, g, top, groups), MAX_SERIES_PRODUCTS)
+            for keys, shifts in groups.items():
+                for key in keys:
+                    wanted[key] = max(wanted.get(key, 0), top - min(shifts))
+            plan[m, r] = top, groups
+    return plan
 
 
 def moduli_poincare(n, d, g):

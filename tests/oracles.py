@@ -18,8 +18,8 @@
   below that work with rational functions build them from
   ``ReducingRatFun``.
 * ``compositions`` lists all 2^(n-1) ordered compositions of n.  Production
-  code never lists them all: ``hn`` builds only those under a pair-sum bound,
-  and ``tamagawa`` sums over them as programmes over prefix sums.
+  code never lists them: ``hn`` splits off one first part at a time, and
+  ``tamagawa`` sums over them as programmes over prefix sums.
 * ``zagier_sum_by_prefix_tree`` walks Zagier's closed-form mass term by term
   down a tree of compositions, with the exponent as a ``Fraction`` that must
   come out an integer.  ``tamagawa._zagier_sum`` telescopes the exponent into
@@ -30,8 +30,8 @@
 * ``enumerate_types_by_gaps`` walks rational slope gaps, solves for the
   degrees in ``Fraction`` and drops every gap vector whose degrees are not
   integers.  It returns (codim(parts), parts) pairs.  ``hn.enumerate_types``
-  walks integer prefix degrees instead, reads each codimension off the
-  walk's running cost, and must return the same list.
+  splits off integer first parts instead, adds up each codimension across
+  the splits, and must return the same list.
 * ``cone_sum`` sums the stratum masses of one composition over every degree
   vector, in closed form per residue cell of the slope-gap lattice.  With
   ``cone_for`` it drives the Harder-Narasimhan recursion that the closed-form

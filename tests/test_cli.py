@@ -15,6 +15,7 @@ from modrec.cli import SYMPROD_CHARGE, load_curve, main
 from modrec.errors import InvariantViolation
 from modrec.fields import SpecializationField
 from modrec.symprod import sym_count
+from modrec.tamagawa import SIEGEL_CHARGE
 
 F2_CONFIG = {"mode": "hyperelliptic", "p": 2, "k": 1, "f": [0, 0, 0, 0, 0, 1], "h": [1]}
 COUNTS_CONFIG = {"mode": "counts", "q": 2, "genus": 2, "counts": [3, 5]}
@@ -61,7 +62,7 @@ def test_crosscheck_document(capsys):
 
 
 def test_gauge_route_reaches_rank_ten(capsys):
-    # rank 10 at genus 2 is within MAX_LATTICE_POINTS on both routes
+    # rank 10 at genus 2 is within MAX_TYPES and the rank limits on both routes
     status, out, _ = run_cli(capsys, "crosscheck", "--n", "10", "--d", "1", "--g", "2")
     assert status == 0
     assert json.loads(out) == {"match": True}
@@ -313,10 +314,10 @@ def test_symprod_genus_one_rejected(capsys):
 
 @pytest.mark.parametrize("argv, blamed", [
     (["hn-types", "--n", "3", "--d", "1", "--g", "2", "--max-codim", "100000"],
-     "lattice points"),
+     "error: codimension bound 100000: types = 155001 exceeds the limit 155000\n"),
     (["hn-types", "--n", "40", "--d", "1", "--g", "2", "--max-codim", "3"], "compositions"),
     (["siegel", "--n", "3", "--d", "1", "--curve", "{curve}", "--max-codim", "100000"],
-     "lattice points"),
+     "types"),
     (["siegel", "--n", "48", "--d", "1", "--curve", "{curve}", "--max-codim", "3"],
      "compositions"),
     (["count", "--n", "61", "--d", "1", "--curve", "{curve}"],
@@ -325,7 +326,8 @@ def test_symprod_genus_one_rejected(capsys):
      "betti mass: rank = 27 exceeds the limit 26"),
     (["mass", "--n", "12", "--d", "1", "--mode", "hodge", "--g", "3"],
      "hodge mass: rank = 12 exceeds the limit 11"),
-    (["betti", "--n", "16", "--d", "1", "--g", "2"], "lattice points"),
+    (["betti", "--n", "16", "--d", "1", "--g", "2"],
+     "error: rank 16 at genus 2 to order 518: types = 155001 exceeds the limit 155000\n"),
     (["betti", "--n", "20", "--d", "1", "--g", "2"], "compositions"),
     (["betti", "--n", "2", "--d", "1", "--g", "1000"], "weighted coefficient products"),
     (["matrixdiv", "--n", "10", "--e", "40", "--g", "2"], "coefficient products"),
@@ -368,6 +370,27 @@ def test_symprod_count_past_its_charge_is_refused(capsys):
     status, out, err = run_cli(capsys, "symprod", "--n", "6", "--curve", config, "--enumerate")
     assert status == 0 and err == ""
     assert json.loads(out) == {"count": "155", "enumerated": "155", "n": 6}
+
+
+def test_siegel_levels_past_their_charge_are_refused(capsys, tmp_path):
+    # each of the M + 1 levels keeps Fractions of about M bits(q) bits: at
+    # M = 100000 over F_2 the check is refused after its one walk, before any
+    # mass; over q = 2^61 - 1, M = 512 is one past the last admitted bound
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "g2q2.json")
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "siegel", "--n", "2", "--d", "1", "--curve", config,
+                               "--max-codim", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert err == ("error: codimension bound 100000 at rank 2 over q = 2: (M + 1) (M bits(q))^2"
+                   " = 4000040000000000 exceeds the limit %d\n" % SIEGEL_CHARGE)
+    q = 2 ** 61 - 1
+    path = tmp_path / "big_q.json"
+    path.write_text(json.dumps({"mode": "counts", "q": q, "genus": 2,
+                                "counts": [q + 1, q * q + 1]}))
+    status, out, err = run_cli(capsys, "siegel", "--n", "2", "--d", "1", "--curve", str(path),
+                               "--max-codim", "512")
+    assert status == 1 and out == "" and "(M + 1) (M bits(q))^2 = 500399603712 exceeds" in err, err
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -426,7 +449,7 @@ def test_numeric_mass_over_a_large_q_is_refused(capsys, tmp_path):
 
 
 def test_high_rank_under_a_small_bound_is_quick(capsys):
-    # compositions whose rank pairs alone pass the bound are never built
+    # every first part's rank pair alone passes the bound, so no part is split off
     start = time.perf_counter()
     status, out, err = run_cli(capsys, "hn-types", "--n", "18", "--d", "1", "--g", "2",
                                "--max-codim", "3")

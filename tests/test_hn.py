@@ -2,7 +2,7 @@
 
 import pytest
 
-from modrec import hn
+from modrec import hn, yangmills
 from modrec.errors import InvariantViolation, ValidationError
 from modrec.hn import codim, enumerate_types, mass_exponent
 
@@ -94,16 +94,6 @@ def test_compositions():
     assert set(compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
 
 
-def test_bounded_compositions_are_the_filtered_ones():
-    # the pruned generator keeps exactly the compositions within the pair bound
-    for n in range(1, 9):
-        for bound in range(0, 30, 3):
-            pairs = {comp: sum(a * b for i, a in enumerate(comp) for b in comp[i + 1:])
-                     for comp in compositions(n)}
-            expected = sorted((c, p) for c, p in pairs.items() if p <= bound)
-            assert sorted(hn._compositions_within(n, bound)) == expected, (n, bound)
-
-
 def test_prefix_degree_identity():
     # n codim = n (g-1) sum_{i<j} n_i n_j + sum_{k<r} (n_k + n_{k+1}) c_k with
     # c_k = n D_k - S_k d >= 1, for prefix degrees D_k and prefix ranks S_k
@@ -124,11 +114,11 @@ def test_prefix_degree_identity():
                     assert n * codim(mu, g) == n * (g - 1) * pairs + sum(steps), mu
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [2, 3, 5])
 def test_enumeration_matches_gap_oracle(g):
-    # the integer prefix-degree walk against the Fraction slope-gap search
+    # the first-part recursion against the Fraction slope-gap search
     for n in range(1, 7):
-        for d in range(-1, n + 1):
+        for d in range(-n, 2 * n):
             for M in (0, 1, 5, 9, 20):
                 assert enumerate_types(n, d, g, M) == enumerate_types_by_gaps(n, d, g, M), \
                     (n, d, g, M)
@@ -147,43 +137,47 @@ def test_walk_codim_is_codim(g):
 
 
 def test_enumeration_refuses_far_past_budget():
-    with pytest.raises(ValidationError, match="lattice points"):
+    with pytest.raises(ValidationError, match="types"):
         enumerate_types(3, 1, 2, 100000)
     with pytest.raises(ValidationError, match="compositions"):
         enumerate_types(40, 1, 2, 3)
 
 
-# top calls of moduli_poincare(n, 1, g), at bound n^2 (g - 1) + 3: the second
-# row holds the last admitted and the third the first refused rank at each
-# genus from 2 to 7, and the last admitted and first refused genus at rank 6
+# whole requests moduli_poincare(n, 1, g), planned from cold memos, so every
+# key they need is walked and charged to one count: the third row holds the
+# last admitted and the fourth the first refused rank at each genus from 2
+# to 7, and the last admitted and first refused genus at rank 6
 @pytest.mark.parametrize("n, g, admitted", [
     (9, 2, True), (7, 3, True), (6, 4, True), (5, 5, True), (4, 6, True), (6, 6, True),
-    (10, 2, True), (8, 3, True), (7, 4, True), (7, 5, True), (6, 7, True), (6, 8, True),
-    (11, 2, False), (9, 3, False), (8, 4, False), (8, 5, False), (7, 6, False), (7, 7, False),
+    (10, 2, True), (8, 3, True), (7, 4, True),
+    (11, 2, True), (9, 3, True), (8, 4, True), (7, 5, True), (6, 7, True), (6, 8, True),
+    (12, 2, False), (10, 3, False), (9, 4, False), (8, 5, False), (7, 6, False), (7, 7, False),
     (6, 9, False),
 ])
 def test_budget_boundary_of_top_calls(n, g, admitted):
-    M = n * n * (g - 1) + 3
+    yangmills.clear_caches()
+    order = 2 * (n * n * (g - 1) + 1) + yangmills.TRUNCATION_SLACK
     if admitted:
-        assert len(enumerate_types(n, 1, g, M)) > 1
+        assert len(yangmills._plan(n, 1, g, order)) > 1
     else:
-        with pytest.raises(ValidationError, match="lattice points"):
-            enumerate_types(n, 1, g, M)
+        with pytest.raises(ValidationError, match="^rank %d at genus %d to order %d: types = "
+                           % (n, g, order)):
+            yangmills._plan(n, 1, g, order)
 
 
 def test_admitted_enumerations_stay_within_budget(monkeypatch):
-    # the walk counts the prefix-degree vectors it visits and stops past the
-    # budget: with a small budget every admitted request is complete (it
-    # equals the oracle), a refused bound stays refused for every larger
-    # bound, and the count is of the order of the work, since some request
-    # admitted at the budget is refused at a third of it
+    # the walk counts the types it makes and stops past the budget: with a
+    # small budget every admitted request is complete (it equals the oracle),
+    # a refused bound stays refused for every larger bound, and the count is
+    # of the order of the work, since some request admitted at the budget is
+    # refused at a third of it
     budget = 300
     admitted, refused, tight = 0, 0, 0
     for g in (2, 3):
         for n in (2, 3, 4, 5):
             was_refused = False
             for M in range(0, 80, 3):
-                monkeypatch.setattr(hn, "MAX_LATTICE_POINTS", budget)
+                monkeypatch.setattr(hn, "MAX_TYPES", budget)
                 try:
                     types = enumerate_types(n, 1, g, M)
                 except ValidationError:
@@ -193,7 +187,7 @@ def test_admitted_enumerations_stay_within_budget(monkeypatch):
                 assert not was_refused, (n, g, M)
                 admitted += 1
                 assert types == enumerate_types_by_gaps(n, 1, g, M), (n, g, M)
-                monkeypatch.setattr(hn, "MAX_LATTICE_POINTS", budget // 3)
+                monkeypatch.setattr(hn, "MAX_TYPES", budget // 3)
                 try:
                     enumerate_types(n, 1, g, M)
                 except ValidationError:

@@ -11,6 +11,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from pathlib import Path
 
@@ -245,6 +246,18 @@ def test_siegel_check_rank_three(F2):
     report = siegel_check(3, 1, F2, 20)
     assert all(x >= y for x, y in zip(report.gaps, report.gaps[1:]))
     assert report.gaps[-1] <= report.tail_bound
+
+
+def test_siegel_levels_are_the_per_type_sums(F2):
+    # one weight per tuple of part keys, over q^level, against one
+    # stratum_mass per type, filed by the codimension codim() gives it
+    for n in range(1, 6):
+        for d in (-1, 0, 1, 2):
+            report = siegel_check(n, d, F2, 12)
+            levels = [ss_mass(n, d, F2)] + [0] * 12
+            for _, mu in enumerate_types(n, d, F2.genus, 12)[1:]:
+                levels[codim(mu, F2.genus)] += stratum_mass(mu, F2)
+            assert list(report.partial_sums) == list(accumulate(levels)), (n, d)
 
 
 def test_genus_three_curve_end_to_end():

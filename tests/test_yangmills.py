@@ -7,7 +7,7 @@ import pytest
 
 from modrec.cli import main
 from modrec.errors import InvariantViolation, ValidationError
-from modrec import yangmills
+from modrec import hn, yangmills
 from modrec.exactalg import Poly, Series, over_one_minus
 from modrec.hn import codim, enumerate_types
 from modrec.yangmills import (
@@ -275,18 +275,48 @@ def test_ss_series_memo_serves_prefixes():
     (4, 1, 32, True), (4, 1, 47, True), (4, 1, 48, False), (7, 1, 6, False),
 ])
 def test_dual_degrees_get_one_budget_decision(n, d, g, admitted):
-    # the types are walked at min(d mod n, -d mod n), so d and n - d test the
-    # same lattice points: at the limit both are admitted or both refused
+    # the types are walked at min(d mod n, -d mod n), so d and n - d walk the
+    # same types: at the limit both are admitted or both refused
     outcomes = []
     for degree in (d, n - d):
         clear_caches()
         try:
             outcomes.append(moduli_poincare(n, degree, g))
         except ValidationError as exc:
-            assert "lattice points" in str(exc), exc
+            assert "types" in str(exc), exc
             outcomes.append(None)
     assert (outcomes[0] is not None) is admitted
     assert outcomes[0] == outcomes[1]
+
+
+def test_walks_of_one_request_share_one_count(monkeypatch):
+    # the top walk alone is within the limit, but the request's lower-rank
+    # walks are charged to the same count, and a refusal builds no series
+    clear_caches()
+    top = len(hn.walk_types(6, 1, 2, 6 * 6 + 3))
+    monkeypatch.setattr(hn, "MAX_TYPES", top + 1)
+    with pytest.raises(ValidationError) as info:
+        moduli_poincare(6, 1, 2)
+    assert str(info.value) == ("rank 6 at genus 2 to order 78: types = %d exceeds the limit %d"
+                               % (top + 2, top + 1))
+    assert not yangmills._SS_SERIES
+
+
+@pytest.mark.parametrize("n, d, g", [(8, 1, 2), (5, 2, 3)])
+def test_each_key_is_walked_once_per_request(monkeypatch, n, d, g):
+    # a key's order is final before it is walked, so a longer order asked of
+    # it later in the request cannot make it walk again
+    walked = []
+    walk = yangmills.walk_types
+
+    def spy(m, r, *args):
+        walked.append((m, r))
+        return walk(m, r, *args)
+
+    monkeypatch.setattr(yangmills, "walk_types", spy)
+    clear_caches()
+    moduli_poincare(n, d, g)
+    assert len(walked) == len(set(walked)) == len(yangmills._SS_SERIES)
 
 
 def test_ss_series_memo_is_bounded_by_residues():
