@@ -68,12 +68,10 @@ def load_curve(path):
 
 def _curve_and_model(path):
     """The CurveData of a curve config file, and its HyperellipticModel, whose
-    kept counts serve later counts, or None in the other modes."""
+    kept counts serve later counts, or None in counts mode."""
     from .curve import CurveData, zeta_from_counts
 
     raw, mode = _read_config(path)
-    if mode == "symbolic":
-        return CurveData.symbolic(_field(raw, "genus", int, path)), None
     if mode == "counts":
         return zeta_from_counts(_field(raw, "q", int, path),
                                 _field(raw, "genus", int, path),
@@ -114,10 +112,7 @@ def _int_list(raw, name, path):
 def _numeric_field(args):
     from .fields import SpecializationField
 
-    curve = load_curve(args.curve)
-    if not curve.is_arithmetic:
-        raise ValidationError("this command needs an arithmetic curve config")
-    return SpecializationField.numeric(curve)
+    return SpecializationField.numeric(load_curve(args.curve))
 
 
 def _number(c):
@@ -217,9 +212,8 @@ def _cmd_symprod(args):
         if args.g is not None:
             raise ValidationError("symprod takes --curve or --g, not both")
         curve, model = _curve_and_model(args.curve)
-        if curve.is_arithmetic:
-            check_budget("symprod at n = %d over q = %d" % (args.n, curve.q), "n bits(q)",
-                         args.n * curve.q.bit_length(), SYMPROD_CHARGE)
+        check_budget("symprod at n = %d over q = %d" % (args.n, curve.q), "n bits(q)",
+                     args.n * curve.q.bit_length(), SYMPROD_CHARGE)
         doc = {"n": args.n, "count": _number(sym_count(curve, args.n))}
         if args.enumerate:
             if model is None:
@@ -300,8 +294,6 @@ def _cmd_zeta(args):
     from .fields import SpecializationField
 
     curve = load_curve(args.curve)
-    if not curve.is_arithmetic:
-        raise ValidationError("zeta needs an arithmetic curve config")
     if args.i is not None:
         check_budget("zeta at i = %d over q = %d at genus %d" % (args.i, curve.q, curve.genus),
                      "i bits(q) g", args.i * curve.q.bit_length() * curve.genus, ZETA_CHARGE)

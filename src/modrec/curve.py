@@ -1,17 +1,16 @@
 """Curve models, finite fields, point counts and zeta data.
 
-A curve enters in one of two ways: symbolically (genus only, feeding the
-Betti/Hodge specializations of ``modrec.fields``) or arithmetically (a
-hyperelliptic model over a prime field, or directly its point counts).
-Either way the arithmetic data is the zeta numerator, kept as its ascending
-integer coefficients.
+A curve enters as a hyperelliptic model over a prime field, or directly as
+its point counts.  Either way its data is the zeta numerator, kept as its
+ascending integer coefficients; the Betti and Hodge specializations of
+``modrec.fields`` need only a genus, and take no curve.
 
 Finite fields F_{p^m} are realized as polynomial quotients.  The defining
 irreducible is the smallest one in lexicographic order on the ascending
 coefficient tuple (c_0, ..., c_{m-1}), so counts are reproducible across
 runs.  An element is the int sum c_i p^i of its coefficients, and products
 go through exp/log tables of a primitive element, built by one walk for
-every p and m; odd prime fields count with plain arithmetic mod p instead.
+every p and m.
 Fields are capped at FIELD_SIZE_LIMIT elements, the largest size that
 counts in a few seconds.
 The model is defined over F_p, so Frobenius permutes the points and a count
@@ -300,27 +299,11 @@ def count_points(model, r):
         inv4 = pow(4, p - 2, p)
         f = [(a + b * inv4) % p for a, b in itertools.zip_longest(f, _pmul(h, h, p), fillvalue=0)]
         h = ()
-    if p > 2 and model.k * r == 1:
-        count, sols = _count_prime_field(f, p)
-    else:
-        count, sols = _count_by_tables(GF(p, model.k * r), f, h)
+    count, sols = _count_by_tables(GF(p, model.k * r), f, h)
     # points at infinity: one for odd degree; for even degree (odd
     # characteristic only) solve z^2 = lead, i.e. 2 points or none
     model._counts[r] = count + (1 if (len(f) - 1) % 2 else sols[f[-1]])
     return model._counts[r]
-
-
-def _count_prime_field(f, p):
-    """Affine count of z^2 = f(x) over F_p, p odd, and the table
-    sols[w] = #{z : z^2 = w}: plain Horner steps mod p over every x at once,
-    with no exp/log tables."""
-    sols = bytearray(p)
-    for w in [x * x % p for x in range(p)]:
-        sols[w] += 1
-    values = [f[-1]] * p
-    for c in reversed(f[:-1]):
-        values = [(v * x + c) % p for v, x in zip(values, range(p))]
-    return sum(map(sols.__getitem__, values)), sols
 
 
 def _count_by_tables(K, f, h):
@@ -369,30 +352,18 @@ def _count_by_tables(K, f, h):
 
 
 class CurveData:
-    """Genus plus, in arithmetic mode, the size of the base field and the
-    degree-2g zeta numerator, given as its ascending integer coefficient
-    list (constant term 1) and returned as one by ``coefficients``."""
+    """Genus, the size q of the base field and the degree-2g zeta numerator,
+    given as its ascending integer coefficient list (constant term 1) and
+    returned as one by ``coefficients``."""
 
     __slots__ = ("genus", "q", "_coeffs")
 
-    def __init__(self, genus, q=None, numerator=None):
+    def __init__(self, genus, q, numerator):
         if genus < 2:
             raise ValidationError("genus must be at least 2, got %d" % genus)
-        if (q is None) != (numerator is None):
-            raise ValidationError("arithmetic mode needs both q and the zeta numerator")
-        coeffs = None
-        if q is not None:
-            _validate_prime_power(q)
-            coeffs = _validate_numerator(numerator, q, genus)
-        self.genus, self.q, self._coeffs = genus, q, coeffs
-
-    @property
-    def is_arithmetic(self):
-        return self.q is not None
-
-    @staticmethod
-    def symbolic(genus):
-        return CurveData(genus)
+        _validate_prime_power(q)
+        self.genus, self.q = genus, q
+        self._coeffs = _validate_numerator(numerator, q, genus)
 
     @staticmethod
     def from_model(model):
@@ -405,8 +376,6 @@ class CurveData:
 
     def point_count(self, r):
         """N_r recovered from the zeta numerator via Newton's identities."""
-        if not self.is_arithmetic:
-            raise ValidationError("point counts need arithmetic mode")
         a = self._coeffs
         e = [(-1) ** k * a[k] for k in range(len(a))]
         power_sums = _power_sums_from_elementary(e, r)

@@ -44,8 +44,8 @@ class SpecializationField:
         if mode not in (self.NUMERIC, self.BETTI, self.HODGE):
             raise ValidationError("unknown specialization mode %r" % mode)
         if mode == self.NUMERIC:
-            if curve is None or not curve.is_arithmetic:
-                raise ValidationError("numeric mode needs an arithmetic curve")
+            if curve is None:
+                raise ValidationError("numeric mode needs a curve")
             genus = curve.genus
         if genus < 2:
             raise ValidationError("genus must be at least 2")

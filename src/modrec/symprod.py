@@ -9,8 +9,9 @@ O(n + g) steps.  On the arithmetic side, points of the n-th symmetric power
 are effective divisors of degree n, whose generating function is the zeta
 function P(t) / ((1 - t)(1 - q t)); its known denominator is divided out in
 closed form.  The brute-force oracle counts multisets of closed points
-directly instead.  Polynomials charged more than MAX_LOOP_STEPS are refused
-before any loop.
+directly instead, from the point counts over F_{q^r} for r <= n, so
+``curve.FIELD_SIZE_LIMIT`` bounds its degree.  Polynomials charged more
+than MAX_LOOP_STEPS are refused before any loop.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ def sym_count(curve, n):
     One power and one division give S_j at the largest k; each smaller k
     then steps S_(j+1) = q S_j + 1.
     """
-    if not curve.is_arithmetic:
-        raise ValidationError("divisor counts need arithmetic mode")
     if n < 0:
         raise ValidationError("degree must be >= 0")
     q = curve.q
@@ -92,9 +91,6 @@ def sym_count(curve, n):
     return count
 
 
-DIVISOR_DEGREE_LIMIT = 6
-
-
 def divisor_enumerate(model, n):
     """Count effective divisors of degree n as multisets of closed points.
 
@@ -107,7 +103,6 @@ def divisor_enumerate(model, n):
 
     if n < 0:
         raise ValidationError("degree must be >= 0")
-    check_budget("divisor enumeration", "degree", n, DIVISOR_DEGREE_LIMIT)
     if n == 0:
         return 1
     check_field_size(model.p, model.k * n)

@@ -30,7 +30,7 @@ product of factors (1 - q^c), so its sums and products run no gcd; the
 mass is reduced to a canonical ``RatFun`` once, at the end of ``ss_mass``.
 The same formulas thus give Poincare series and their Hodge refinements.
 Masses and counts need no filtration types, so ``hn`` is loaded only by
-``stratum_mass`` and ``siegel_check``.
+``siegel_check``.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ def total_mass(n, field):
     return value
 
 
-# Largest rank ss_mass accepts per field; README.md gives the slowest
-# admitted mass at each.
-MASS_RANK_LIMIT = {SpecializationField.NUMERIC: 60,
-                   SpecializationField.BETTI: 26,
+# Largest rank ss_mass accepts in the Betti and Hodge fields; README.md
+# gives the slowest admitted mass at each.
+MASS_RANK_LIMIT = {SpecializationField.BETTI: 26,
                    SpecializationField.HODGE: 11}
 
-# A numeric mass works on Fractions of about n^2 g log q bits, so below the
-# rank limit it is also charged n^6 bits(q)^2 g and refused past this
-# charge.  Rank 60 over F_2 at g = 3 is admitted; README.md gives the
+# A numeric mass works on Fractions of about n^2 g log q bits, so it is
+# charged n^6 bits(q)^2 g and refused past this charge, which alone bounds
+# its rank.  Rank 64 over F_2 at g = 2 is admitted; README.md gives the
 # slowest admitted masses.
 NUMERIC_MASS_CHARGE = 6 * 10 ** 11
 
@@ -116,26 +115,28 @@ def _zagier_sum(n, d, field):
 def ss_mass(n, d, field):
     """Stacky mass of semistable rank-n degree-d bundles in the given field.
 
-    Memoized per field instance on (n, d mod n), and computed at d mod n:
-    twisting by a degree-1 line bundle shifts d by n without changing the
-    mass, and the programme's q-powers grow with d.  Ranks past the field's
-    MASS_RANK_LIMIT, and numeric masses past NUMERIC_MASS_CHARGE, are
-    refused with ValidationError.  Betti and Hodge masses come out of the
-    programme in factored form and are reduced once, here, to a ``RatFun``.
+    Memoized per field instance on (n, r), r = min(d mod n, -d mod n), and
+    computed at r: twisting by a degree-1 line bundle shifts d by n, and
+    dualising sends d to -d, without changing the mass, and the programme's
+    q-powers grow with d.  Numeric masses past NUMERIC_MASS_CHARGE, and
+    Betti and Hodge ranks past the field's MASS_RANK_LIMIT, are refused with
+    ValidationError.  Betti and Hodge masses come out of the programme in
+    factored form and are reduced once, here, to a ``RatFun``.
     """
     if n < 1:
         raise ValidationError("rank must be positive")
-    check_budget("%s mass" % field.mode, "rank", n, MASS_RANK_LIMIT[field.mode])
     if field.mode == SpecializationField.NUMERIC:
         bits = field.curve.q.bit_length()
         check_budget("numeric mass of rank %s over q = %s at genus %s"
                      % (shown(n), shown(field.curve.q), shown(field.genus)),
                      "n^6 bits(q)^2 g", n ** 6 * bits * bits * field.genus, NUMERIC_MASS_CHARGE)
-    key = (n, d % n)
+    else:
+        check_budget("%s mass" % field.mode, "rank", n, MASS_RANK_LIMIT[field.mode])
+    key = (n, min(d % n, -d % n))
     cached = field.mass_cache.get(key)
     if cached is not None:
         return cached
-    value = field.reduce(_zagier_sum(n, d % n, field))
+    value = field.reduce(_zagier_sum(n, key[1], field))
     if field.mode == SpecializationField.NUMERIC and value <= 0:
         raise InvariantViolation("numeric semistable mass is not positive")
     field.mass_cache[key] = value
@@ -148,17 +149,6 @@ def matches_moduli_polynomial(mass, poly, field):
     N (q - 1) == poly D, so the comparison needs no gcd."""
     element = field.element
     return element(mass.num) * (field.q - 1) == element(poly) * element(mass.den)
-
-
-def stratum_mass(parts, field):
-    """Mass of the stratum labelled by the type parts ((n_1, d_1), ..., (n_r,
-    d_r)): q^mass_exponent times the semistable masses of the parts."""
-    from .hn import mass_exponent
-
-    value = field.q_power(mass_exponent(parts, field.genus))
-    for nj, dj in parts:
-        value = value * ss_mass(nj, dj, field)
-    return value
 
 
 def stable_count(n, d, field):
@@ -276,16 +266,17 @@ def _tail_bound(n, field, max_codim):
 
     Per composition into r >= 2 parts with G = (g-1) sum_{i<j} n_i n_j,
     every such stratum has mass q^{2G - c} times a product of part masses,
-    each at most M(n_i) = max over residues of ss_mass(n_i, .), and at most
-    (c - G + 1)^{r-2} strata have codimension c.  A composition enters only
-    through r, its pair sum P and the product of its M(n_i), so W[s] sums
-    those products over the compositions of s by (r, P), appending parts
-    b < n; each class adds q^{2G} W times the tail sum, in closed form.
+    each at most M(n_i), the max of ss_mass(n_i, r) over r <= n_i / 2 (by
+    duality, over every residue), and at most (c - G + 1)^{r-2} strata have
+    codimension c.  A composition enters only through r, its pair sum P and
+    the product of its M(n_i), so W[s] sums those products over the
+    compositions of s by (r, P), appending parts b < n; each class adds
+    q^{2G} W times the tail sum, in closed form.
     """
     g = field.genus
     q = field.q
     x = 1 / q
-    top = [None] + [max(ss_mass(m, res, field) for res in range(m))
+    top = [None] + [max(ss_mass(m, res, field) for res in range(m // 2 + 1))
                     for m in range(1, n)]
     weights = [{(0, 0): Fraction(1)}] + [{} for _ in range(n)]
     for s in range(n):

@@ -9,9 +9,10 @@ filtration type mu, the product of lower-rank semistable series shifted by
 t^{2 codim(mu)}.  Since every stratum shifts by at least t^2, only the types
 with codim <= T/2 can touch a series truncated at order T, which keeps each
 step finite.  Types whose parts have equal keys (n_i, min(d_i mod n_i,
--d_i mod n_i)), in any order, share one product, and d and -d share one memo
-entry.  In the coprime case multiplying by (1 - t^2) collapses the series to
-the Poincare polynomial of the moduli space.
+-d_i mod n_i)), in any order, share one product, subtracted once per shift,
+and d and -d share one memo entry.  In the coprime case multiplying by
+(1 - t^2) collapses the series to the Poincare polynomial of the moduli
+space.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ def _series_charge(n, g, order, groups):
     """(order + 1)^2 coefficient products for each numerator factor of the
     classifying series and for each product of a group, at the group's order,
     weighted for coefficients of about 2gn bits (``errors.weighted``), plus
-    one subtraction per coefficient of each shifted copy."""
+    one subtraction per coefficient of each type's shifted copy."""
     products = n * (order + 1) ** 2 + sum((len(keys) - 1) * (order - min(shifts) + 1) ** 2
                                           for keys, shifts in groups.items())
-    passes = sum(order - shift + 1 for shifts in groups.values() for shift in shifts)
+    passes = sum(count * (order - shift + 1)
+                 for shifts in groups.values() for shift, count in shifts.items())
     return weighted(products, 2 * g * n) + passes
 
 
@@ -96,7 +98,8 @@ def ss_equivariant_series(n, d, g, order):
     and serves shorter orders by truncation.  A part's series depends only on
     its key (n_i, min(d_i mod n_i, -d_i mod n_i)) and the product commutes,
     so the types are grouped by the sorted tuple of their part keys, and each
-    group's parts are multiplied once, to the order its least shift needs.
+    group's parts are multiplied once, to the order its least shift needs,
+    and subtracted once per shift, times the number of its types there.
     The request is planned (``_plan``) before any series is built, then its
     keys are computed from rank 1 up.
     """
@@ -112,20 +115,23 @@ def ss_equivariant_series(n, d, g, order):
             cut = top - min(shifts)
             parts = [_SS_SERIES[nj, rj, g].truncate(cut) for nj, rj in keys]
             product = prod(parts[1:], start=parts[0])
-            for shift in shifts:
-                coeffs[shift:] = map(sub, coeffs[shift:], product.coeffs)
+            for shift, count in shifts.items():
+                # most shifts hold one type, and scaling long ints by 1 still copies them
+                copy = product.coeffs if count == 1 else map(count.__mul__, product.coeffs)
+                coeffs[shift:] = map(sub, coeffs[shift:], copy)
         _SS_SERIES[m, r, g] = Series(coeffs)
     return _SS_SERIES[n, residue, g]
 
 
 def _plan(n, residue, g, order):
     """{(m, r): (order, groups)}, in falling rank, for each key the request
-    must compute; groups maps each sorted part-key tuple to the shifts
-    2 codim of its types.  A key's order is the longest that a group holding
-    it asks for, and all such groups belong to higher ranks, so each key is
-    walked once, at its residue and final order, unless the memo serves it.
-    The walks share one MAX_TYPES count, and each key is charged against
-    MAX_SERIES_PRODUCTS as soon as its groups are known.
+    must compute; groups maps each sorted part-key tuple to {shift: count},
+    the number of its types at each shift 2 codim.  A key's order is the
+    longest that a group holding it asks for, and all such groups belong to
+    higher ranks, so each key is walked once, at its residue and final
+    order, unless the memo serves it.  The walks share one MAX_TYPES count,
+    and each key is charged against MAX_SERIES_PRODUCTS as soon as its
+    groups are known.
     """
     what = "rank %s at genus %s to order %s" % (shown(n), shown(g), shown(order))
     wanted, plan, spent = {(n, residue): order}, {}, 0
@@ -139,7 +145,8 @@ def _plan(n, residue, g, order):
             groups = {}
             for codim, parts in types[1:]:
                 keys = tuple(sorted((nj, min(dj % nj, -dj % nj)) for nj, dj in parts))
-                groups.setdefault(keys, []).append(2 * codim)
+                shifts = groups.setdefault(keys, {})
+                shifts[2 * codim] = shifts.get(2 * codim, 0) + 1
             check_budget(what, "weighted coefficient products",
                          _series_charge(m, g, top, groups), MAX_SERIES_PRODUCTS)
             for keys, shifts in groups.items():

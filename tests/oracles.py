@@ -64,6 +64,14 @@
   generic polynomial product and reduction.  ``curve._exp_log`` steps by
   tables of half-digit products, filled by linearity from the images of
   x^i, for every p and m, and must build the same tables.
+* ``count_prime_field`` counts points over a prime field F_p, p odd, by
+  plain Horner steps mod p over every x at once.  ``curve.count_points``
+  counts over every field, prime ones too, through ``curve._count_by_tables``
+  and must give the same count.
+* ``stratum_mass`` is the mass of one stratum, q^mass_exponent times the
+  semistable masses of its parts.  ``tamagawa.siegel_check`` gives each
+  tuple of part keys one weight and sums each level over q^level, and its
+  partial sums must be the sums of these masses.
 * ``count_by_tables_per_element`` counts points over a field by evaluating
   f and h at every element.  ``curve._count_by_tables`` evaluates one
   element per Frobenius orbit, weighted by the orbit's size, and must give
@@ -108,7 +116,7 @@ from modrec.exactalg import (VARIABLES, Poly, RatFun, Series, _all_int, _as_coef
                              _cnorm, _normed, _strip_vars, conv, divexact)
 from modrec.errors import ValidationError
 from modrec.fields import SpecializationField
-from modrec.hn import codim
+from modrec.hn import codim, mass_exponent
 from modrec.kirwan import Stratum, strata
 from modrec.symprod import sym_poincare
 from modrec.tamagawa import ss_mass, total_mass
@@ -1169,6 +1177,28 @@ def count_by_tables_per_element(K, f, h):
 
     count = over(h[0] if h else 0, f[0])  # x = 0
     return count + sum(over(value(h, k), value(f, k)) for k in range(n)), sols
+
+
+def count_prime_field(f, p):
+    """Affine count of z^2 = f(x) over F_p, p odd, and the table
+    sols[w] = #{z : z^2 = w}: plain Horner steps mod p over every x at once,
+    with no exp/log tables."""
+    sols = bytearray(p)
+    for w in [x * x % p for x in range(p)]:
+        sols[w] += 1
+    values = [f[-1]] * p
+    for c in reversed(f[:-1]):
+        values = [(v * x + c) % p for v, x in zip(values, range(p))]
+    return sum(map(sols.__getitem__, values)), sols
+
+
+def stratum_mass(parts, field):
+    """Mass of the stratum labelled by the type parts ((n_1, d_1), ..., (n_r,
+    d_r)): q^mass_exponent times the semistable masses of the parts."""
+    value = field.q_power(mass_exponent(parts, field.genus))
+    for nj, dj in parts:
+        value = value * ss_mass(nj, dj, field)
+    return value
 
 
 def torsion_vectors(n, e):

@@ -275,11 +275,13 @@ def test_crosscheck_is_bounded_by_the_gauge_budget(capsys, monkeypatch):
     assert "weighted coefficient products" in err and "exceeds the limit" in err
 
 
-def test_load_curve_symbolic(tmp_path):
+def test_load_curve_symbolic(capsys, tmp_path):
+    # a curve config carries zeta data; the genus alone is --g
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"mode": "symbolic", "genus": 3}))
-    curve = load_curve(str(path))
-    assert curve.genus == 3 and not curve.is_arithmetic
+    status, out, err = run_cli(capsys, "zeta", "--curve", str(path))
+    assert status == 1 and out == ""
+    assert err == "error: %s: unknown curve mode 'symbolic'\n" % path
 
 
 def test_load_curve_counts_vs_model(tmp_path):
@@ -320,8 +322,9 @@ def test_symprod_genus_one_rejected(capsys):
      "types"),
     (["siegel", "--n", "48", "--d", "1", "--curve", "{curve}", "--max-codim", "3"],
      "compositions"),
-    (["count", "--n", "61", "--d", "1", "--curve", "{curve}"],
-     "numeric mass: rank = 61 exceeds the limit 60"),
+    (["count", "--n", "65", "--d", "1", "--curve", "{curve}"],
+     "error: numeric mass of rank 65 over q = 2 at genus 2: n^6 bits(q)^2 g = 603351125000"
+     " exceeds the limit 600000000000\n"),
     (["mass", "--n", "27", "--d", "1", "--mode", "betti", "--g", "2"],
      "betti mass: rank = 27 exceeds the limit 26"),
     (["mass", "--n", "12", "--d", "1", "--mode", "hodge", "--g", "3"],
@@ -338,8 +341,8 @@ def test_symprod_genus_one_rejected(capsys):
     (["matrixdiv", "--n", "1", "--e", "100000000", "--g", "2"], "loop steps"),
     (["symprod", "--n", "2800", "--g", "1000000"], "loop steps"),
     (["zeta", "--curve", "{curve}", "--i", "1000000"], "i bits(q) g"),
-    (["symprod", "--n", "7", "--curve", "{curve}", "--enumerate"],
-     "divisor enumeration: degree = 7 exceeds the limit 6"),
+    (["symprod", "--n", "19", "--curve", "{curve}", "--enumerate"],
+     "error: field F_{2^19}: m floor(log2 p) = 19 exceeds the limit 18\n"),
     (["hn-types", "--n", "3000000", "--d", "1", "--g", "2", "--max-codim", "3"],
      "rank 3000000: log2 compositions (n - 1) = 2999999 exceeds the limit 17"),
 ], ids=["hn-types-codim", "hn-types-rank", "siegel-codim", "siegel-rank", "count-rank",
@@ -358,8 +361,8 @@ def test_work_past_budget_is_refused(capsys, curve_file, argv, blamed):
 
 def test_symprod_count_past_its_charge_is_refused(capsys):
     # n bits(q) = 6e6 is far past SYMPROD_CHARGE and one past the limit is
-    # refused as well, both before any arithmetic; the brute-force oracle's
-    # largest degree is still admitted
+    # refused as well, both before any arithmetic; the brute-force oracle
+    # is still admitted
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "g2q2.json")
     for n in (3_000_000, SYMPROD_CHARGE // 2 + 1):
         start = time.perf_counter()
@@ -416,6 +419,16 @@ def test_symprod_enumeration_builds_each_field_once(capsys, monkeypatch):
     assert builds == [(2, m) for m in range(1, 7)]
 
 
+@pytest.mark.parametrize("n", [7, 12])
+def test_enumeration_is_bounded_by_the_field_size(capsys, n):
+    # the oracle counts over F_{2^n}, so FIELD_SIZE_LIMIT alone bounds n
+    path = os.path.join(CONFIGS, "g2q2.json")
+    status, out, err = run_cli(capsys, "symprod", "--n", str(n), "--curve", path, "--enumerate")
+    assert status == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["enumerated"] == doc["count"] == str(sym_count(load_curve(path), n))
+
+
 @pytest.mark.parametrize("config, n, blamed", [
     ("g2q2_counts.json", "2", "{path}: divisor enumeration needs a hyperelliptic model"),
     ("g2q2_counts.json", "-1", "degree must be >= 0"),
@@ -423,7 +436,7 @@ def test_symprod_enumeration_builds_each_field_once(capsys, monkeypatch):
                                     "exceeds the limit 650000"),
     ("g2q2.json", "3000000", "symprod at n = 3000000 over q = 2: n bits(q) = 6000000 "
                              "exceeds the limit 650000"),
-    ("g2q2.json", "7", "divisor enumeration: degree = 7 exceeds the limit 6"),
+    ("g2q2.json", "19", "field F_{{2^19}}: m floor(log2 p) = 19 exceeds the limit 18"),
     ("g2q2.json", "-1", "degree must be >= 0"),
 ], ids=["counts", "counts-negative", "counts-past-charge", "model-past-charge",
         "model-past-degree", "model-negative"])
