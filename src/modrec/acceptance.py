@@ -7,8 +7,6 @@ budgets.  ``run_all`` prints one line per criterion and is wired to the
 CLI ``--selftest`` flag; the pytest module drives the same functions.
 """
 
-from __future__ import annotations
-
 import random
 import sys
 import time

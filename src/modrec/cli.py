@@ -18,8 +18,6 @@ on ints and Fractions and load no symbolic algebra (``exactalg``,
 ``mass --curve`` add ``tamagawa``; ``siegel`` adds ``hn`` as well.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -19,8 +19,6 @@ count builds its own, and a model keeps its counts N_r, so one model builds
 each field at most once.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from fractions import Fraction
@@ -90,15 +88,14 @@ def _pderiv(a, p):
 
 
 def _is_irreducible(poly, p):
-    """Frobenius criterion for a monic polynomial over F_p."""
-    m = len(poly) - 1
-    x = [0, 1]
-    if _ppowmod(x, p ** m, poly, p) != _pmod(x, poly, p):
-        return False
-    for ell in _prime_divisors(m):
-        g = _pgcd([(a - b) % p for a, b in itertools.zip_longest(
-            _ppowmod(x, p ** (m // ell), poly, p), x, fillvalue=0)], poly, p)
-        if len(g) - 1 > 0:
+    """Ben-Or's test for a monic polynomial f of degree m over F_p: f is
+    irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= m/2, which
+    rejects a reducible f at the degree of its smallest factor."""
+    x = y = [0, 1]
+    for _ in range((len(poly) - 1) // 2):
+        y = _ppowmod(y, p, poly, p)
+        if len(_pgcd([(a - b) % p for a, b in itertools.zip_longest(y, x, fillvalue=0)],
+                     poly, p)) > 1:
             return False
     return True
 
@@ -158,8 +155,17 @@ def check_field_size(p, m):
     check_budget(what, "p^m", p ** m, FIELD_SIZE_LIMIT)
 
 
+def _generator(p, m, modulus):
+    """The first element g, in encoding order, of order q - 1.  An element of
+    F_p has order dividing p - 1 < q - 1, so for m > 1 the search starts at p."""
+    q, powers = p ** m, [p ** i for i in range(m)]
+    cofactors = [(q - 1) // ell for ell in _prime_divisors(q - 1)]
+    return next(g for g in range(1 if m == 1 else p, q) if all(
+        _ppowmod([g // pw % p for pw in powers], e, modulus, p) != [1] for e in cofactors))
+
+
 def _exp_log(p, m, modulus):
-    """exp/log tables of the first element g, in encoding order, of order q - 1.
+    """exp/log tables of the generator g of ``_generator``.
 
     The walk a -> a * g carries each element as its digit vector packed w
     bits apart, w = bit_length(2p - 2).  Multiplying by g is F_p-linear, so
@@ -173,10 +179,7 @@ def _exp_log(p, m, modulus):
     q - 1 steps.
     """
     q, powers = p ** m, [p ** i for i in range(m)]
-    n = q - 1
-    cofactors = [n // ell for ell in _prime_divisors(n)]
-    g = next(g for g in range(1, q) if all(
-        _ppowmod([g // pw % p for pw in powers], e, modulus, p) != [1] for e in cofactors))
+    n, g = q - 1, _generator(p, m, modulus)
     h, w = m // 2, (2 * p - 2).bit_length()
     top = w - 1
 

@@ -50,8 +50,6 @@ True
 Poly(1 - t^2)
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate
 

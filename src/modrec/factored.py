@@ -37,8 +37,6 @@ element mixes only with ints and with elements of its own field; anything
 else is a ``TypeError``.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb

@@ -7,8 +7,6 @@ series) and Hodge (q = u v, Hodge series).  The Betti and Hodge elements are
 the ``factored`` types, loaded only when such a field is built.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import ValidationError

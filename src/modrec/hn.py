@@ -18,8 +18,6 @@ The first part has slope above d/n, so the rest may be the single part
 (n - n_1, d - d_1), and every first part within the bound is one type.
 """
 
-from __future__ import annotations
-
 from .errors import InvariantViolation, ValidationError, check_budget, shown
 
 # Most types one request may walk, over all its walks (README.md).

@@ -16,8 +16,6 @@ Both run on integer coefficient lists: the one denominator, 1 - t^2, is
 known in advance and is divided out by running sums.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 
 from .errors import InvariantViolation, ValidationError

@@ -21,8 +21,6 @@ same convolution.  The budget still charges the uncapped work, an upper
 bound, so a capped request is refused exactly when the uncapped one is.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import comb
 

@@ -14,8 +14,6 @@ directly instead, from the point counts over F_{q^r} for r <= n, so
 than MAX_LOOP_STEPS are refused before any loop.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .errors import ValidationError, check_budget, shown

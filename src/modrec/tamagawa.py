@@ -33,8 +33,6 @@ Masses and counts need no filtration types, so ``hn`` is loaded only by
 ``siegel_check``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd

@@ -15,8 +15,6 @@ and d and -d share one memo entry.  In the coprime case multiplying by
 space.
 """
 
-from __future__ import annotations
-
 from math import comb, gcd, prod
 from operator import sub
 
@@ -166,9 +164,8 @@ def moduli_poincare(n, d, g):
     """
     _check_rank_genus(n, g)
     if gcd(n, d) != 1:
-        raise ValidationError(
-            "rank and degree must be coprime; use ss_equivariant_series for "
-            "the non-coprime semistable series")
+        raise ValidationError("rank and degree must be coprime; 'modrec mass --mode betti' "
+                              "gives the semistable mass at any degree")
     top = 2 * (n * n * (g - 1) + 1)
     order = top + TRUNCATION_SLACK
     values = times_one_minus(ss_equivariant_series(n, d, g, order).coeffs, 2)[: order + 1]

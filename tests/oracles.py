@@ -59,6 +59,13 @@
   ``graded_gcd`` fixture installs these two in their place, so that
   ``RatFun`` arithmetic in u, v, which the Hodge oracles above run on,
   works in the tests that ask for it.
+* ``is_irreducible_by_frobenius`` is Rabin's test: it raises x to p^m, and
+  to p^(m/l) for each prime l | m, for every candidate.
+  ``curve._is_irreducible`` is Ben-Or's test, one x -> x^p step and one gcd
+  per degree up to m/2, and must decide every candidate the same way.
+  ``generator_by_full_scan`` tries every element from 1 as a generator;
+  ``curve._generator`` skips the constants of F_p when m > 1, whose orders
+  divide p - 1, and must find the same g.
 * ``exp_log_by_digit_walk`` builds a finite field's exp/log tables by
   decoding each element to digits and multiplying by the generator with a
   generic polynomial product and reduction.  ``curve._exp_log`` steps by
@@ -110,7 +117,7 @@ from functools import total_ordering
 from math import comb
 from math import gcd as _int_gcd
 
-from modrec.curve import _pmod, _pmul, _ppowmod, _prime_divisors
+from modrec.curve import _pgcd, _pmod, _pmul, _ppowmod, _prime_divisors
 from modrec.errors import InvariantViolation
 from modrec.exactalg import (VARIABLES, Poly, RatFun, Series, _all_int, _as_coeff, _check_var,
                              _cnorm, _normed, _strip_vars, conv, divexact)
@@ -1128,15 +1135,37 @@ def divexact_sparse(a, b, main):
     return quot
 
 
-def exp_log_by_digit_walk(p, m, modulus):
-    """exp/log tables of F_{p^m}: g is the first element, in encoding order,
-    of order q - 1, and each step decodes a to its digits and multiplies by
-    g with a generic product and reduction mod the modulus."""
+def is_irreducible_by_frobenius(poly, p):
+    """Rabin's criterion for a monic polynomial f of degree m over F_p:
+    x^(p^m) = x mod f, and gcd(x^(p^(m/l)) - x, f) = 1 for each prime l | m."""
+    m = len(poly) - 1
+    x = [0, 1]
+    if _ppowmod(x, p ** m, poly, p) != _pmod(x, poly, p):
+        return False
+    for ell in _prime_divisors(m):
+        g = _pgcd([(a - b) % p for a, b in itertools.zip_longest(
+            _ppowmod(x, p ** (m // ell), poly, p), x, fillvalue=0)], poly, p)
+        if len(g) - 1 > 0:
+            return False
+    return True
+
+
+def generator_by_full_scan(p, m, modulus):
+    """The first element g of F_{p^m}, in encoding order, of order q - 1,
+    trying every g from 1, the constants of F_p included."""
     q, powers = p ** m, [p ** i for i in range(m)]
     n = q - 1
     cofactors = [n // ell for ell in _prime_divisors(n)]
-    g = next(g for g in range(1, q) if all(
+    return next(g for g in range(1, q) if all(
         _ppowmod([g // pw % p for pw in powers], e, modulus, p) != [1] for e in cofactors))
+
+
+def exp_log_by_digit_walk(p, m, modulus):
+    """exp/log tables of F_{p^m}: g is ``generator_by_full_scan``, and each
+    step decodes a to its digits and multiplies by g with a generic product
+    and reduction mod the modulus."""
+    q, powers = p ** m, [p ** i for i in range(m)]
+    n, g = q - 1, generator_by_full_scan(p, m, modulus)
     gd = [g // pw % p for pw in powers]
     exp, log = [0] * n, [0] * q
     a = 1

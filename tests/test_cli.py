@@ -157,6 +157,10 @@ def test_kirwan_ops(capsys):
         (("beta", 1), ("codim", 1), ("fixed_dim", 0)),
         (("beta", -1), ("codim", 1), ("fixed_dim", 0)),
     }
+    status, out, err = run_cli(capsys, "kirwan", "--weights", "[1,1,-1,-1]", "--op", "perfection")
+    assert status == 0 and err == ""
+    assert out == ('{"is_polynomial": true, "series_coeffs": ["1", "0", "2", "0", "1", "0", '
+                   '"0", "0", "0"], "weights": [1, 1, -1, -1]}\n')
 
 
 def test_kirwan_rejects_boolean_weights(capsys):
@@ -175,6 +179,11 @@ def test_formats(capsys, curve_file):
     assert csv_out == "stable_count,75\n"
     assert plain_out == "stable_count  75\n"
     assert json.loads(json_out)["stable_count"] == "75"
+    # a boolean renders as true or false in csv and plain
+    for fmt, line in (("csv", "match,true\n"), ("plain", "match  true\n")):
+        status, out, _ = run_cli(capsys, "--format", fmt, "crosscheck", "--n", "3", "--d", "1",
+                                 "--g", "2")
+        assert status == 0 and out == line
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -197,7 +206,16 @@ def test_malformed_config_exits_one(capsys, tmp_path):
     (dict(F2_CONFIG, f=[0, 0, 0, 0, 0, True]), "'f'"),
     (dict(COUNTS_CONFIG, counts=["3", 5]), "'counts'"),
     (5, "JSON object"),
-], ids=["h-int", "f-str", "f-float", "f-bool", "counts-str", "not-object"])
+    (dict(F2_CONFIG, p=4, f=[1, 0, 0, 0, 0, 1], h=[]), "error: p must be prime, got 4\n"),
+    (dict(F2_CONFIG, p=3, f=[1, 0, 0, 0, 1], h=[]),
+     "error: deg f must be at least 5 (genus >= 2)\n"),
+    (dict(F2_CONFIG, h=[1, 0, 0, 1]), "error: deg h must be at most g = 2\n"),
+    (dict(F2_CONFIG, k=0), "error: extension exponent k must be >= 1\n"),
+    (dict(COUNTS_CONFIG, counts=[3, 5, 9]), "error: need exactly g = 2 point counts\n"),
+    (dict(COUNTS_CONFIG, genus=1, counts=[3]), "error: genus must be at least 2\n"),
+    (dict(COUNTS_CONFIG, q="2"), "field 'q' must be int\n"),
+], ids=["h-int", "f-str", "f-float", "f-bool", "counts-str", "not-object", "p-not-prime",
+        "deg-f-4", "deg-h-3", "k-0", "three-counts", "genus-1", "q-str"])
 def test_malformed_config_lists_exit_one(capsys, tmp_path, config, blamed):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -206,6 +224,14 @@ def test_malformed_config_lists_exit_one(capsys, tmp_path, config, blamed):
         status, out, err = run_cli(capsys, *argv)
         assert status == 1 and out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: ") and blamed in err, (argv, err)
+
+
+def test_missing_config_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    status, out, err = run_cli(capsys, "zeta", "--curve", str(path))
+    assert status == 1 and out == ""
+    assert err == "error: cannot read curve file %s: [Errno 2] No such file or directory: %r\n" % (
+        path, str(path))
 
 
 def test_hasse_weil_violation_rejected(capsys, tmp_path):
@@ -478,7 +504,12 @@ def test_high_rank_under_a_small_bound_is_quick(capsys):
     (["mass", "--n", "3", "--d", "1", "--curve", "{curve}", "--g", "3"], "not both"),
     (["symprod", "--n", "3", "--curve", "{curve}", "--g", "5"], "not both"),
     (["symprod", "--n", "3", "--g", "2", "--enumerate"], "--enumerate needs --curve"),
-], ids=["mass-curve-mode-g", "mass-curve-g", "symprod-curve-g", "symprod-enumerate-g"])
+    (["mass", "--n", "2", "--d", "1"],
+     "error: mass needs either --curve, or --mode betti|hodge with --g\n"),
+    (["symprod", "--n", "2"], "error: symprod needs --g (Betti mode) or --curve (counts)\n"),
+    (["zeta", "--curve", "{curve}", "--i", "1"], "error: zeta values are used for i >= 2\n"),
+], ids=["mass-curve-mode-g", "mass-curve-g", "symprod-curve-g", "symprod-enumerate-g",
+        "mass-no-field", "symprod-no-field", "zeta-i-1"])
 def test_conflicting_options_are_refused(capsys, curve_file, argv, blamed):
     status, out, err = run_cli(capsys, *[a.format(curve=curve_file) for a in argv])
     assert status == 1 and out == ""
@@ -603,8 +634,8 @@ def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
     # imports none of the other subcommands' modules (the symbolic fields and
     # the symmetric powers need no curve, the finite-field and numeric
     # queries no symbolic algebra), and no module pulls in dataclasses (and
-    # inspect behind it); pytest's own process has every module loaded, so
-    # this needs a subprocess
+    # inspect behind it) or __future__; pytest's own process has every module
+    # loaded, so this needs a subprocess
     model = tmp_path / "model.json"
     model.write_text(json.dumps(F2_CONFIG))
     counts = tmp_path / "counts.json"
@@ -613,19 +644,20 @@ def test_subcommand_imports_only_its_modules(tmp_path, argv, absent):
             "import modrec.cli\n"
             "print(json.dumps([m for m in sys.modules if m.startswith('modrec.')]))\n"
             "assert 'dataclasses' not in sys.modules, 'imported by modrec.cli'\n"
+            "assert '__future__' not in sys.modules, 'imported by modrec.cli'\n"
             "assert modrec.cli.main(%r) == 0\n"
             "print(json.dumps([m for m in sys.modules if m.startswith('modrec.')]))\n"
-            "print(json.dumps('dataclasses' in sys.modules))\n"
+            "print(json.dumps(['dataclasses' in sys.modules, '__future__' in sys.modules]))\n"
             % [a.format(model=str(model), counts=str(counts)) for a in argv])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modrec.__file__)))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    imported, _, loaded, dataclasses_loaded = done.stdout.splitlines()
+    imported, _, loaded, stdlib_loaded = done.stdout.splitlines()
     assert sorted(json.loads(imported)) == ["modrec.cli", "modrec.errors"]
     loaded = {name[len("modrec."):] for name in json.loads(loaded)}
     assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
-    assert json.loads(dataclasses_loaded) is False
+    assert json.loads(stdlib_loaded) == [False, False]  # dataclasses, __future__
 
 
 # one argv per subcommand, with every option it takes

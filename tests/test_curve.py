@@ -14,6 +14,7 @@ from modrec.curve import (
     GF,
     _count_by_tables,
     _find_irreducible,
+    _generator,
     _is_irreducible,
     _is_prime,
     _norm_polynomial,
@@ -32,7 +33,8 @@ from modrec.errors import ValidationError
 from modrec.symprod import sym_count
 
 from oracles import (ArithPoly, ReducingRatFun, count_by_tables_per_element, count_prime_field,
-                     exp_log_by_digit_walk, poly_divexact, poly_gcd, sym_count_by_zeta)
+                     exp_log_by_digit_walk, generator_by_full_scan, is_irreducible_by_frobenius,
+                     poly_divexact, poly_gcd, sym_count_by_zeta)
 
 T = ArithPoly.var("t")
 
@@ -217,11 +219,12 @@ def test_exp_log_are_inverse_bijections():
         assert prods == K.exp[1:] + K.exp[:1], (p, m)
 
 
-def _first_irreducible_full_scan(p, m):
-    # every tuple (c_0, ..., c_{m-1}) in lexicographic order, c_0 = 0 included
-    for tail in itertools.product(range(p), repeat=m):
+def _first_irreducible_full_scan(p, m, first=0):
+    # every tuple (c_0, ..., c_{m-1}) with c_0 >= first in lexicographic
+    # order, decided by the Frobenius oracle
+    for tail in itertools.product(range(first, p), *[range(p)] * (m - 1)):
         poly = list(tail) + [1]
-        if _is_irreducible(poly, p):
+        if is_irreducible_by_frobenius(poly, p):
             return poly
 
 
@@ -237,6 +240,34 @@ def test_modulus_matches_full_lexicographic_scan():
             checked += 1
             m += 1
     assert checked == 893
+
+
+def test_ben_or_matches_the_frobenius_oracle():
+    # every monic candidate, reducible or not, is decided the same way
+    checked = 0
+    for p, top in ((2, 6), (3, 6), (5, 4)):
+        for m in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=m):
+                poly = list(tail) + [1]
+                assert _is_irreducible(poly, p) == is_irreducible_by_frobenius(poly, p), (poly, p)
+                checked += 1
+    assert checked == 126 + 1092 + 780
+
+
+def test_modulus_and_generator_match_the_oracles_up_to_the_limit():
+    # every extension field the limit admits, and the prime fields p < 520:
+    # the search past F_p must find the same generator as the full scan
+    primes = [p for p in range(2, 520) if _is_prime(p)]
+    extensions = [(p, m) for p in primes for m in range(2, LIMIT_BITS + 1)
+                  if p ** m <= FIELD_SIZE_LIMIT]
+    assert (len(primes), len(extensions)) == (97, 150)
+    for p, m in extensions:
+        modulus = _find_irreducible(p, m)
+        # c_0 = 0 costs 2^17 candidates at F_{2^18}; the full scan up to 3^8 covers it
+        assert modulus == _first_irreducible_full_scan(p, m, first=1), (p, m)
+        assert _generator(p, m, modulus) == generator_by_full_scan(p, m, modulus), (p, m)
+    for p in primes:
+        assert GF(p, 1).exp[1 % (p - 1)] == generator_by_full_scan(p, 1, [0, 1]), p
 
 
 def test_degree_one_polynomials_are_irreducible():
@@ -344,6 +375,8 @@ def test_prime_powers_decided_without_trial_division():
 def test_count_points_examples():
     assert count_points(MODEL_F2, 1) == 3
     assert count_points(MODEL_F2, 2) == 5
+    with pytest.raises(ValidationError, match="^extension degree r must be >= 1$"):
+        count_points(MODEL_F2, 0)
 
 
 def test_count_points_weil_bound_f3():

@@ -1,5 +1,6 @@
 """Gauge-side recursion: closed forms, series oracle, moduli polynomials."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,8 +9,10 @@ import pytest
 from modrec.cli import main
 from modrec.errors import InvariantViolation, ValidationError
 from modrec import hn, yangmills
-from modrec.exactalg import Poly, Series, over_one_minus
+from modrec.exactalg import Poly, Series, conv, over_one_minus
+from modrec.fields import SpecializationField
 from modrec.hn import codim, enumerate_types
+from modrec.tamagawa import ss_mass
 from modrec.yangmills import (
     classifying_coefficients,
     classifying_series,
@@ -156,9 +159,49 @@ def test_moduli_identity_checks_fire(change, message, capsys, monkeypatch):
     assert out.out == "" and out.err == "invariant violation: %s\n" % message
 
 
-def test_moduli_rejects_non_coprime():
-    with pytest.raises(ValidationError):
+NON_COPRIME = ("rank and degree must be coprime; 'modrec mass --mode betti' "
+               "gives the semistable mass at any degree")
+
+
+def test_moduli_rejects_non_coprime(capsys):
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(NON_COPRIME)):
         moduli_poincare(2, 4, 2)
+    # the refusal names the subcommand that serves every degree
+    for command in ("betti", "crosscheck"):
+        assert main([command, "--n", "2", "--d", "0", "--g", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: %s\n" % NON_COPRIME
+
+
+def _dual_to_mass(series, mass, D, T):
+    """Whether series(t) = t^(2D) mass(1/t) to order T, for mass = num / den:
+    series times den reversed equals num reversed, shifted up by
+    2D + deg den - deg num, with no division."""
+    num, den = mass.num.scalar_coeffs("t"), mass.den.scalar_coeffs("t")
+    shift = 2 * D + len(den) - len(num)
+    assert shift >= 0
+    want = ([0] * shift + num[::-1] + [0] * (T + 1))[:T + 1]
+    return conv(series, den[::-1], T + 1) == want
+
+
+def test_gauge_series_is_dual_to_the_betti_mass_at_every_degree():
+    # the semistable stack has dimension D = n^2 (g - 1); the dual form holds
+    # at every d, where the coprime-only moduli check cannot reach
+    cases = 0
+    for g, top in ((2, 6), (3, 4)):
+        field = SpecializationField.betti(g)
+        for n in range(1, top + 1):
+            for d in range(n):
+                D = n * n * (g - 1)
+                T = 2 * D + 12
+                mass = ss_mass(n, d, field)
+                series = ss_equivariant_series(n, d, g, T).coeffs
+                assert _dual_to_mass(series, mass, D, T), (n, d, g)
+                for k in range(T + 1):  # one coefficient raised by 1 breaks it
+                    raised = series[:k] + [series[k] + 1] + series[k + 1:]
+                    assert not _dual_to_mass(raised, mass, D, T), (n, d, g, k)
+                cases += 1
+    assert cases == 31
 
 
 def test_fixed_determinant_poly():
