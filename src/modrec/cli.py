@@ -19,6 +19,7 @@ on ints and Fractions and load no symbolic algebra (``exactalg``,
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -435,5 +436,15 @@ def main(argv=None):
     return status
 
 
+def run(argv=None):
+    """``main`` as a process entry (``python -m modrec``, the ``modrec``
+    script): it freezes the heap before returning the status, so the
+    interpreter's final collection skips every object made by then.  Frozen
+    objects are never collected, so in-process callers use ``main``."""
+    status = main(argv)
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 """Command-line surface: documents, exit codes, config validation."""
 
+import gc
 import json
 import os
 import re
@@ -742,6 +743,77 @@ def test_output_matches_the_full_parser(capsys, monkeypatch, argv):
     got = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_command", lambda argv: None)
     assert got == _outcome(capsys, argv)
+
+
+def _python(code, argv):
+    """Exit status, stdout and stderr bytes of ``python -c code argv``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modrec.__file__)))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _modrec_process(argv, prelude=""):
+    """``_python`` for ``python -m modrec argv``, with ``prelude`` run first."""
+    return _python(prelude + "import runpy\n"
+                   "runpy.run_module('modrec', run_name='__main__', alter_sys=True)\n", argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--n", "3", "--d", "1", "--g", "2"],
+    ["--format", "csv", "betti", "--n", "3", "--d", "1", "--g", "2"],
+    ["crosscheck", "--n", "2", "--d", "1", "--g", "3000"],
+])
+def test_run_returns_main_status_with_the_heap_frozen(capsys, argv):
+    # run freezes the heap of the process it ends, so the interpreter's
+    # final collection skips it; main, which tests and workers call in
+    # process, freezes nothing and leaves the collector on
+    code = ("import gc, sys\n"
+            "from modrec.cli import run\n"
+            "status = run(sys.argv[1:])\n"
+            "sys.stderr.write('%d %d' % (status, gc.get_freeze_count() > 0))\n")
+    status, out, err = run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert _python(code, argv) == (0, out.encode(), (err + "%d 1" % status).encode())
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--n", "3", "--d", "1", "--g", "2"],
+    ["--format", "csv", "betti", "--n", "3", "--d", "1", "--g", "2"],
+    ["crosscheck", "--n", "2", "--d", "1", "--g", "3000"],
+    ["zeta", "--curve", "{bad}"],
+    ["betti", "--n", "two", "--d", "1", "--g", "2"],
+    ["--help"],
+    ["symprod", "--n", "15000", "--curve", os.path.join(CONFIGS, "g2q2.json")],
+], ids=["answer", "csv", "refusal", "malformed-config", "usage-error", "help",
+        "past-digit-guard"])
+def test_python_m_modrec_matches_main(capsys, tmp_path, argv):
+    # the process entry changes only how the process ends: the same bytes on
+    # both streams and the same exit status as main in process
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"mode": "counts", "q": 2, "genus": 2}')
+    argv = [a.format(bad=bad) for a in argv]
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # --help prints and exits
+        status = exc.code
+    out = capsys.readouterr()
+    assert _modrec_process(argv) == (status, out.out.encode(), out.err.encode())
+
+
+def test_python_m_modrec_exits_two_on_a_failed_identity(capsys, monkeypatch):
+    import modrec.tamagawa as tamagawa_mod
+    from modrec.exactalg import Poly, RatFun
+
+    patch = ("import modrec.tamagawa\n"
+             "from modrec.exactalg import Poly, RatFun\n"
+             "modrec.tamagawa.ss_mass = lambda n, d, field: RatFun(Poly.univariate('t', [1]))\n")
+    argv = ["crosscheck", "--n", "2", "--d", "1", "--g", "2"]
+    one = RatFun(Poly.univariate("t", [1]))
+    monkeypatch.setattr(tamagawa_mod, "ss_mass", lambda n, d, field: one)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert _modrec_process(argv, patch) == (2, out.encode(), err.encode())
 
 
 def test_gauge_route_does_not_import_the_arithmetic_one():

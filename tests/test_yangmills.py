@@ -186,22 +186,24 @@ def _dual_to_mass(series, mass, D, T):
 
 def test_gauge_series_is_dual_to_the_betti_mass_at_every_degree():
     # the semistable stack has dimension D = n^2 (g - 1); the dual form holds
-    # at every d, where the coprime-only moduli check cannot reach
+    # at every d, where the coprime-only moduli check cannot reach, and d
+    # runs over three periods so both routes reduce it themselves
     cases = 0
-    for g, top in ((2, 6), (3, 4)):
+    for g, top in ((2, 8), (3, 5)):
         field = SpecializationField.betti(g)
         for n in range(1, top + 1):
-            for d in range(n):
+            for d in range(-n, 2 * n):
                 D = n * n * (g - 1)
                 T = 2 * D + 12
                 mass = ss_mass(n, d, field)
                 series = ss_equivariant_series(n, d, g, T).coeffs
                 assert _dual_to_mass(series, mass, D, T), (n, d, g)
-                for k in range(T + 1):  # one coefficient raised by 1 breaks it
+                for k in range(T + 1) if 0 <= d < n else ():
+                    # one coefficient raised by 1 breaks it
                     raised = series[:k] + [series[k] + 1] + series[k + 1:]
                     assert not _dual_to_mass(raised, mass, D, T), (n, d, g, k)
                 cases += 1
-    assert cases == 31
+    assert cases == 153
 
 
 def test_fixed_determinant_poly():
